@@ -8,7 +8,7 @@ seed therefore reproduces the report byte for byte.
 
 Key-bit conservation is exact and closes over five consumption
 categories: authentication top-ups, one-time-pad traffic, relay
-requests, master-key rotation, and share refresh. Every draw from a
+requests, master-key rotation, and share refresh. Every debit from a
 link pool lands in exactly one of them.
 """
 
@@ -237,6 +237,24 @@ class _Sim:
             {"time": time, "kind": kind, "entity": entity, "bits": bits}
         )
 
+    def relay(
+        self, time: float, src: str, dst: str, n: int, purpose: str
+    ) -> tuple[KeyMaterial, KeyMaterial]:
+        """Relay n bits between src and dst and log it in the relay ledger."""
+        k_src, k_dst, record = relay_key(self.topology, src, dst, n, self.relay_rng, now=time)
+        self.report.relay_ledger.append(
+            {
+                "time": time,
+                "branch_i": record.branch_i,
+                "branch_j": record.branch_j,
+                "bits": record.bits,
+                "key_id": record.key_id,
+                "key_fingerprint": _fingerprint(k_src.bits),
+                "purpose": purpose,
+            }
+        )
+        return k_src, k_dst
+
     def on_link_tick(self, event: Event) -> None:
         active = schedule_channels(self.topology, now=event.time)
         step = hub_cpu_step(self.topology, self.dt, active, now=event.time)
@@ -288,21 +306,8 @@ class _Sim:
         usable = min(ask, pool_src.available_bits, pool_dst.available_bits)
         usable -= usable % 8
         if usable > 0:
-            k_src, k_dst, record = relay_key(
-                self.topology, flow.src, flow.dst, usable, self.relay_rng, now=event.time
-            )
+            k_src, k_dst = self.relay(event.time, flow.src, flow.dst, usable, "otp_traffic")
             self.consumed["otp_traffic"] += 2 * usable
-            self.report.relay_ledger.append(
-                {
-                    "time": event.time,
-                    "branch_i": record.branch_i,
-                    "branch_j": record.branch_j,
-                    "bits": record.bits,
-                    "key_id": record.key_id,
-                    "key_fingerprint": _fingerprint(k_src.bits),
-                    "purpose": "otp_traffic",
-                }
-            )
             payload = bytes(usable // 8)
             ciphertext = otp_encrypt(k_src, payload)
             if otp_decrypt(k_dst, ciphertext) != payload:
@@ -323,22 +328,9 @@ class _Sim:
         if pool_src.available_bits < n or pool_dst.available_bits < n:
             self.unmet(event.time, "relay", event.entity, n)
             return
-        k_src, _k_dst, record = relay_key(
-            self.topology, src, dst, n, self.relay_rng, now=event.time
-        )
+        self.relay(event.time, src, dst, n, "relay_request")
         self.consumed["relay"] += 2 * n
         self.relay_delivered_bits += n
-        self.report.relay_ledger.append(
-            {
-                "time": event.time,
-                "branch_i": record.branch_i,
-                "branch_j": record.branch_j,
-                "bits": record.bits,
-                "key_id": record.key_id,
-                "key_fingerprint": _fingerprint(k_src.bits),
-                "purpose": "relay_request",
-            }
-        )
 
     def on_refresh(self, event: Event) -> None:
         runtime = self.sharings[event.entity]
@@ -363,21 +355,9 @@ class _Sim:
                 }
             )
             return
-        k_a, k_b, record = relay_key(self.topology, a, b, cost, self.relay_rng, now=event.time)
-        k_a.mark_consumed()  # the delivered key is the refresh pad material
-        k_b.mark_consumed()
+        # The delivered key is the refresh pad material.
+        self.relay(event.time, a, b, cost, "refresh")
         self.consumed["refresh"] += 2 * cost
-        self.report.relay_ledger.append(
-            {
-                "time": event.time,
-                "branch_i": record.branch_i,
-                "branch_j": record.branch_j,
-                "bits": record.bits,
-                "key_id": record.key_id,
-                "key_fingerprint": _fingerprint(k_a.bits),
-                "purpose": "refresh",
-            }
-        )
         runtime.budget.deposit(cost)
         rng = self.streams.stream(f"sharing/{runtime.spec.id}")
         runtime.shares = refresh_shares(runtime.shares, config, rng, runtime.budget)

@@ -2,8 +2,9 @@
 
 Key bits in this model are a strictly conserved resource: every bit a
 link generates either sits in a pool or was consumed by exactly one
-operation. Pools therefore run integer accounting, and all key-material
-objects are single-use.
+operation. Pools are integer ledgers: spending key debits a counter and
+makes no bits. Bit values exist only where something reads them, as
+single-use key material returned by KeyPool.draw.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ def xor_bytes(a: bytes, b: bytes) -> bytes:
     """XOR two equal-length byte strings."""
     if len(a) != len(b):
         raise LengthMismatch(f"xor over {len(a)} vs {len(b)} bytes")
-    return bytes(x ^ y for x, y in zip(a, b))
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
 
 
 @dataclass
@@ -133,12 +134,12 @@ def mix_keys(
 
 @dataclass
 class KeyPool:
-    """FIFO reservoir of secret bits for one link, with exact accounting.
+    """Integer ledger of the secret bits one link holds.
 
     Invariant: total_generated_bits == available_bits + total_consumed_bits
-    at every step. Bit values are materialized lazily from the pool's
-    own deterministic stream when material is drawn; the counters are
-    what conservation tracks.
+    at every step. spend() only moves counters. draw() is spend() plus
+    bit values from the pool's own deterministic stream, for callers
+    that read the key.
     """
 
     link_id: str
@@ -175,13 +176,10 @@ class KeyPool:
         self.available_bits += n_bits
         self.total_generated_bits += n_bits
 
-    def draw(self, n_bits: int, provenance: Provenance, created_at: float = 0.0) -> KeyMaterial:
-        """Remove n_bits from the pool as a fresh KeyMaterial.
-
-        Fails without side effects when the pool is short.
-        """
+    def spend(self, n_bits: int) -> None:
+        """Debit n_bits from the pool; fails without side effects when short."""
         if n_bits <= 0:
-            raise ValueError(f"draw must be positive, got {n_bits}")
+            raise ValueError(f"spend must be positive, got {n_bits}")
         if self.available_bits < n_bits:
             raise InsufficientKey(
                 f"pool {self.link_id}: requested {n_bits} bits, "
@@ -189,6 +187,10 @@ class KeyPool:
             )
         self.available_bits -= n_bits
         self.total_consumed_bits += n_bits
+
+    def draw(self, n_bits: int, provenance: Provenance, created_at: float = 0.0) -> KeyMaterial:
+        """Spend n_bits and return them as a fresh KeyMaterial."""
+        self.spend(n_bits)
         self._draw_count += 1
         assert self.rng is not None
         return KeyMaterial(

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainError, InsufficientKey
-from .keycore import AuthBudget, KeyPool, Provenance
+from .keycore import AuthBudget, KeyPool
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,8 @@ def produce(state: LinkState, dt: float, now: float = 0.0) -> TickOutcome:
     deposited; callers release them, possibly throttled, via release().
     Auth is paid from the reserved budget first and then from the link's
     own pool. If neither covers the round, the link halts for this
-    interval and produces nothing.
+    interval and produces nothing. now is accepted for symmetry with the
+    other stepping calls; pool debits carry no time.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -125,11 +126,10 @@ def produce(state: LinkState, dt: float, now: float = 0.0) -> TickOutcome:
         shortfall = max(0, cost_bits - state.auth.reserved_bits)
         if shortfall > 0:
             try:
-                km = state.pool.draw(shortfall, Provenance.QUANTUM, created_at=now)
+                state.pool.spend(shortfall)  # spent as authentication tags
             except InsufficientKey:
                 state.halted_ticks += 1
                 return TickOutcome(Fraction(0), 0, 0.0, 0, 0, True)
-            km.mark_consumed()  # spent as authentication tags
             state.auth.deposit(shortfall)
         state.auth.consume(messages)
         from_pool = shortfall

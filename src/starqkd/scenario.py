@@ -11,6 +11,7 @@ lax mode warns and drops them.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -174,10 +175,27 @@ def _as_int(value: Any, path: str, minimum: int | None = None) -> int:
 def _as_float(value: Any, path: str, minimum: float | None = None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(path, f"expected a number, got {value!r}")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:  # an integer too large for a float
+        out = math.inf
+    if not math.isfinite(out):
+        raise ValidationError(path, f"must be a finite number, got {value!r}")
     if minimum is not None and out < minimum:
         raise ValidationError(path, f"must be >= {minimum}, got {value}")
     return out
+
+
+def _check_duration(duration: float, tick: float) -> None:
+    if not math.isfinite(duration):
+        raise ValidationError("duration_seconds", f"must be a finite number, got {duration!r}")
+    if duration <= 0:
+        raise ValidationError("duration_seconds", f"must be positive, got {duration}")
+    ratio = duration / tick
+    if abs(ratio - round(ratio)) > 1e-9 * max(1.0, abs(ratio)) or round(ratio) < 1:
+        raise ValidationError(
+            "duration_seconds", f"must be a whole number of ticks, got {ratio} ticks"
+        )
 
 
 def _get(obj: dict, key: str, default: Any = None) -> Any:
@@ -554,16 +572,10 @@ def scenario_from_dict(data: Any, strict: bool = True) -> Scenario:
     if seed >= 2**64:
         raise ValidationError("seed", f"must fit in 64 bits, got {seed}")
     duration = _as_float(_require(top, "duration_seconds", "scenario"), "duration_seconds")
-    if duration <= 0:
-        raise ValidationError("duration_seconds", f"must be positive, got {duration}")
     tick = _as_float(_get(top, "tick_seconds", DEFAULT_TICK_SECONDS), "tick_seconds")
     if tick <= 0:
         raise ValidationError("tick_seconds", f"must be positive, got {tick}")
-    ratio = duration / tick
-    if abs(ratio - round(ratio)) > 1e-9 * max(1.0, abs(ratio)) or round(ratio) < 1:
-        raise ValidationError(
-            "duration_seconds", f"must be a whole number of ticks, got {ratio} ticks"
-        )
+    _check_duration(duration, tick)
 
     branches = tuple(
         _parse_branch(obj, f"branches[{i}]", strict)
@@ -584,10 +596,17 @@ def scenario_from_dict(data: Any, strict: bool = True) -> Scenario:
         _parse_traffic(obj, f"traffic[{i}]", strict)
         for i, obj in enumerate(_as_list(_get(top, "traffic", []), "traffic"))
     )
+    first_index: dict[tuple[str, str], int] = {}
     for i, demand in enumerate(traffic):
         for end, value in (("src", demand.src), ("dst", demand.dst)):
             if value not in known:
                 raise ValidationError(f"traffic[{i}].{end}", f"unknown branch {value!r}")
+        earlier = first_index.setdefault((demand.src, demand.dst), i)
+        if earlier != i:
+            raise ValidationError(
+                f"traffic[{i}]",
+                f"duplicate pair {demand.src}->{demand.dst}, already given at traffic[{earlier}]",
+            )
 
     sharing = tuple(
         _parse_sharing(obj, f"sharing[{i}]", strict)
@@ -866,14 +885,6 @@ def with_overrides(
             raise ValidationError("seed", f"must fit in 64 bits, got {seed}")
         out = replace(out, seed=seed)
     if duration_seconds is not None:
-        if duration_seconds <= 0:
-            raise ValidationError(
-                "duration_seconds", f"must be positive, got {duration_seconds}"
-            )
-        ratio = duration_seconds / out.tick_seconds
-        if abs(ratio - round(ratio)) > 1e-9 * max(1.0, abs(ratio)) or round(ratio) < 1:
-            raise ValidationError(
-                "duration_seconds", f"must be a whole number of ticks, got {ratio} ticks"
-            )
+        _check_duration(duration_seconds, out.tick_seconds)
         out = replace(out, duration_seconds=duration_seconds)
     return out

@@ -22,7 +22,7 @@ from .errors import (
     MixedRounds,
     NotEnoughShares,
 )
-from .keycore import KeyPool, Provenance
+from .keycore import KeyPool
 
 DEFAULT_FIELD_PRIME = (1 << 61) - 1
 # Exhaustive secrecy checking enumerates every candidate secret.
@@ -165,7 +165,7 @@ def refresh(
     """Re-randomize all n shares without moving the secret.
 
     Adds a random degree k-1 polynomial with zero constant term to every
-    share and bumps the round. Draws refresh_cost_bits from key_budget
+    share and bumps the round. Spends refresh_cost_bits from key_budget
     first; a short budget fails the whole round atomically.
     """
     if len(shares) != config.n_locations:
@@ -175,8 +175,7 @@ def refresh(
     _check_combinable(shares, config)
     if {s.x for s in shares} != set(range(1, config.n_locations + 1)):
         raise MissingShares("refresh needs one share per location x = 1..n")
-    pad = key_budget.draw(config.refresh_cost_bits, Provenance.RELAYED)
-    pad.mark_consumed()  # spent as pairwise one-time pads
+    key_budget.spend(config.refresh_cost_bits)  # spent as pairwise one-time pads
     p = config.field_prime
     zero_coeffs = [0] + [rng.randrange(p) for _ in range(config.threshold_k - 1)]
     return [

@@ -15,7 +15,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import DuplicateId, InsufficientKey, NoBranches
-from .keycore import KeyMaterial, KeyPool, AuthBudget, Provenance, xor_bytes
+from .keycore import KeyMaterial, KeyPool, AuthBudget, Provenance
 from .qkdlink import LinkParams, LinkState, produce, release
 from .rng import random_bits
 
@@ -161,10 +161,11 @@ def relay_key(
 ) -> tuple[KeyMaterial, KeyMaterial, RelayRecord]:
     """Deliver one fresh shared key to two branches via the trusted hub.
 
-    The hub draws an n-bit pad from each endpoint's pool, XORs a fresh
-    key onto each, and the endpoints strip their pads. Both deliveries
-    carry identical bits; total pool cost is exactly 2 * n_bits. Fails
-    atomically: a short pool on either side leaves both untouched.
+    The hub one-time-pads a fresh n-bit key down each spoke, spending
+    the pads from the endpoint pools as ledger debits; each branch strips
+    its pad and holds the fresh key. Both deliveries carry identical
+    bits; total pool cost is exactly 2 * n_bits. Fails atomically: a
+    short pool on either side leaves both untouched.
     """
     if branch_i == branch_j:
         raise ValueError(f"relay endpoints must differ, got {branch_i!r} twice")
@@ -183,14 +184,11 @@ def relay_key(
     key_id = f"relay-{topology.relay_count:06d}"
     delivered = []
     for bid, link in ((branch_i, link_i), (branch_j, link_j)):
-        pad = link.pool.draw(n_bits, Provenance.QUANTUM, created_at=now)
-        wire = xor_bytes(fresh, pad.bits)  # what the hub transmits
-        plain = xor_bytes(wire, pad.bits)  # what the branch recovers
-        pad.mark_consumed()
+        link.pool.spend(n_bits)  # the pad for this spoke
         delivered.append(
             KeyMaterial(
                 id=f"{key_id}/{bid}",
-                bits=plain,
+                bits=fresh,
                 bit_length=n_bits,
                 provenance=Provenance.RELAYED,
                 created_at=now,

@@ -66,9 +66,41 @@ def test_simulate_csv(tmp_path):
         assert (out / name).exists()
 
 
-def test_simulate_rejects_bad_override(capsys):
+def test_simulate_rejects_bad_override(tmp_path, capsys):
     assert main(["simulate", "scenarios/minimal.json", "--duration", "0.3"]) == 1
     assert "whole number of ticks" in capsys.readouterr().err
+    # Non-finite numbers and duplicate traffic pairs end in exit 1 with
+    # the dotted path, not a traceback.
+    infinite = tmp_path / "infinite.json"
+    infinite.write_text('{"duration_seconds": Infinity, "branches": [{"id": "a"}]}')
+    nan = tmp_path / "nan.json"
+    nan.write_text('{"duration_seconds": 10, "branches": [{"id": "a", "distance_km": NaN}]}')
+    huge = tmp_path / "huge.json"  # an integer no float can hold
+    huge.write_text(json.dumps({"duration_seconds": 10, "tick_seconds": 10**400, "branches": []}))
+    pair = tmp_path / "pair.json"
+    pair.write_text(
+        json.dumps(
+            {
+                "duration_seconds": 20.0,
+                "branches": [{"id": "a"}, {"id": "b"}],
+                "traffic": [
+                    {"src": "a", "dst": "b", "relay_bits": 64, "relay_interval_seconds": 5.0},
+                    {"src": "a", "dst": "b", "relay_bits": 4096, "relay_interval_seconds": 5.0},
+                ],
+            }
+        )
+    )
+    out = str(tmp_path / "run")
+    for argv, path in (
+        ([str(infinite)], "duration_seconds: must be a finite number"),
+        ([str(nan)], "branches[0].distance_km: must be a finite number"),
+        ([str(huge)], "tick_seconds: must be a finite number"),
+        (["scenarios/minimal.json", "--duration", "inf"], "duration_seconds: must be a finite"),
+        ([str(pair)], "traffic[1]: duplicate pair a->b, already given at traffic[0]"),
+    ):
+        assert main(["simulate", *argv, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert path in err and "Traceback" not in err
 
 
 def test_plan_with_default_matrix(capsys):

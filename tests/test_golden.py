@@ -1,0 +1,40 @@
+"""Golden bytes: shipped scenarios must emit exactly these reports.
+
+Each case runs ingest_scenario -> run -> emit_report and pins the
+sha256 of every file written. A refactor must keep these digests; a
+change that alters them on purpose updates them here and says why.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from starqkd.engine import run
+from starqkd.report import emit_report
+from starqkd.scenario import ingest_scenario
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+GOLDEN = {
+    ("star10.json", "json"): {
+        "report.json": "a7225bf716fb7935dcb5203afcb44ec3be81abe2ed42b0505b128f69dd23e0ef",
+    },
+    ("minimal.json", "json"): {
+        "report.json": "65a2bd7fe4d68fe8bea70d6d7f3c1df78712690b06c23f52e215750ded04aca3",
+    },
+    ("star10.json", "csv"): {
+        "deposited_bits.csv": "fb086f3ad52e1f44b7f5ce1b438db4f744b5e58bdd5317ab9a82336936793a37",
+        "hub.csv": "70026a9eafc87d968ee34770c8d9b146bfae412783a58ec30ff450695ac8f0ad",
+        "meta.csv": "64de61d07d465214f40e0b11d2f7ca0d35cb6a69119dbb4f120e125a52edd58a",
+        "pool_available.csv": "370489f8132f0ff35e91492493faa8385dabddc40aec5419ffff6b07d4b4ec78",
+    },
+}
+
+
+@pytest.mark.parametrize(("scenario", "fmt"), sorted(GOLDEN))
+def test_report_bytes_match_golden_digests(tmp_path, scenario, fmt):
+    report = run(ingest_scenario(SCENARIOS / scenario))
+    written = emit_report(report, fmt, tmp_path)
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in written}
+    assert digests == GOLDEN[(scenario, fmt)]

@@ -27,6 +27,17 @@ def make_key(bits: bytes, provenance=Provenance.QUANTUM, key_id="k") -> KeyMater
     return KeyMaterial(id=key_id, bits=bits, bit_length=8 * len(bits), provenance=provenance)
 
 
+# The two ways to debit a pool: draw() makes the bits, spend() does not.
+DEBITS = (
+    lambda pool, n: pool.draw(n, Provenance.QUANTUM),
+    lambda pool, n: pool.spend(n),
+)
+
+
+def counters(pool: KeyPool) -> tuple[int, int, int]:
+    return pool.available_bits, pool.total_generated_bits, pool.total_consumed_bits
+
+
 def test_xor_bytes_known_values():
     assert xor_bytes(b"\xff", b"\x0f") == b"\xf0"
     assert xor_bytes(b"\x00\x00", b"\xab\xcd") == b"\xab\xcd"
@@ -137,21 +148,30 @@ def test_pool_deposit_and_draw_accounting():
     assert pool.available_bits == 6
     assert pool.total_consumed_bits == 4
     assert pool.total_generated_bits == pool.available_bits + pool.total_consumed_bits
+    # spend() is the same debit without making bits: the stream stays put.
+    stream = pool.rng.getstate()
+    assert pool.spend(5) is None
+    assert counters(pool) == (1, 10, 9)
+    assert pool.rng.getstate() == stream
+    pool.assert_conservation()
 
 
 def test_pool_draw_failure_changes_nothing():
-    pool = KeyPool(link_id="a")
-    pool.deposit(50)
-    with pytest.raises(InsufficientKey):
-        pool.draw(51, Provenance.QUANTUM)
-    assert pool.available_bits == 50
-    assert pool.total_consumed_bits == 0
-    pool.draw(30, Provenance.QUANTUM)
-    pool.draw(20, Provenance.QUANTUM)
-    assert pool.available_bits == 0
-    assert pool.total_consumed_bits == 50
-    with pytest.raises(InsufficientKey):
-        pool.draw(1, Provenance.QUANTUM)
+    for debit in DEBITS:
+        pool = KeyPool(link_id="a")
+        pool.deposit(50)
+        stream = pool.rng.getstate()
+        with pytest.raises(InsufficientKey):
+            debit(pool, 51)
+        assert counters(pool) == (50, 50, 0)
+        assert pool.rng.getstate() == stream
+        debit(pool, 30)
+        debit(pool, 20)
+        assert pool.available_bits == 0
+        assert pool.total_consumed_bits == 50
+        with pytest.raises(InsufficientKey):
+            debit(pool, 1)
+        assert counters(pool) == (0, 50, 50)
 
 
 def test_pool_rejects_zero_quantities():
@@ -161,8 +181,12 @@ def test_pool_rejects_zero_quantities():
     with pytest.raises(ValueError):
         pool.deposit(-3)
     pool.deposit(8)
-    with pytest.raises(ValueError):
-        pool.draw(0, Provenance.QUANTUM)
+    for debit in DEBITS:
+        with pytest.raises(ValueError):
+            debit(pool, 0)
+        with pytest.raises(ValueError):
+            debit(pool, -1)
+    assert counters(pool) == (8, 8, 0)
 
 
 def test_pool_draws_are_deterministic_per_seed():
@@ -186,11 +210,16 @@ def test_pool_conservation_over_random_sequences():
             pool.deposit(rng.randint(1, 500))
         elif op < 0.9:
             n = rng.randint(1, 400)
+            debit = rng.choice(DEBITS)
             if pool.available_bits >= n:
-                drawn.append(pool.draw(n, Provenance.QUANTUM))
+                got = debit(pool, n)
+                if got is not None:
+                    drawn.append(got)
             else:
+                before = counters(pool)
                 with pytest.raises(InsufficientKey):
-                    pool.draw(n, Provenance.QUANTUM)
+                    debit(pool, n)
+                assert counters(pool) == before
         elif drawn:
             km = drawn.pop()
             if not km.consumed:

@@ -134,6 +134,28 @@ def test_traffic_src_dst_differ():
         scenario_from_dict(data)
 
 
+def duplicate_relay_pair() -> dict:
+    # Two relay demands on one pair: 64 and 4096 bits every 5 s over 20 s.
+    return {
+        "duration_seconds": 20.0,
+        "branches": [{"id": "a"}, {"id": "b"}],
+        "traffic": [
+            {"src": "a", "dst": "b", "relay_bits": 64, "relay_interval_seconds": 5.0},
+            {"src": "a", "dst": "b", "relay_bits": 4096, "relay_interval_seconds": 5.0},
+        ],
+    }
+
+
+def test_traffic_pairs_must_be_unique():
+    with pytest.raises(ValidationError, match=r"traffic\[0\]") as info:
+        scenario_from_dict(duplicate_relay_pair())
+    assert info.value.path == "traffic[1]"
+    # The reverse direction is a different flow.
+    data = duplicate_relay_pair()
+    data["traffic"][1].update(src="b", dst="a")
+    assert len(scenario_from_dict(data).traffic) == 2
+
+
 def test_relay_fields_come_together():
     data = {"duration_seconds": 5.0, "branches": [{"id": "a"}, {"id": "b"}]}
     data["traffic"] = [{"src": "a", "dst": "b", "relay_bits": 128}]

@@ -90,15 +90,29 @@ def test_relay_delivers_identical_keys_and_charges_both_pools():
     assert record.bits == 64 and record.time == 3.0
 
 
+def pool_counters(topo: StarTopology, bid: str) -> tuple[int, int, int]:
+    pool = topo.link(bid).pool
+    return pool.available_bits, pool.total_generated_bits, pool.total_consumed_bits
+
+
 def test_relay_fails_atomically():
     topo = star()
     topo.link("b1").pool.deposit(100)
     topo.link("b2").pool.deposit(12852)
-    with pytest.raises(InsufficientKey):
-        relay_key(topo, "b1", "b2", 128, random.Random(7))
-    assert topo.link("b1").pool.available_bits == 100
-    assert topo.link("b2").pool.available_bits == 12852
+    # Either side short: both pools keep every counter.
+    for src, dst in (("b1", "b2"), ("b2", "b1")):
+        with pytest.raises(InsufficientKey):
+            relay_key(topo, src, dst, 128, random.Random(7))
+        assert pool_counters(topo, "b1") == (100, 100, 0)
+        assert pool_counters(topo, "b2") == (12852, 12852, 0)
     assert topo.relay_count == 0
+    # A successful relay debits exactly n from each side and makes no pad bits.
+    streams = [topo.link(bid).pool.rng.getstate() for bid in ("b1", "b2")]
+    relay_key(topo, "b1", "b2", 100, random.Random(7))
+    assert pool_counters(topo, "b1") == (0, 100, 100)
+    assert pool_counters(topo, "b2") == (12752, 12852, 100)
+    assert [topo.link(bid).pool.rng.getstate() for bid in ("b1", "b2")] == streams
+    assert topo.relay_count == 1
 
 
 def test_relay_rejects_bad_endpoints():
