@@ -14,11 +14,12 @@ library).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .errors import ScenarioInvalid, StarQkdError
 from .hybrid import PRACTICALLY_INFINITE_SECONDS, YEAR_SECONDS, AttackerModel, mosca_at_risk
-from .keycore import Provenance
+from .keycore import DEFAULT_POOL_TARGET_BITS, Provenance
 from .policy import default_matrix, recommend
 from .qkdlink import LinkParams
 from .report import emit_report
@@ -117,6 +118,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
+    if not (math.isfinite(args.ops_per_sec) and args.ops_per_sec > 0):
+        print("error: --ops-per-sec must be a positive finite number", file=sys.stderr)
+        return 2
     assets, classes, migration = ingest_plan_inputs(args.assets)
     if args.matrix is not None:
         matrix = ingest_matrix(args.matrix)
@@ -166,8 +170,8 @@ def _cmd_relay_demo(args: argparse.Namespace) -> int:
     if args.branches < 2:
         print("error: relay needs at least 2 branches", file=sys.stderr)
         return 2
-    if args.bits <= 0:
-        print("error: --bits must be positive", file=sys.stderr)
+    if not 0 < args.bits <= DEFAULT_POOL_TARGET_BITS:
+        print(f"error: --bits must be between 1 and {DEFAULT_POOL_TARGET_BITS}", file=sys.stderr)
         return 2
     streams = StreamRegistry(args.seed)
     link = LinkParams(

@@ -1,11 +1,20 @@
-"""Scenario files: schema, defaults, validation, round-trip serialization.
+"""Scenario files: field tables, validation, round-trip serialization.
 
 A scenario is one JSON object describing the star (hub limits and
 branch links), the demands placed on it (pairwise traffic, relay
 requests, sharing instances), the assets to plan for, and the attacker.
-Parsing applies documented defaults, then validates every field with a
-dotted path in the error message. Strict mode rejects unknown fields;
-lax mode warns and drops them.
+
+Each JSON object has one field table mapping its keys to a `_Field`:
+the reader for the kind (int, float, str, bool, array, or unchecked,
+with any `>= minimum` or positive bound) and the default or `_REQUIRED`.
+`_read` checks an object against its table (unknown and required keys,
+types, finiteness, bounds; each error names its dotted path) and returns
+the values with defaults applied; `_build` makes the library dataclass
+and reports its precondition errors at the same path; `scenario_to_dict`
+dumps through the same tables. Hand-written checks remain only for rules
+across fields. Strict mode rejects unknown fields; lax mode warns and
+drops them. `null` means the default only where the default is null.
+A run may have at most MAX_TICKS ticks.
 """
 
 from __future__ import annotations
@@ -14,8 +23,9 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, replace
+from enum import Enum
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .errors import BadField, ParseError, ValidationError
 from .hybrid import AttackerModel, MigrationTimeline
@@ -33,6 +43,10 @@ from .qkdlink import LinkParams
 from .sharing import DEFAULT_FIELD_PRIME, ShareConfig
 
 SCENARIO_FORMAT_VERSION = 1
+
+# duration_seconds / tick_seconds may not exceed this: the engine
+# schedules every tick of every link up front.
+MAX_TICKS = 10_000_000
 
 DEFAULT_SEED = 0
 DEFAULT_TICK_SECONDS = 1.0
@@ -127,17 +141,9 @@ class Scenario:
 
 
 # ---------------------------------------------------------------------------
-# field readers
+# value readers: each takes (value, path, bound) and returns the checked value
 
-
-def _unknown_keys(obj: dict, allowed: set[str], path: str, strict: bool) -> None:
-    extras = sorted(set(obj) - allowed)
-    if not extras:
-        return
-    msg = f"unknown field(s): {', '.join(extras)}"
-    if strict:
-        raise ValidationError(path, msg)
-    warnings.warn(f"{path}: {msg} (ignored)", stacklevel=2)
+_POSITIVE = "positive"  # the bound of a float that must be > 0
 
 
 def _as_dict(value: Any, path: str) -> dict:
@@ -146,19 +152,26 @@ def _as_dict(value: Any, path: str) -> dict:
     return value
 
 
-def _as_list(value: Any, path: str) -> list:
+def _as_list(value: Any, path: str, bound: None = None) -> list:
     if not isinstance(value, list):
         raise ValidationError(path, f"expected an array, got {type(value).__name__}")
     return value
 
 
-def _as_str(value: Any, path: str) -> str:
+def _as_str(value: Any, path: str, bound: None = None) -> str:
     if not isinstance(value, str) or not value:
         raise ValidationError(path, f"expected a non-empty string, got {value!r}")
     return value
 
 
-def _as_bool(value: Any, path: str) -> bool:
+def _as_choice(value: Any, path: str, choices: dict[str, Any]) -> Any:
+    name = _as_str(value, path)
+    if name not in choices:
+        raise ValidationError(path, f"expected one of {sorted(choices)}, got {name!r}")
+    return choices[name]
+
+
+def _as_bool(value: Any, path: str, bound: None = None) -> bool:
     if not isinstance(value, bool):
         raise ValidationError(path, f"expected true/false, got {value!r}")
     return value
@@ -172,7 +185,7 @@ def _as_int(value: Any, path: str, minimum: int | None = None) -> int:
     return value
 
 
-def _as_float(value: Any, path: str, minimum: float | None = None) -> float:
+def _as_float(value: Any, path: str, minimum: float | str | None = None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(path, f"expected a number, got {value!r}")
     try:
@@ -181,9 +194,210 @@ def _as_float(value: Any, path: str, minimum: float | None = None) -> float:
         out = math.inf
     if not math.isfinite(out):
         raise ValidationError(path, f"must be a finite number, got {value!r}")
-    if minimum is not None and out < minimum:
+    if minimum is _POSITIVE:
+        if out <= 0:
+            raise ValidationError(path, f"must be positive, got {out}")
+    elif minimum is not None and out < minimum:
         raise ValidationError(path, f"must be >= {minimum}, got {value}")
     return out
+
+
+# ---------------------------------------------------------------------------
+# field tables
+
+_REQUIRED = object()
+
+
+# A field is (reader, default, bound): the reader checks a present value
+# against the bound. Plain tuples, as they unpack fastest.
+_Field = tuple[Callable[[Any, str, Any], Any], Any, Any]
+
+
+def _int(default: Any = _REQUIRED, minimum: int | None = None) -> _Field:
+    return (_as_int, default, minimum)
+
+
+def _float(
+    default: Any = _REQUIRED, minimum: float | None = None, positive: bool = False
+) -> _Field:
+    return (_as_float, default, _POSITIVE if positive else minimum)
+
+
+def _str(default: Any = _REQUIRED, choices: dict[str, Any] | None = None) -> _Field:
+    return (_as_str if choices is None else _as_choice, default, choices)
+
+
+def _bool(default: bool) -> _Field:
+    return (_as_bool, default, None)
+
+
+def _array(default: Any = _REQUIRED) -> _Field:
+    return (_as_list, default, None)
+
+
+def _any(default: Any = _REQUIRED) -> _Field:
+    """A field whose value the caller checks itself (a nested object)."""
+    return (lambda value, path, bound: value, default, None)
+
+
+_LINK = dict(
+    distance_km=_float(DEFAULT_LINK.distance_km),
+    attenuation_db_per_km=_float(DEFAULT_LINK.attenuation_db_per_km),
+    source_rate_hz=_float(DEFAULT_LINK.source_rate_hz),
+    detector_efficiency=_float(DEFAULT_LINK.detector_efficiency),
+    sifting_factor=_float(DEFAULT_LINK.sifting_factor),
+    qber=_float(DEFAULT_LINK.qber),
+    cpu_cost_per_raw_bit=_float(DEFAULT_LINK.cpu_cost_per_raw_bit),
+    post_processing_messages_per_round=_int(DEFAULT_LINK.post_processing_messages_per_round),
+)
+
+_BRANCH = dict(
+    id=_str(),
+    auth_reserved_bits=_int(DEFAULT_AUTH_RESERVED_BITS, minimum=0),
+    auth_tag_cost_bits=_int(DEFAULT_TAG_COST_BITS, minimum=1),
+    pool_target_bits=_int(DEFAULT_POOL_TARGET_BITS, minimum=1),
+    rotation_frequency_hz=_float(0.0, minimum=0.0),
+    master_bits=_int(DEFAULT_MASTER_BITS, minimum=1),
+    session_bits=_int(DEFAULT_SESSION_BITS, minimum=1),
+)
+
+# A branch object carries its link's fields inline.
+_BRANCH_OBJECT = {**_BRANCH, **_LINK}
+
+_HUB = dict(
+    id=_str(DEFAULT_HUB_ID),
+    channel_count=_int(None, minimum=1),
+    cpu_capacity_per_sec=_float(DEFAULT_HUB_CPU_PER_SEC, positive=True),
+)
+
+_TRAFFIC = dict(
+    src=_str(),
+    dst=_str(),
+    otp_bits_per_sec=_float(0.0, minimum=0.0),
+    relay_bits=_int(0, minimum=0),
+    relay_interval_seconds=_float(0.0, minimum=0.0),
+)
+
+# n_locations, threshold_k and field_prime are bounded by ShareConfig.
+_SHARING = dict(
+    id=_str(),
+    n_locations=_int(),
+    threshold_k=_int(),
+    field_prime=_int(DEFAULT_FIELD_PRIME),
+    refresh_period_seconds=_float(positive=True),
+    custodians=_array(),
+)
+
+_STATE_BY_NAME = {state.value: state for state in DataState}
+
+_ASSET = dict(
+    id=_str(),
+    sensitivity_index=_int(minimum=1),
+    time_index=_int(minimum=1),
+    size_bytes=_int(0, minimum=0),
+    lifetime_seconds=_float(0.0, minimum=0.0),
+    data_state=_str(DataState.AT_REST, choices=_STATE_BY_NAME),
+)
+
+_KIND_BY_LABEL = {kind.label: kind for kind in TechniqueKind}
+_HYBRID_BASE = HybridParams()
+
+_HYBRID = dict(
+    master_bits=_int(_HYBRID_BASE.master_bits, minimum=1),
+    session_bits=_int(_HYBRID_BASE.session_bits, minimum=1),
+    quantum_bits=_int(_HYBRID_BASE.quantum_bits, minimum=1),
+    rotation_frequency_hz=_float(_HYBRID_BASE.rotation_frequency_hz, minimum=0.0),
+)
+
+# The object form of a technique; only hybrid takes the sizing fields.
+_TECHNIQUE = dict(kind=_str(choices=_KIND_BY_LABEL), **_HYBRID)
+
+_CLASSES = dict(m_c=_int(minimum=2), k_t=_int(minimum=2))
+
+_MATRIX = dict(**_CLASSES, cells=_array())
+
+_CELL = dict(sensitivity=_int(), time=_int(), technique=_any())
+
+_ATTACKER = dict(
+    classical_ops_per_sec=_float(DEFAULT_ATTACKER.classical_ops_per_sec, positive=True),
+    has_quantum=_bool(DEFAULT_ATTACKER.has_quantum),
+    records_traffic=_bool(DEFAULT_ATTACKER.records_traffic),
+)
+
+_MIGRATION = dict(
+    x_years=_float(minimum=0.0),
+    y_years=_float(minimum=0.0),
+    z_years=_float(minimum=0.0),
+)
+
+_SCENARIO = dict(
+    format_version=_any(SCENARIO_FORMAT_VERSION),
+    seed=_int(DEFAULT_SEED, minimum=0),
+    duration_seconds=_float(),
+    tick_seconds=_float(DEFAULT_TICK_SECONDS, positive=True),
+    hub=_any({}),
+    branches=_array(),
+    traffic=_array(()),
+    sharing=_array(()),
+    assets=_array(()),
+    classes=_any(None),
+    policy_matrix=_any(None),
+    attacker=_any({}),
+    migration=_any(None),
+)
+
+# The assets file read by `starqkd plan`.
+_PLAN = dict(assets=_array(), classes=_any(None), migration=_any(None))
+
+# Objects whose fields are named without a prefix ("seed", not "scenario.seed").
+_ROOTS = ("scenario", "assets file")
+
+
+def _read(obj: Any, path: str, table: dict[str, _Field], strict: bool) -> dict[str, Any]:
+    """Check the JSON object at path against table; return every field's value."""
+    data = _as_dict(obj, path)
+    if not data.keys() <= table.keys():
+        msg = f"unknown field(s): {', '.join(sorted(data.keys() - table.keys()))}"
+        if strict:
+            raise ValidationError(path, msg)
+        warnings.warn(f"{path}: {msg} (ignored)", stacklevel=3)
+    prefix = "" if path in _ROOTS else f"{path}."
+    values = {}
+    for key, (read, default, bound) in table.items():
+        value = data.get(key, default)
+        if value is _REQUIRED:
+            raise ValidationError(path, f"missing required field '{key}'")
+        # An absent key, or null where the default is null, takes the
+        # default as it stands; defaults are valid by construction.
+        values[key] = value if value is default else read(value, prefix + key, bound)
+    return values
+
+
+def _build(make: Callable[..., Any], path: str, values: dict[str, Any]) -> Any:
+    """make(**values), with the library's precondition errors reported at path."""
+    try:
+        return make(**values)
+    except (BadField, ValueError) as exc:
+        raise ValidationError(path, str(exc)) from exc
+
+
+def _dump(obj: Any, table: dict[str, _Field]) -> dict[str, Any]:
+    out = {}
+    for key in table:
+        value = getattr(obj, key)
+        if isinstance(value, Enum):
+            value = value.value
+        out[key] = list(value) if isinstance(value, tuple) else value
+    return out
+
+
+# ---------------------------------------------------------------------------
+# checks shared with with_overrides
+
+
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed < 2**64:
+        raise ValidationError("seed", f"must fit in 64 bits, got {seed}")
 
 
 def _check_duration(duration: float, tick: float) -> None:
@@ -192,155 +406,36 @@ def _check_duration(duration: float, tick: float) -> None:
     if duration <= 0:
         raise ValidationError("duration_seconds", f"must be positive, got {duration}")
     ratio = duration / tick
+    if not ratio < MAX_TICKS + 0.5:
+        raise ValidationError(
+            "duration_seconds", f"{ratio:g} ticks exceeds the limit of {MAX_TICKS}"
+        )
     if abs(ratio - round(ratio)) > 1e-9 * max(1.0, abs(ratio)) or round(ratio) < 1:
         raise ValidationError(
             "duration_seconds", f"must be a whole number of ticks, got {ratio} ticks"
         )
 
 
-def _get(obj: dict, key: str, default: Any = None) -> Any:
-    return obj[key] if key in obj else default
-
-
-def _require(obj: dict, key: str, path: str) -> Any:
-    if key not in obj:
-        raise ValidationError(path, f"missing required field '{key}'")
-    return obj[key]
+def _check_unique(items: tuple, section: str, taken: tuple[str, ...] = ()) -> None:
+    seen = set(taken)
+    for i, item in enumerate(items):
+        if item.id in seen:
+            raise ValidationError(f"{section}[{i}].id", f"duplicate id {item.id!r}")
+        seen.add(item.id)
 
 
 # ---------------------------------------------------------------------------
 # section parsers
 
-_BRANCH_KEYS = {
-    "id",
-    "distance_km",
-    "attenuation_db_per_km",
-    "source_rate_hz",
-    "detector_efficiency",
-    "sifting_factor",
-    "qber",
-    "cpu_cost_per_raw_bit",
-    "post_processing_messages_per_round",
-    "auth_reserved_bits",
-    "auth_tag_cost_bits",
-    "pool_target_bits",
-    "rotation_frequency_hz",
-    "master_bits",
-    "session_bits",
-}
-
 
 def _parse_branch(obj: Any, path: str, strict: bool) -> BranchScenario:
-    data = _as_dict(obj, path)
-    _unknown_keys(data, _BRANCH_KEYS, path, strict)
-    d = DEFAULT_LINK
-    try:
-        link = LinkParams(
-            distance_km=_as_float(_get(data, "distance_km", d.distance_km), f"{path}.distance_km"),
-            source_rate_hz=_as_float(
-                _get(data, "source_rate_hz", d.source_rate_hz), f"{path}.source_rate_hz"
-            ),
-            detector_efficiency=_as_float(
-                _get(data, "detector_efficiency", d.detector_efficiency),
-                f"{path}.detector_efficiency",
-            ),
-            qber=_as_float(_get(data, "qber", d.qber), f"{path}.qber"),
-            attenuation_db_per_km=_as_float(
-                _get(data, "attenuation_db_per_km", d.attenuation_db_per_km),
-                f"{path}.attenuation_db_per_km",
-            ),
-            sifting_factor=_as_float(
-                _get(data, "sifting_factor", d.sifting_factor), f"{path}.sifting_factor"
-            ),
-            cpu_cost_per_raw_bit=_as_float(
-                _get(data, "cpu_cost_per_raw_bit", d.cpu_cost_per_raw_bit),
-                f"{path}.cpu_cost_per_raw_bit",
-            ),
-            post_processing_messages_per_round=_as_int(
-                _get(
-                    data,
-                    "post_processing_messages_per_round",
-                    d.post_processing_messages_per_round,
-                ),
-                f"{path}.post_processing_messages_per_round",
-            ),
-        )
-    except ValueError as exc:
-        if isinstance(exc, ValidationError):
-            raise
-        raise ValidationError(path, str(exc)) from exc
-    return BranchScenario(
-        id=_as_str(_require(data, "id", path), f"{path}.id"),
-        link=link,
-        auth_reserved_bits=_as_int(
-            _get(data, "auth_reserved_bits", DEFAULT_AUTH_RESERVED_BITS),
-            f"{path}.auth_reserved_bits",
-            minimum=0,
-        ),
-        auth_tag_cost_bits=_as_int(
-            _get(data, "auth_tag_cost_bits", DEFAULT_TAG_COST_BITS),
-            f"{path}.auth_tag_cost_bits",
-            minimum=1,
-        ),
-        pool_target_bits=_as_int(
-            _get(data, "pool_target_bits", DEFAULT_POOL_TARGET_BITS),
-            f"{path}.pool_target_bits",
-            minimum=1,
-        ),
-        rotation_frequency_hz=_as_float(
-            _get(data, "rotation_frequency_hz", 0.0),
-            f"{path}.rotation_frequency_hz",
-            minimum=0.0,
-        ),
-        master_bits=_as_int(
-            _get(data, "master_bits", DEFAULT_MASTER_BITS), f"{path}.master_bits", minimum=1
-        ),
-        session_bits=_as_int(
-            _get(data, "session_bits", DEFAULT_SESSION_BITS), f"{path}.session_bits", minimum=1
-        ),
-    )
-
-
-def _parse_hub(obj: Any, path: str, strict: bool) -> HubScenario:
-    data = _as_dict(obj, path)
-    _unknown_keys(data, {"id", "channel_count", "cpu_capacity_per_sec"}, path, strict)
-    channels = _get(data, "channel_count")
-    if channels is not None:
-        channels = _as_int(channels, f"{path}.channel_count", minimum=1)
-    capacity = _as_float(
-        _get(data, "cpu_capacity_per_sec", DEFAULT_HUB_CPU_PER_SEC),
-        f"{path}.cpu_capacity_per_sec",
-    )
-    if capacity <= 0:
-        raise ValidationError(f"{path}.cpu_capacity_per_sec", f"must be positive, got {capacity}")
-    return HubScenario(
-        id=_as_str(_get(data, "id", DEFAULT_HUB_ID), f"{path}.id"),
-        channel_count=channels,
-        cpu_capacity_per_sec=capacity,
-    )
+    values = _read(obj, path, _BRANCH_OBJECT, strict)
+    link = _build(LinkParams, path, {key: values.pop(key) for key in _LINK})
+    return BranchScenario(link=link, **values)
 
 
 def _parse_traffic(obj: Any, path: str, strict: bool) -> TrafficDemand:
-    data = _as_dict(obj, path)
-    _unknown_keys(
-        data,
-        {"src", "dst", "otp_bits_per_sec", "relay_bits", "relay_interval_seconds"},
-        path,
-        strict,
-    )
-    demand = TrafficDemand(
-        src=_as_str(_require(data, "src", path), f"{path}.src"),
-        dst=_as_str(_require(data, "dst", path), f"{path}.dst"),
-        otp_bits_per_sec=_as_float(
-            _get(data, "otp_bits_per_sec", 0.0), f"{path}.otp_bits_per_sec", minimum=0.0
-        ),
-        relay_bits=_as_int(_get(data, "relay_bits", 0), f"{path}.relay_bits", minimum=0),
-        relay_interval_seconds=_as_float(
-            _get(data, "relay_interval_seconds", 0.0),
-            f"{path}.relay_interval_seconds",
-            minimum=0.0,
-        ),
-    )
+    demand = TrafficDemand(**_read(obj, path, _TRAFFIC, strict))
     if demand.src == demand.dst:
         raise ValidationError(path, f"src and dst must differ, both are {demand.src!r}")
     if (demand.relay_bits > 0) != (demand.relay_interval_seconds > 0):
@@ -351,158 +446,46 @@ def _parse_traffic(obj: Any, path: str, strict: bool) -> TrafficDemand:
 
 
 def _parse_sharing(obj: Any, path: str, strict: bool) -> SharingScenario:
-    data = _as_dict(obj, path)
-    _unknown_keys(
-        data,
-        {
-            "id",
-            "n_locations",
-            "threshold_k",
-            "field_prime",
-            "refresh_period_seconds",
-            "custodians",
-        },
-        path,
-        strict,
-    )
-    custodians = _as_list(_require(data, "custodians", path), f"{path}.custodians")
+    values = _read(obj, path, _SHARING, strict)
+    custodians = values["custodians"]
     if len(custodians) != 2:
         raise ValidationError(
             f"{path}.custodians", f"expected exactly two branch ids, got {len(custodians)}"
         )
-    instance = SharingScenario(
-        id=_as_str(_require(data, "id", path), f"{path}.id"),
-        n_locations=_as_int(_require(data, "n_locations", path), f"{path}.n_locations"),
-        threshold_k=_as_int(_require(data, "threshold_k", path), f"{path}.threshold_k"),
-        field_prime=_as_int(_get(data, "field_prime", DEFAULT_FIELD_PRIME), f"{path}.field_prime"),
-        refresh_period_seconds=_as_float(
-            _require(data, "refresh_period_seconds", path), f"{path}.refresh_period_seconds"
-        ),
-        custodians=(
-            _as_str(custodians[0], f"{path}.custodians[0]"),
-            _as_str(custodians[1], f"{path}.custodians[1]"),
-        ),
+    values["custodians"] = tuple(
+        _as_str(custodian, f"{path}.custodians[{j}]") for j, custodian in enumerate(custodians)
     )
-    if instance.refresh_period_seconds <= 0:
-        raise ValidationError(
-            f"{path}.refresh_period_seconds",
-            f"must be positive, got {instance.refresh_period_seconds}",
-        )
+    instance = SharingScenario(**values)
     if instance.custodians[0] == instance.custodians[1]:
         raise ValidationError(f"{path}.custodians", "custodians must be two distinct branches")
-    try:
-        instance.config()
-    except (BadField, ValueError) as exc:
-        raise ValidationError(path, str(exc)) from exc
+    _build(instance.config, path, {})  # ShareConfig bounds n, k and the field
     return instance
-
-
-_STATE_BY_NAME = {state.value: state for state in DataState}
-
-
-def _parse_asset(obj: Any, path: str, strict: bool) -> InfoAsset:
-    data = _as_dict(obj, path)
-    _unknown_keys(
-        data,
-        {"id", "sensitivity_index", "time_index", "size_bytes", "lifetime_seconds", "data_state"},
-        path,
-        strict,
-    )
-    state_name = _as_str(_get(data, "data_state", "at_rest"), f"{path}.data_state")
-    if state_name not in _STATE_BY_NAME:
-        raise ValidationError(
-            f"{path}.data_state",
-            f"expected one of {sorted(_STATE_BY_NAME)}, got {state_name!r}",
-        )
-    try:
-        return InfoAsset(
-            id=_as_str(_require(data, "id", path), f"{path}.id"),
-            sensitivity_index=_as_int(
-                _require(data, "sensitivity_index", path), f"{path}.sensitivity_index", minimum=1
-            ),
-            time_index=_as_int(_require(data, "time_index", path), f"{path}.time_index", minimum=1),
-            size_bytes=_as_int(_get(data, "size_bytes", 0), f"{path}.size_bytes", minimum=0),
-            lifetime_seconds=_as_float(
-                _get(data, "lifetime_seconds", 0.0), f"{path}.lifetime_seconds", minimum=0.0
-            ),
-            data_state=_STATE_BY_NAME[state_name],
-        )
-    except ValueError as exc:
-        if isinstance(exc, ValidationError):
-            raise
-        raise ValidationError(path, str(exc)) from exc
-
-
-_KIND_BY_LABEL = {kind.label: kind for kind in TechniqueKind}
 
 
 def _parse_technique(obj: Any, path: str, strict: bool) -> Technique:
     if isinstance(obj, str):
-        if obj not in _KIND_BY_LABEL:
-            raise ValidationError(path, f"unknown technique {obj!r}")
-        return Technique(_KIND_BY_LABEL[obj])
-    data = _as_dict(obj, path)
-    _unknown_keys(
-        data,
-        {"kind", "master_bits", "session_bits", "quantum_bits", "rotation_frequency_hz"},
-        path,
-        strict,
-    )
-    label = _as_str(_require(data, "kind", path), f"{path}.kind")
-    if label not in _KIND_BY_LABEL:
-        raise ValidationError(f"{path}.kind", f"unknown technique {label!r}")
-    kind = _KIND_BY_LABEL[label]
-    sizing_keys = set(data) - {"kind"}
-    if kind is not TechniqueKind.HYBRID:
-        if sizing_keys:
-            raise ValidationError(path, f"{label} takes no sizing fields")
-        return Technique(kind)
-    base = HybridParams()
-    try:
-        return Technique(
-            TechniqueKind.HYBRID,
-            HybridParams(
-                master_bits=_as_int(
-                    _get(data, "master_bits", base.master_bits), f"{path}.master_bits", minimum=1
-                ),
-                session_bits=_as_int(
-                    _get(data, "session_bits", base.session_bits), f"{path}.session_bits", minimum=1
-                ),
-                quantum_bits=_as_int(
-                    _get(data, "quantum_bits", base.quantum_bits), f"{path}.quantum_bits", minimum=1
-                ),
-                rotation_frequency_hz=_as_float(
-                    _get(data, "rotation_frequency_hz", base.rotation_frequency_hz),
-                    f"{path}.rotation_frequency_hz",
-                    minimum=0.0,
-                ),
-            ),
-        )
-    except ValueError as exc:
-        if isinstance(exc, ValidationError):
-            raise
-        raise ValidationError(path, str(exc)) from exc
+        return Technique(_as_choice(obj, path, _KIND_BY_LABEL))
+    values = _read(obj, path, _TECHNIQUE, strict)
+    kind = values.pop("kind")
+    if kind is TechniqueKind.HYBRID:
+        return Technique(kind, _build(HybridParams, path, values))
+    if obj.keys() - {"kind"}:
+        raise ValidationError(path, f"{kind.label} takes no sizing fields")
+    return Technique(kind)
 
 
 def _parse_matrix(obj: Any, path: str, strict: bool) -> PolicyMatrix:
-    data = _as_dict(obj, path)
-    _unknown_keys(data, {"m_c", "k_t", "cells"}, path, strict)
-    m_c = _as_int(_require(data, "m_c", path), f"{path}.m_c", minimum=2)
-    k_t = _as_int(_require(data, "k_t", path), f"{path}.k_t", minimum=2)
+    values = _read(obj, path, _MATRIX, strict)
+    m_c, k_t = values["m_c"], values["k_t"]
     cells: dict[tuple[int, int], Technique] = {}
-    for i, cell_obj in enumerate(_as_list(_require(data, "cells", path), f"{path}.cells")):
+    for i, cell_obj in enumerate(values["cells"]):
         cell_path = f"{path}.cells[{i}]"
-        cell = _as_dict(cell_obj, cell_path)
-        _unknown_keys(cell, {"sensitivity", "time", "technique"}, cell_path, strict)
-        c = _as_int(_require(cell, "sensitivity", cell_path), f"{cell_path}.sensitivity")
-        t = _as_int(_require(cell, "time", cell_path), f"{cell_path}.time")
+        c, t, technique = _read(cell_obj, cell_path, _CELL, strict).values()
         if not (1 <= c <= m_c and 1 <= t <= k_t):
             raise ValidationError(cell_path, f"cell ({c}, {t}) outside {m_c}x{k_t}")
         if (c, t) in cells:
             raise ValidationError(cell_path, f"cell ({c}, {t}) defined twice")
-        cells[(c, t)] = _parse_technique(
-            _require(cell, "technique", cell_path), f"{cell_path}.technique", strict
-        )
+        cells[(c, t)] = _parse_technique(technique, f"{cell_path}.technique", strict)
     matrix = PolicyMatrix(m_c=m_c, k_t=k_t, cells=cells)
     problems = validate_matrix(matrix)
     if problems:
@@ -510,91 +493,47 @@ def _parse_matrix(obj: Any, path: str, strict: bool) -> PolicyMatrix:
     return matrix
 
 
-def _parse_attacker(obj: Any, path: str, strict: bool) -> AttackerModel:
-    data = _as_dict(obj, path)
-    _unknown_keys(data, {"classical_ops_per_sec", "has_quantum", "records_traffic"}, path, strict)
-    ops = _as_float(
-        _get(data, "classical_ops_per_sec", DEFAULT_ATTACKER.classical_ops_per_sec),
-        f"{path}.classical_ops_per_sec",
-    )
-    if ops <= 0:
-        raise ValidationError(f"{path}.classical_ops_per_sec", f"must be positive, got {ops}")
-    return AttackerModel(
-        classical_ops_per_sec=ops,
-        has_quantum=_as_bool(
-            _get(data, "has_quantum", DEFAULT_ATTACKER.has_quantum), f"{path}.has_quantum"
-        ),
-        records_traffic=_as_bool(
-            _get(data, "records_traffic", DEFAULT_ATTACKER.records_traffic),
-            f"{path}.records_traffic",
-        ),
+def _parse_assets(objs: list, strict: bool) -> tuple[InfoAsset, ...]:
+    return tuple(
+        _build(InfoAsset, f"assets[{i}]", _read(obj, f"assets[{i}]", _ASSET, strict))
+        for i, obj in enumerate(objs)
     )
 
 
-def _parse_migration(obj: Any, path: str, strict: bool) -> MigrationTimeline:
-    data = _as_dict(obj, path)
-    _unknown_keys(data, {"x_years", "y_years", "z_years"}, path, strict)
-    return MigrationTimeline(
-        x_years=_as_float(_require(data, "x_years", path), f"{path}.x_years", minimum=0.0),
-        y_years=_as_float(_require(data, "y_years", path), f"{path}.y_years", minimum=0.0),
-        z_years=_as_float(_require(data, "z_years", path), f"{path}.z_years", minimum=0.0),
-    )
+def _parse_classes(obj: Any, strict: bool) -> tuple[int, int] | None:
+    if obj is None:
+        return None
+    return tuple(_read(obj, "classes", _CLASSES, strict).values())
 
 
-_TOP_KEYS = {
-    "format_version",
-    "seed",
-    "duration_seconds",
-    "tick_seconds",
-    "hub",
-    "branches",
-    "traffic",
-    "sharing",
-    "assets",
-    "classes",
-    "policy_matrix",
-    "attacker",
-    "migration",
-}
+def _parse_migration(obj: Any, strict: bool) -> MigrationTimeline | None:
+    if obj is None:
+        return None
+    return _build(MigrationTimeline, "migration", _read(obj, "migration", _MIGRATION, strict))
 
 
 def scenario_from_dict(data: Any, strict: bool = True) -> Scenario:
     """Build and validate a Scenario from parsed JSON."""
-    top = _as_dict(data, "scenario")
-    _unknown_keys(top, _TOP_KEYS, "scenario", strict)
-    version = _get(top, "format_version", SCENARIO_FORMAT_VERSION)
+    values = _read(data, "scenario", _SCENARIO, strict)
+    version = values.pop("format_version")
     if version != SCENARIO_FORMAT_VERSION:
         raise ValidationError(
             "format_version", f"expected {SCENARIO_FORMAT_VERSION}, got {version!r}"
         )
-
-    seed = _as_int(_get(top, "seed", DEFAULT_SEED), "seed", minimum=0)
-    if seed >= 2**64:
-        raise ValidationError("seed", f"must fit in 64 bits, got {seed}")
-    duration = _as_float(_require(top, "duration_seconds", "scenario"), "duration_seconds")
-    tick = _as_float(_get(top, "tick_seconds", DEFAULT_TICK_SECONDS), "tick_seconds")
-    if tick <= 0:
-        raise ValidationError("tick_seconds", f"must be positive, got {tick}")
-    _check_duration(duration, tick)
+    _check_seed(values["seed"])
+    _check_duration(values["duration_seconds"], values["tick_seconds"])
 
     branches = tuple(
-        _parse_branch(obj, f"branches[{i}]", strict)
-        for i, obj in enumerate(_as_list(_require(top, "branches", "scenario"), "branches"))
+        _parse_branch(obj, f"branches[{i}]", strict) for i, obj in enumerate(values["branches"])
     )
     if not branches:
         raise ValidationError("branches", "at least one branch is required")
-    hub = _parse_hub(_get(top, "hub", {}), "hub", strict)
-    ids = [b.id for b in branches]
-    seen: set[str] = {hub.id}
-    for i, bid in enumerate(ids):
-        if bid in seen:
-            raise ValidationError(f"branches[{i}].id", f"duplicate id {bid!r}")
-        seen.add(bid)
+    hub = _build(HubScenario, "hub", _read(values["hub"], "hub", _HUB, strict))
+    _check_unique(branches, "branches", taken=(hub.id,))
 
-    known = set(ids)
+    known = {b.id for b in branches}
     traffic = tuple(
-        _parse_traffic(obj, f"traffic[{i}]", strict)
-        for i, obj in enumerate(_as_list(_get(top, "traffic", []), "traffic"))
+        _parse_traffic(obj, f"traffic[{i}]", strict) for i, obj in enumerate(values["traffic"])
     )
     first_index: dict[tuple[str, str], int] = {}
     for i, demand in enumerate(traffic):
@@ -609,81 +548,42 @@ def scenario_from_dict(data: Any, strict: bool = True) -> Scenario:
             )
 
     sharing = tuple(
-        _parse_sharing(obj, f"sharing[{i}]", strict)
-        for i, obj in enumerate(_as_list(_get(top, "sharing", []), "sharing"))
+        _parse_sharing(obj, f"sharing[{i}]", strict) for i, obj in enumerate(values["sharing"])
     )
-    seen_sharing: set[str] = set()
+    _check_unique(sharing, "sharing")
     for i, inst in enumerate(sharing):
-        if inst.id in seen_sharing:
-            raise ValidationError(f"sharing[{i}].id", f"duplicate id {inst.id!r}")
-        seen_sharing.add(inst.id)
         for j, custodian in enumerate(inst.custodians):
             if custodian not in known:
                 raise ValidationError(
                     f"sharing[{i}].custodians[{j}]", f"unknown branch {custodian!r}"
                 )
 
-    assets = tuple(
-        _parse_asset(obj, f"assets[{i}]", strict)
-        for i, obj in enumerate(_as_list(_get(top, "assets", []), "assets"))
-    )
-    seen_assets: set[str] = set()
-    for i, item in enumerate(assets):
-        if item.id in seen_assets:
-            raise ValidationError(f"assets[{i}].id", f"duplicate id {item.id!r}")
-        seen_assets.add(item.id)
-
-    classes = None
-    if _get(top, "classes") is not None:
-        cls = _as_dict(top["classes"], "classes")
-        _unknown_keys(cls, {"m_c", "k_t"}, "classes", strict)
-        classes = (
-            _as_int(_require(cls, "m_c", "classes"), "classes.m_c", minimum=2),
-            _as_int(_require(cls, "k_t", "classes"), "classes.k_t", minimum=2),
-        )
-
+    assets = _parse_assets(values["assets"], strict)
+    _check_unique(assets, "assets")
+    classes = _parse_classes(values["classes"], strict)
     matrix = None
-    if _get(top, "policy_matrix") is not None:
-        matrix = _parse_matrix(top["policy_matrix"], "policy_matrix", strict)
+    if values["policy_matrix"] is not None:
+        matrix = _parse_matrix(values["policy_matrix"], "policy_matrix", strict)
         if classes is not None and (matrix.m_c, matrix.k_t) != classes:
             raise ValidationError(
                 "policy_matrix",
                 f"matrix is {matrix.m_c}x{matrix.k_t} but classes say "
                 f"{classes[0]}x{classes[1]}",
             )
-
-    bound = None
-    if matrix is not None:
-        bound = (matrix.m_c, matrix.k_t)
-    elif classes is not None:
-        bound = classes
+    bound = classes if matrix is None else (matrix.m_c, matrix.k_t)
     if bound is not None:
         for i, item in enumerate(assets):
-            if item.sensitivity_index > bound[0]:
-                raise ValidationError(
-                    f"assets[{i}].sensitivity_index",
-                    f"{item.sensitivity_index} exceeds m_c={bound[0]}",
-                )
-            if item.time_index > bound[1]:
-                raise ValidationError(
-                    f"assets[{i}].time_index", f"{item.time_index} exceeds k_t={bound[1]}"
-                )
+            for key, name, limit in zip(("sensitivity_index", "time_index"), _CLASSES, bound):
+                if getattr(item, key) > limit:
+                    raise ValidationError(
+                        f"assets[{i}].{key}", f"{getattr(item, key)} exceeds {name}={limit}"
+                    )
 
-    attacker = _parse_attacker(_get(top, "attacker", {}), "attacker", strict)
-    migration = None
-    if _get(top, "migration") is not None:
-        try:
-            migration = _parse_migration(top["migration"], "migration", strict)
-        except ValueError as exc:
-            if isinstance(exc, ValidationError):
-                raise
-            raise ValidationError("migration", str(exc)) from exc
-
-    return Scenario(
-        duration_seconds=duration,
+    attacker = _build(
+        AttackerModel, "attacker", _read(values["attacker"], "attacker", _ATTACKER, strict)
+    )
+    values.update(
         branches=branches,
-        seed=seed,
-        tick_seconds=tick,
         hub=hub,
         traffic=traffic,
         sharing=sharing,
@@ -691,74 +591,43 @@ def scenario_from_dict(data: Any, strict: bool = True) -> Scenario:
         classes=classes,
         policy_matrix=matrix,
         attacker=attacker,
-        migration=migration,
+        migration=_parse_migration(values["migration"], strict),
     )
+    return Scenario(**values)
+
+
+def _load_json(path: str | Path) -> Any:
+    p = Path(path)
+    try:
+        text = p.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(str(p), f"cannot read file: {exc}") from exc
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(str(p), f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
 
 
 def ingest_plan_inputs(
     path: str | Path, strict: bool = True
 ) -> tuple[tuple[InfoAsset, ...], tuple[int, int] | None, MigrationTimeline | None]:
     """Load an assets file for planning: assets, optional classes, migration."""
-    p = Path(path)
-    try:
-        text = p.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(str(p), f"cannot read file: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(str(p), f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    top = _as_dict(data, "assets file")
-    _unknown_keys(top, {"assets", "classes", "migration"}, "assets file", strict)
-    assets = tuple(
-        _parse_asset(obj, f"assets[{i}]", strict)
-        for i, obj in enumerate(_as_list(_require(top, "assets", "assets file"), "assets"))
+    values = _read(_load_json(path), "assets file", _PLAN, strict)
+    return (
+        _parse_assets(values["assets"], strict),
+        _parse_classes(values["classes"], strict),
+        _parse_migration(values["migration"], strict),
     )
-    classes = None
-    if _get(top, "classes") is not None:
-        cls = _as_dict(top["classes"], "classes")
-        _unknown_keys(cls, {"m_c", "k_t"}, "classes", strict)
-        classes = (
-            _as_int(_require(cls, "m_c", "classes"), "classes.m_c", minimum=2),
-            _as_int(_require(cls, "k_t", "classes"), "classes.k_t", minimum=2),
-        )
-    migration = None
-    if _get(top, "migration") is not None:
-        try:
-            migration = _parse_migration(top["migration"], "migration", strict)
-        except ValueError as exc:
-            if isinstance(exc, ValidationError):
-                raise
-            raise ValidationError("migration", str(exc)) from exc
-    return assets, classes, migration
 
 
 def ingest_matrix(path: str | Path, strict: bool = True) -> PolicyMatrix:
     """Load a policy matrix file (same schema as the scenario's block)."""
-    p = Path(path)
-    try:
-        text = p.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(str(p), f"cannot read file: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(str(p), f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    return _parse_matrix(data, "policy_matrix", strict)
+    return _parse_matrix(_load_json(path), "policy_matrix", strict)
 
 
 def ingest_scenario(path: str | Path, strict: bool = True) -> Scenario:
     """Load, parse, and validate a scenario file."""
-    p = Path(path)
-    try:
-        text = p.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(str(p), f"cannot read file: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(str(p), f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    return scenario_from_dict(data, strict=strict)
+    return scenario_from_dict(_load_json(path), strict=strict)
 
 
 # ---------------------------------------------------------------------------
@@ -768,111 +637,32 @@ def ingest_scenario(path: str | Path, strict: bool = True) -> Scenario:
 def technique_to_jsonable(technique: Technique) -> Any:
     if technique.kind is not TechniqueKind.HYBRID:
         return technique.kind.label
-    sizing = technique.hybrid
-    assert sizing is not None
-    return {
-        "kind": "hybrid",
-        "master_bits": sizing.master_bits,
-        "session_bits": sizing.session_bits,
-        "quantum_bits": sizing.quantum_bits,
-        "rotation_frequency_hz": sizing.rotation_frequency_hz,
-    }
+    return {"kind": technique.kind.label, **_dump(technique.hybrid, _HYBRID)}
+
+
+def _matrix_to_dict(matrix: PolicyMatrix) -> dict[str, Any]:
+    cells = [
+        dict(zip(_CELL, (c, t, technique_to_jsonable(technique))))
+        for (c, t), technique in sorted(matrix.cells.items())
+    ]
+    return {**_dump(matrix, _CLASSES), "cells": cells}
 
 
 def scenario_to_dict(s: Scenario) -> dict[str, Any]:
     """Serialize with every default materialized; round-trips exactly."""
-    out: dict[str, Any] = {
+    sections = {
         "format_version": SCENARIO_FORMAT_VERSION,
-        "seed": s.seed,
-        "duration_seconds": s.duration_seconds,
-        "tick_seconds": s.tick_seconds,
-        "hub": {
-            "id": s.hub.id,
-            "channel_count": s.hub.channel_count,
-            "cpu_capacity_per_sec": s.hub.cpu_capacity_per_sec,
-        },
-        "branches": [
-            {
-                "id": b.id,
-                "distance_km": b.link.distance_km,
-                "attenuation_db_per_km": b.link.attenuation_db_per_km,
-                "source_rate_hz": b.link.source_rate_hz,
-                "detector_efficiency": b.link.detector_efficiency,
-                "sifting_factor": b.link.sifting_factor,
-                "qber": b.link.qber,
-                "cpu_cost_per_raw_bit": b.link.cpu_cost_per_raw_bit,
-                "post_processing_messages_per_round": b.link.post_processing_messages_per_round,
-                "auth_reserved_bits": b.auth_reserved_bits,
-                "auth_tag_cost_bits": b.auth_tag_cost_bits,
-                "pool_target_bits": b.pool_target_bits,
-                "rotation_frequency_hz": b.rotation_frequency_hz,
-                "master_bits": b.master_bits,
-                "session_bits": b.session_bits,
-            }
-            for b in s.branches
-        ],
-        "traffic": [
-            {
-                "src": t.src,
-                "dst": t.dst,
-                "otp_bits_per_sec": t.otp_bits_per_sec,
-                "relay_bits": t.relay_bits,
-                "relay_interval_seconds": t.relay_interval_seconds,
-            }
-            for t in s.traffic
-        ],
-        "sharing": [
-            {
-                "id": inst.id,
-                "n_locations": inst.n_locations,
-                "threshold_k": inst.threshold_k,
-                "field_prime": inst.field_prime,
-                "refresh_period_seconds": inst.refresh_period_seconds,
-                "custodians": list(inst.custodians),
-            }
-            for inst in s.sharing
-        ],
-        "assets": [
-            {
-                "id": a.id,
-                "sensitivity_index": a.sensitivity_index,
-                "time_index": a.time_index,
-                "size_bytes": a.size_bytes,
-                "lifetime_seconds": a.lifetime_seconds,
-                "data_state": a.data_state.value,
-            }
-            for a in s.assets
-        ],
-        "classes": None if s.classes is None else {"m_c": s.classes[0], "k_t": s.classes[1]},
-        "policy_matrix": None,
-        "attacker": {
-            "classical_ops_per_sec": s.attacker.classical_ops_per_sec,
-            "has_quantum": s.attacker.has_quantum,
-            "records_traffic": s.attacker.records_traffic,
-        },
-        "migration": None
-        if s.migration is None
-        else {
-            "x_years": s.migration.x_years,
-            "y_years": s.migration.y_years,
-            "z_years": s.migration.z_years,
-        },
+        "hub": _dump(s.hub, _HUB),
+        "branches": [{**_dump(b, _BRANCH), **_dump(b.link, _LINK)} for b in s.branches],
+        "traffic": [_dump(t, _TRAFFIC) for t in s.traffic],
+        "sharing": [_dump(inst, _SHARING) for inst in s.sharing],
+        "assets": [_dump(a, _ASSET) for a in s.assets],
+        "classes": None if s.classes is None else dict(zip(_CLASSES, s.classes)),
+        "policy_matrix": None if s.policy_matrix is None else _matrix_to_dict(s.policy_matrix),
+        "attacker": _dump(s.attacker, _ATTACKER),
+        "migration": None if s.migration is None else _dump(s.migration, _MIGRATION),
     }
-    if s.policy_matrix is not None:
-        out["policy_matrix"] = {
-            "m_c": s.policy_matrix.m_c,
-            "k_t": s.policy_matrix.k_t,
-            "cells": [
-                {
-                    "sensitivity": c,
-                    "time": t,
-                    "technique": technique_to_jsonable(s.policy_matrix.cells[(c, t)]),
-                }
-                for c in range(1, s.policy_matrix.m_c + 1)
-                for t in range(1, s.policy_matrix.k_t + 1)
-            ],
-        }
-    return out
+    return {key: sections[key] if key in sections else getattr(s, key) for key in _SCENARIO}
 
 
 def with_overrides(
@@ -881,8 +671,7 @@ def with_overrides(
     """Apply CLI-style overrides, re-checking what they can break."""
     out = s
     if seed is not None:
-        if not 0 <= seed < 2**64:
-            raise ValidationError("seed", f"must fit in 64 bits, got {seed}")
+        _check_seed(seed)
         out = replace(out, seed=seed)
     if duration_seconds is not None:
         _check_duration(duration_seconds, out.tick_seconds)

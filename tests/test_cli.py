@@ -69,8 +69,8 @@ def test_simulate_csv(tmp_path):
 def test_simulate_rejects_bad_override(tmp_path, capsys):
     assert main(["simulate", "scenarios/minimal.json", "--duration", "0.3"]) == 1
     assert "whole number of ticks" in capsys.readouterr().err
-    # Non-finite numbers and duplicate traffic pairs end in exit 1 with
-    # the dotted path, not a traceback.
+    # Non-finite numbers, duplicate traffic pairs and runs over the tick
+    # cap end in exit 1 with the dotted path, not a traceback.
     infinite = tmp_path / "infinite.json"
     infinite.write_text('{"duration_seconds": Infinity, "branches": [{"id": "a"}]}')
     nan = tmp_path / "nan.json"
@@ -90,6 +90,10 @@ def test_simulate_rejects_bad_override(tmp_path, capsys):
             }
         )
     )
+    tiny_tick = tmp_path / "tiny_tick.json"  # 10**300 ticks
+    tiny_tick.write_text(
+        json.dumps({"duration_seconds": 1, "tick_seconds": 1e-300, "branches": [{"id": "a"}]})
+    )
     out = str(tmp_path / "run")
     for argv, path in (
         ([str(infinite)], "duration_seconds: must be a finite number"),
@@ -97,6 +101,8 @@ def test_simulate_rejects_bad_override(tmp_path, capsys):
         ([str(huge)], "tick_seconds: must be a finite number"),
         (["scenarios/minimal.json", "--duration", "inf"], "duration_seconds: must be a finite"),
         ([str(pair)], "traffic[1]: duplicate pair a->b, already given at traffic[0]"),
+        ([str(tiny_tick)], "duration_seconds: 1e+300 ticks exceeds the limit of 10000000"),
+        (["scenarios/minimal.json", "--duration", "1e12"], "1e+12 ticks exceeds the limit of"),
     ):
         assert main(["simulate", *argv, "--out", out]) == 1
         err = capsys.readouterr().err
@@ -166,9 +172,22 @@ def test_relay_demo_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
-def test_relay_demo_rejects_single_branch(capsys):
-    assert main(["relay-demo", "--branches", "1"]) == 2
-    assert "at least 2" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["relay-demo", "--branches", "1"], "at least 2"),
+        (["relay-demo", "--bits", "0"], "--bits must be between 1 and"),
+        (["relay-demo", "--bits", "100000000000"], "--bits must be between 1 and"),
+        (["plan", "scenarios/assets.json", "--ops-per-sec", "0"], "--ops-per-sec must be"),
+        (["plan", "scenarios/assets.json", "--ops-per-sec", "nan"], "--ops-per-sec must be"),
+        (["plan", "scenarios/assets.json", "--ops-per-sec", "inf"], "--ops-per-sec must be"),
+    ],
+    ids=["single-branch", "zero-bits", "huge-bits", "zero-ops", "nan-ops", "inf-ops"],
+)
+def test_bad_arguments_exit_two(capsys, argv, message):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def test_usage_error_exits_two():

@@ -1,4 +1,5 @@
-"""Golden bytes: shipped scenarios must emit exactly these reports.
+"""Golden bytes: shipped scenarios, and one generated 100-branch star
+whose hub CPU is overloaded, must emit exactly these reports.
 
 Each case runs ingest_scenario -> run -> emit_report and pins the
 sha256 of every file written. A refactor must keep these digests; a
@@ -6,6 +7,7 @@ change that alters them on purpose updates them here and says why.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,8 @@ from starqkd.report import emit_report
 from starqkd.scenario import ingest_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+THROTTLED_100_REPORT_SHA256 = "630f29e459cf4b6a0383fcbbf6d6f8e774a1eebd71f46eb287775104f2276287"
 
 GOLDEN = {
     ("star10.json", "json"): {
@@ -38,3 +42,22 @@ def test_report_bytes_match_golden_digests(tmp_path, scenario, fmt):
     written = emit_report(report, fmt, tmp_path)
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in written}
     assert digests == GOLDEN[(scenario, fmt)]
+
+
+def throttled_star() -> dict:
+    """A 100-branch star whose hub CPU cannot keep up with 10 channels."""
+    return {
+        "seed": 11,
+        "duration_seconds": 60.0,
+        "hub": {"channel_count": 10, "cpu_capacity_per_sec": 200000.0},
+        "branches": [{"id": f"b{i:03d}", "distance_km": 2.0 + (i * 7) % 45} for i in range(100)],
+    }
+
+
+def test_throttled_100_branch_report_digest(tmp_path):
+    path = tmp_path / "throttled.json"
+    path.write_text(json.dumps(throttled_star()))
+    report = run(ingest_scenario(path))
+    assert report.hub["backlog_cost_final"] > 0
+    (written,) = emit_report(report, "json", tmp_path / "out")
+    assert hashlib.sha256(written.read_bytes()).hexdigest() == THROTTLED_100_REPORT_SHA256

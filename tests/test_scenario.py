@@ -1,8 +1,12 @@
 """Scenario file parsing, validation, and round-tripping."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
+
+from starqkd import scenario as scenario_module
 
 from starqkd.errors import ParseError, ValidationError
 from starqkd.policy import TechniqueKind
@@ -389,3 +393,65 @@ def test_attacker_and_migration_blocks():
     data["migration"] = {"x_years": -1.0, "y_years": 2.0, "z_years": 5.0}
     with pytest.raises(ValidationError):
         scenario_from_dict(data)
+
+
+# Where each field table's keys sit in a scenario (or plan) file.
+TABLE_PREFIXES = {
+    "_SCENARIO": "",
+    "_PLAN": "",
+    "_HUB": "hub.",
+    "_BRANCH": "branches[].",
+    "_LINK": "branches[].",
+    "_BRANCH_OBJECT": "branches[].",
+    "_TRAFFIC": "traffic[].",
+    "_SHARING": "sharing[].",
+    "_ASSET": "assets[].",
+    "_CLASSES": "classes.",
+    "_MATRIX": "policy_matrix.",
+    "_CELL": "policy_matrix.cells[].",
+    "_TECHNIQUE": "policy_matrix.cells[].technique.",
+    "_HYBRID": "policy_matrix.cells[].technique.",
+    "_ATTACKER": "attacker.",
+    "_MIGRATION": "migration.",
+}
+
+
+def readme_scenario_keys() -> set[str]:
+    """Dotted keys in the first column of the README "Scenario files" table.
+
+    A later name in a cell without a dot shares the first name's prefix:
+    `traffic[].src`, `dst` stands for traffic[].src and traffic[].dst.
+    """
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Scenario files", 1)[1].split("\n## ", 1)[0]
+    keys = set()
+    for row in section.splitlines():
+        if not row.startswith("| `"):
+            continue
+        first, *rest = re.findall(r"`([^`]+)`", row.split("|")[1])
+        prefix = first.rpartition(".")[0]
+        keys.add(first)
+        keys.update(f"{prefix}.{name}" if prefix and "." not in name else name for name in rest)
+    return keys
+
+
+def test_readme_lists_every_field_table_key():
+    tables = {
+        name: value
+        for name, value in vars(scenario_module).items()
+        if isinstance(value, dict)
+        and value
+        and all(isinstance(field, tuple) and callable(field[0]) for field in value.values())
+    }
+    assert set(tables) == set(TABLE_PREFIXES)
+    documented = readme_scenario_keys()
+    missing = []
+    for name, table in tables.items():
+        for key in table:
+            full = TABLE_PREFIXES[name] + key
+            if not any(
+                doc in (full, f"{full}[]") or doc.startswith((f"{full}.", f"{full}[]."))
+                for doc in documented
+            ):
+                missing.append(full)
+    assert missing == []
