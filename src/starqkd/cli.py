@@ -20,7 +20,7 @@ import sys
 from .errors import ScenarioInvalid, StarQkdError
 from .hybrid import PRACTICALLY_INFINITE_SECONDS, YEAR_SECONDS, AttackerModel, mosca_at_risk
 from .keycore import DEFAULT_POOL_TARGET_BITS, Provenance
-from .policy import default_matrix, recommend
+from .policy import asset_grid, default_matrix, recommend
 from .qkdlink import LinkParams
 from .report import emit_report
 from .rng import StreamRegistry
@@ -127,10 +127,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     elif classes is not None:
         matrix = default_matrix(*classes)
     else:
-        matrix = default_matrix(
-            max(2, max(a.sensitivity_index for a in assets)),
-            max(2, max(a.time_index for a in assets)),
-        )
+        matrix = default_matrix(*asset_grid(assets))
     attacker = AttackerModel(
         classical_ops_per_sec=args.ops_per_sec,
         has_quantum=args.attacker == "quantum",

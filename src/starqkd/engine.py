@@ -22,7 +22,7 @@ from fractions import Fraction
 from .errors import InsufficientKey
 from .hybrid import HybridCipherState, due_rotations, mosca_at_risk, rotate_master
 from .keycore import KeyMaterial, KeyPool, Provenance, otp_decrypt, otp_encrypt
-from .policy import default_matrix, recommend
+from .policy import asset_grid, default_matrix, recommend
 from .qkdlink import raw_rate, secret_rate
 from .report import MetricsReport
 from .rng import StreamRegistry, random_bits
@@ -63,7 +63,7 @@ class Event:
 class _PairFlow:
     src: str
     dst: str
-    rate_bps: float
+    bits_per_tick: Fraction  # exact rate times tick length
     pending: Fraction = field(default_factory=lambda: Fraction(0))
     served_bits: int = 0
     unmet_bits: int = 0
@@ -135,7 +135,11 @@ class _Sim:
         for t in scenario.traffic:
             if t.otp_bits_per_sec > 0:
                 name = f"{t.src}->{t.dst}"
-                self.flows[name] = _PairFlow(src=t.src, dst=t.dst, rate_bps=t.otp_bits_per_sec)
+                self.flows[name] = _PairFlow(
+                    src=t.src,
+                    dst=t.dst,
+                    bits_per_tick=Fraction(t.otp_bits_per_sec) * Fraction(self.dt),
+                )
 
         self.sharings: dict[str, _SharingRuntime] = {}
         for inst in scenario.sharing:
@@ -186,6 +190,26 @@ class _Sim:
             "cpu_capacity_per_sec": scenario.hub.cpu_capacity_per_sec,
             "series": {"backlog_cost": [], "processed_cost": [], "active_link_count": []},
         }
+        # Per-tick columns, bound once: (branch id, pool, and the append
+        # of its pool_available, deposited_bits and active series).
+        self.columns = []
+        for b in scenario.branches:
+            series = self.report.links[b.id]["series"]
+            self.columns.append(
+                (
+                    b.id,
+                    self.topology.link(b.id).pool,
+                    series["pool_available"].append,
+                    series["deposited_bits"].append,
+                    series["active"].append,
+                )
+            )
+        hub_series = self.report.hub["series"]
+        self.hub_columns = (
+            hub_series["backlog_cost"].append,
+            hub_series["processed_cost"].append,
+            hub_series["active_link_count"].append,
+        )
         if collect_trace:
             self.report.event_trace = []
 
@@ -265,15 +289,15 @@ class _Sim:
             self.unmet(event.time, "auth", bid, need)
         self.report.times.append(event.time)
         active_set = set(active)
-        for bid in self.topology.branch_ids():
-            series = self.report.links[bid]["series"]
-            series["pool_available"].append(self.topology.link(bid).pool.available_bits)
-            series["deposited_bits"].append(step.deposited.get(bid, 0))
-            series["active"].append(1 if bid in active_set else 0)
-        hub_series = self.report.hub["series"]
-        hub_series["backlog_cost"].append(step.backlog_cost_after)
-        hub_series["processed_cost"].append(step.cpu_processed)
-        hub_series["active_link_count"].append(len(active))
+        deposited = step.deposited
+        for bid, pool, pool_available, deposited_bits, is_active in self.columns:
+            pool_available(pool.available_bits)
+            deposited_bits(deposited.get(bid, 0))
+            is_active(1 if bid in active_set else 0)
+        backlog_cost, processed_cost, active_link_count = self.hub_columns
+        backlog_cost(step.backlog_cost_after)
+        processed_cost(step.cpu_processed)
+        active_link_count(len(active))
 
     def on_rotation(self, event: Event) -> None:
         bid = event.entity
@@ -295,7 +319,7 @@ class _Sim:
 
     def on_traffic(self, event: Event) -> None:
         flow = self.flows[event.entity]
-        flow.pending += Fraction(flow.rate_bps) * Fraction(self.dt)
+        flow.pending += flow.bits_per_tick
         want = int(flow.pending)
         ask = want - want % 8  # pads are spent on whole-byte messages
         if ask <= 0:
@@ -432,10 +456,7 @@ class _Sim:
             elif s.classes is not None:
                 matrix = default_matrix(*s.classes)
             else:
-                matrix = default_matrix(
-                    max(2, max(a.sensitivity_index for a in s.assets)),
-                    max(2, max(a.time_index for a in s.assets)),
-                )
+                matrix = default_matrix(*asset_grid(s.assets))
             for asset in s.assets:
                 rec = recommend(asset, matrix, s.attacker)
                 report.assets.append(

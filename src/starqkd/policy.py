@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from fractions import Fraction
+from typing import Sequence
 
 from .errors import BadDimensions, IndexOutOfBounds
 from .hybrid import (
@@ -119,6 +120,14 @@ class PolicyMatrix:
                 f"{self.m_c}x{self.k_t} matrix"
             )
         return self.cells[(sensitivity_index, time_index)]
+
+
+def asset_grid(assets: Sequence[InfoAsset]) -> tuple[int, int]:
+    """The smallest grid, at least 2x2, that holds every asset's class indices."""
+    return (
+        max(2, max(a.sensitivity_index for a in assets)),
+        max(2, max(a.time_index for a in assets)),
+    )
 
 
 def default_matrix(m_c: int, k_t: int) -> PolicyMatrix:

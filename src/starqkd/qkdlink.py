@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import DomainError, InsufficientKey
 from .keycore import AuthBudget, KeyPool
@@ -50,6 +51,17 @@ class LinkParams:
                 f"post_processing_messages_per_round must be >= 0, "
                 f"got {self.post_processing_messages_per_round}"
             )
+
+    # Derived once per link: produce() runs every tick on these.
+    @cached_property
+    def secret_rate_exact(self) -> Fraction:
+        """secret_rate(self) as an exact rational, in bits per second."""
+        return Fraction(secret_rate(self))
+
+    @cached_property
+    def cpu_cost_per_sec(self) -> float:
+        """cpu_cost_per_raw_bit * raw_rate(self), in cost units per second."""
+        return self.cpu_cost_per_raw_bit * raw_rate(self)
 
 
 def raw_rate(params: LinkParams) -> float:
@@ -134,8 +146,8 @@ def produce(state: LinkState, dt: float, now: float = 0.0) -> TickOutcome:
         state.auth.consume(messages)
         from_pool = shortfall
         from_budget = cost_bits - shortfall
-    produced = Fraction(secret_rate(params)) * Fraction(dt)
-    cpu = params.cpu_cost_per_raw_bit * raw_rate(params) * dt
+    produced = params.secret_rate_exact * Fraction(dt)
+    cpu = params.cpu_cost_per_sec * dt
     state.cumulative_cpu_cost += cpu
     return TickOutcome(produced, 0, cpu, from_budget, from_pool, False)
 

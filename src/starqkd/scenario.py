@@ -14,7 +14,8 @@ and reports its precondition errors at the same path; `scenario_to_dict`
 dumps through the same tables. Hand-written checks remain only for rules
 across fields. Strict mode rejects unknown fields; lax mode warns and
 drops them. `null` means the default only where the default is null.
-A run may have at most MAX_TICKS ticks.
+A run may have at most MAX_TICKS ticks, and a policy grid at most
+MAX_GRID_CELLS cells.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .policy import (
     PolicyMatrix,
     Technique,
     TechniqueKind,
+    asset_grid,
     validate_matrix,
 )
 from .qkdlink import LinkParams
@@ -47,6 +49,9 @@ SCENARIO_FORMAT_VERSION = 1
 # duration_seconds / tick_seconds may not exceed this: the engine
 # schedules every tick of every link up front.
 MAX_TICKS = 10_000_000
+# m_c * k_t may not exceed this: validate_matrix and default_matrix
+# visit every cell of the grid.
+MAX_GRID_CELLS = 10_000
 
 DEFAULT_SEED = 0
 DEFAULT_TICK_SECONDS = 1.0
@@ -416,6 +421,19 @@ def _check_duration(duration: float, tick: float) -> None:
         )
 
 
+def _check_grid(m_c: int, k_t: int, path: str) -> None:
+    if m_c * k_t > MAX_GRID_CELLS:
+        raise ValidationError(
+            path, f"a {m_c}x{k_t} policy grid exceeds the limit of {MAX_GRID_CELLS} cells"
+        )
+
+
+def _check_asset_grid(assets: tuple[InfoAsset, ...]) -> None:
+    """Bound the default grid that run and plan size from the asset indices."""
+    if assets:
+        _check_grid(*asset_grid(assets), "assets")
+
+
 def _check_unique(items: tuple, section: str, taken: tuple[str, ...] = ()) -> None:
     seen = set(taken)
     for i, item in enumerate(items):
@@ -477,6 +495,7 @@ def _parse_technique(obj: Any, path: str, strict: bool) -> Technique:
 def _parse_matrix(obj: Any, path: str, strict: bool) -> PolicyMatrix:
     values = _read(obj, path, _MATRIX, strict)
     m_c, k_t = values["m_c"], values["k_t"]
+    _check_grid(m_c, k_t, path)
     cells: dict[tuple[int, int], Technique] = {}
     for i, cell_obj in enumerate(values["cells"]):
         cell_path = f"{path}.cells[{i}]"
@@ -503,7 +522,9 @@ def _parse_assets(objs: list, strict: bool) -> tuple[InfoAsset, ...]:
 def _parse_classes(obj: Any, strict: bool) -> tuple[int, int] | None:
     if obj is None:
         return None
-    return tuple(_read(obj, "classes", _CLASSES, strict).values())
+    classes = tuple(_read(obj, "classes", _CLASSES, strict).values())
+    _check_grid(*classes, "classes")
+    return classes
 
 
 def _parse_migration(obj: Any, strict: bool) -> MigrationTimeline | None:
@@ -571,7 +592,9 @@ def scenario_from_dict(data: Any, strict: bool = True) -> Scenario:
                 f"{classes[0]}x{classes[1]}",
             )
     bound = classes if matrix is None else (matrix.m_c, matrix.k_t)
-    if bound is not None:
+    if bound is None:
+        _check_asset_grid(assets)
+    else:
         for i, item in enumerate(assets):
             for key, name, limit in zip(("sensitivity_index", "time_index"), _CLASSES, bound):
                 if getattr(item, key) > limit:
@@ -613,11 +636,11 @@ def ingest_plan_inputs(
 ) -> tuple[tuple[InfoAsset, ...], tuple[int, int] | None, MigrationTimeline | None]:
     """Load an assets file for planning: assets, optional classes, migration."""
     values = _read(_load_json(path), "assets file", _PLAN, strict)
-    return (
-        _parse_assets(values["assets"], strict),
-        _parse_classes(values["classes"], strict),
-        _parse_migration(values["migration"], strict),
-    )
+    assets = _parse_assets(values["assets"], strict)
+    classes = _parse_classes(values["classes"], strict)
+    if classes is None:
+        _check_asset_grid(assets)
+    return assets, classes, _parse_migration(values["migration"], strict)
 
 
 def ingest_matrix(path: str | Path, strict: bool = True) -> PolicyMatrix:

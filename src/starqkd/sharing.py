@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import (
@@ -31,6 +32,8 @@ MAX_ORACLE_PRIME = 257
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+# Every ShareConfig checks its prime; scenarios reuse a handful of primes.
+@lru_cache(maxsize=64)
 def _is_prime(n: int) -> bool:
     # Deterministic Miller-Rabin for n < 3.3e24; plenty for 61-bit fields.
     if n < 2:

@@ -78,12 +78,19 @@ class _BacklogItem:
 
 @dataclass
 class StarTopology:
-    """One hub, its branches, and the per-branch link states."""
+    """One hub, its branches, and the per-branch link states.
+
+    backlog is the hub's FIFO of deferred post-processing work and
+    backlog_cost the exact running total of its items' costs. Only
+    hub_cpu_step mutates either, and it keeps the two in step, so a
+    step never re-sums the backlog.
+    """
 
     hub: Node
     branches: list[Node]
     links: dict[str, LinkState]
     backlog: list[_BacklogItem] = field(default_factory=list)
+    backlog_cost: Fraction = Fraction(0)
     relay_count: int = 0
     _rr_offset: int = field(default=0, repr=False)
 
@@ -95,10 +102,6 @@ class StarTopology:
         if got is None:
             raise KeyError(f"no branch {branch_id!r} in this star")
         return got
-
-    @property
-    def backlog_cost(self) -> Fraction:
-        return sum((item.cost for item in self.backlog), Fraction(0))
 
 
 def build_star(hub: Node, branch_specs: list[BranchSpec]) -> StarTopology:
@@ -146,9 +149,12 @@ def schedule_channels(topology: StarTopology, now: float = 0.0) -> list[str]:
     n = len(ids)
     offset = topology._rr_offset % n
     topology._rr_offset += 1
-    rank = {bid: (i - offset) % n for i, bid in enumerate(ids)}
-    order = sorted(ids, key=lambda bid: (topology.links[bid].pool.fill_ratio, rank[bid]))
-    return order[: topology.hub.channel_count]
+    links = topology.links
+    fill = [links[bid].pool.fill_ratio for bid in ids]
+    # Indices in round-robin rank order, (i - offset) % n; the stable
+    # sort on fill keeps that order among ties.
+    order = sorted([*range(offset, n), *range(offset)], key=fill.__getitem__)
+    return [ids[i] for i in order[: topology.hub.channel_count]]
 
 
 def relay_key(
@@ -229,15 +235,20 @@ def hub_cpu_step(
     every active link is served the same fraction of its bits and the
     remainder joins the backlog. Bit accounting is exact: deferred bits
     are deposited, in order, by later steps.
+
+    This is the only code that mutates topology.backlog. It keeps
+    topology.backlog_cost exact as it goes, less the budget the drain
+    used and plus the cost it defers, so a step costs time in the work
+    it touches and not in the length of the backlog.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
+    links = topology.links
     if active_ids is None:
         actives = topology.branch_ids()
     else:
-        known = set(topology.branch_ids())
         for bid in active_ids:
-            if bid not in known:
+            if bid not in links:
                 raise KeyError(f"no branch {bid!r} in this star")
         actives = list(active_ids)
 
@@ -248,7 +259,7 @@ def hub_cpu_step(
     new_items: list[_BacklogItem] = []
     demanded = 0.0
     for bid in actives:
-        out = produce(topology.links[bid], dt, now)
+        out = produce(links[bid], dt, now)
         if out.halted:
             halted.append(bid)
             continue
@@ -257,47 +268,48 @@ def hub_cpu_step(
         demanded += out.cpu_cost
         new_items.append(_BacklogItem(bid, Fraction(out.cpu_cost), out.produced_bits))
 
-    budget = Fraction(topology.hub.cpu_capacity_per_sec) * Fraction(dt)
-    processed = Fraction(0)
+    capacity = Fraction(topology.hub.cpu_capacity_per_sec) * Fraction(dt)
+    budget = capacity
 
     # Old work first, in arrival order.
-    while topology.backlog and budget > 0:
-        item = topology.backlog[0]
+    backlog = topology.backlog
+    drained = 0
+    for item in backlog:
+        if budget <= 0:
+            break
         if item.cost <= budget:
             budget -= item.cost
-            processed += item.cost
-            released[item.link_id] = released.get(item.link_id, Fraction(0)) + item.bits
-            topology.backlog.pop(0)
+            released[item.link_id] = released.get(item.link_id, 0) + item.bits
+            drained += 1
         else:
-            share = budget / item.cost
-            served = item.bits * share
-            released[item.link_id] = released.get(item.link_id, Fraction(0)) + served
+            served = item.bits * (budget / item.cost)
+            released[item.link_id] = released.get(item.link_id, 0) + served
             item.bits -= served
-            processed += budget
             item.cost -= budget
             budget = Fraction(0)
+    del backlog[:drained]
+    processed = capacity - budget
+    topology.backlog_cost -= processed
 
     # Then this interval's production, proportionally if it overruns.
     total_new = sum((item.cost for item in new_items), Fraction(0))
     if total_new <= budget:
         for item in new_items:
-            released[item.link_id] = released.get(item.link_id, Fraction(0)) + item.bits
+            released[item.link_id] = released.get(item.link_id, 0) + item.bits
         processed += total_new
         deferred = Fraction(0)
     else:
-        share = budget / total_new if total_new > 0 else Fraction(0)
+        share = budget / total_new
+        keep = 1 - share
         for item in new_items:
             served = item.bits * share
-            released[item.link_id] = released.get(item.link_id, Fraction(0)) + served
-            topology.backlog.append(
-                _BacklogItem(item.link_id, item.cost * (1 - share), item.bits - served)
-            )
+            released[item.link_id] = released.get(item.link_id, 0) + served
+            backlog.append(_BacklogItem(item.link_id, item.cost * keep, item.bits - served))
         processed += budget
         deferred = total_new - budget
+        topology.backlog_cost += deferred
 
-    deposited = {
-        bid: release(topology.links[bid], bits) for bid, bits in released.items()
-    }
+    deposited = {bid: release(links[bid], bits) for bid, bits in released.items()}
     return HubStepReport(
         time=now,
         active_ids=tuple(actives),

@@ -94,6 +94,21 @@ def test_simulate_rejects_bad_override(tmp_path, capsys):
     tiny_tick.write_text(
         json.dumps({"duration_seconds": 1, "tick_seconds": 1e-300, "branches": [{"id": "a"}]})
     )
+    # Policy grids over the cell limit: the run would walk every cell.
+    asset = {"id": "x", "sensitivity_index": 1, "time_index": 1}
+    grids = {
+        "classes": {"classes": {"m_c": 2**64, "k_t": 2}, "assets": [asset]},
+        "policy_matrix": {
+            "policy_matrix": {"m_c": 2**64, "k_t": 2, "cells": []},
+            "assets": [asset],
+        },
+        # No classes: the grid is sized from the asset indices.
+        "assets": {"assets": [{**asset, "sensitivity_index": 2**64}]},
+    }
+    for name, extra in grids.items():
+        (tmp_path / f"grid_{name}.json").write_text(
+            json.dumps({"duration_seconds": 10, "branches": [{"id": "a"}], **extra})
+        )
     out = str(tmp_path / "run")
     for argv, path in (
         ([str(infinite)], "duration_seconds: must be a finite number"),
@@ -103,6 +118,9 @@ def test_simulate_rejects_bad_override(tmp_path, capsys):
         ([str(pair)], "traffic[1]: duplicate pair a->b, already given at traffic[0]"),
         ([str(tiny_tick)], "duration_seconds: 1e+300 ticks exceeds the limit of 10000000"),
         (["scenarios/minimal.json", "--duration", "1e12"], "1e+12 ticks exceeds the limit of"),
+        ([str(tmp_path / "grid_classes.json")], "classes: a 18446744073709551616x2 policy grid"),
+        ([str(tmp_path / "grid_policy_matrix.json")], "policy_matrix: a 18446744073709551616x2"),
+        ([str(tmp_path / "grid_assets.json")], "assets: a 18446744073709551616x2 policy grid"),
     ):
         assert main(["simulate", *argv, "--out", out]) == 1
         err = capsys.readouterr().err
@@ -156,6 +174,34 @@ def test_plan_with_matrix_file(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "doc: qkd_otp" in out
     assert "2 sensitivity x 2 retention" in out
+
+
+@pytest.mark.parametrize(
+    ("classes", "time_index", "matrix", "message"),
+    [
+        ({"m_c": 2, "k_t": 2**64}, 1, None, "classes: a 2x18446744073709551616 policy grid"),
+        (None, 2**64, None, "assets: a 2x18446744073709551616 policy grid"),
+        (None, 1, {"m_c": 2**64, "k_t": 2**64, "cells": []}, "policy_matrix: a 1844"),
+    ],
+    ids=["huge-classes", "huge-asset-index", "huge-matrix"],
+)
+def test_plan_rejects_huge_grid(tmp_path, capsys, classes, time_index, matrix, message):
+    inventory = tmp_path / "inv.json"
+    inventory.write_text(
+        json.dumps(
+            {
+                "assets": [{"id": "doc", "sensitivity_index": 1, "time_index": time_index}],
+                "classes": classes,
+            }
+        )
+    )
+    argv = ["plan", str(inventory)]
+    if matrix is not None:
+        (tmp_path / "m.json").write_text(json.dumps(matrix))
+        argv += ["--matrix", str(tmp_path / "m.json")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "exceeds the limit of 10000" in err
 
 
 def test_relay_demo(capsys):

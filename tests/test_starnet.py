@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from starqkd.errors import DuplicateId, InsufficientKey, NoBranches
 from starqkd.keycore import Provenance
@@ -238,6 +239,42 @@ def test_hub_step_backlog_drains_fifo_and_conserves_bits():
     a = topo.link("b1").pool.available_bits
     b = topo.link("b2").pool.available_bits
     assert a + b == total
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    rates=st.lists(st.floats(1.0, 5000.0), min_size=1, max_size=6),
+    cost_per_bit=st.sampled_from([0.0, 0.5, 1.0, 2.5]),
+    capacity=st.floats(100.0, 10000.0),
+    channels=st.integers(1, 6),
+    dt=st.sampled_from([0.1, 0.25, 1.0]),
+    steps=st.lists(st.sets(st.integers(0, 5)), min_size=1, max_size=12),
+)
+def test_hub_step_backlog_cost_is_the_exact_backlog_sum(
+    rates, cost_per_bit, capacity, channels, dt, steps
+):
+    specs = [
+        BranchSpec(
+            node=branch(f"b{i}"),
+            link=flat_link(rate=rate, cpu_cost_per_raw_bit=cost_per_bit),
+            pool_rng=random.Random(i),
+            auth_reserved_bits=10**9,
+        )
+        for i, rate in enumerate(rates)
+    ]
+    topo = build_star(hub(channels, capacity), specs)
+    ids = topo.branch_ids()
+
+    def step(active):
+        rep = hub_cpu_step(topo, dt, active)
+        assert topo.backlog_cost == sum((item.cost for item in topo.backlog), Fraction(0))
+        assert rep.backlog_cost_after == float(topo.backlog_cost)
+
+    for picks in steps:  # an empty pick is a drain-only step
+        step(sorted({ids[k % len(ids)] for k in picks})[:channels])
+    while topo.backlog:
+        step([])
+    assert topo.backlog_cost == Fraction(0)
 
 
 def test_hub_step_skips_halted_links():
