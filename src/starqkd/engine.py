@@ -1,10 +1,19 @@
 """Deterministic discrete-event simulation of one star network.
 
-The whole run is pre-scheduled: every event gets a (time, sequence)
-pair up front, with same-time events ordered by kind (production first,
-then rotation, traffic, relay requests, refresh, report) and, within a
-kind, by scenario declaration order. Replaying the queue with the same
-seed therefore reproduces the report byte for byte.
+The run is one loop over the tick index k = 1..n. Tick k, at time
+k * dt, runs link production, then master-key rotation for each rotating
+branch and one-time-pad traffic for each flow, in declaration order.
+Relay requests and share refreshes are periodic sources. Each keeps
+its next firing in a small heap keyed by (slot, kind, order, m), where
+the slot is the firing's time in ticks as an exact number: the integer
+k when m * period / dt is a whole number of ticks by
+`scenario.whole_ticks`, otherwise the exact ratio of the two floats.
+A firing at slot k runs after tick k's traffic, and one between ticks
+runs before the next tick. Same-time events are therefore ordered by
+kind (production, rotation, traffic, relay requests, refresh, report)
+and then by declaration order, with no float rounding between kinds,
+and the same seed reproduces the report byte for byte. The schedule
+holds one entry per source, not one per event.
 
 Key-bit conservation is exact and closes over five consumption
 categories: authentication top-ups, one-time-pad traffic, relay
@@ -15,19 +24,22 @@ link pool lands in exactly one of them.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from typing import Callable
 
 from .errors import InsufficientKey
 from .hybrid import HybridCipherState, due_rotations, mosca_at_risk, rotate_master
-from .keycore import KeyMaterial, KeyPool, Provenance, otp_decrypt, otp_encrypt
+from .keycore import KeyMaterial, KeyPool, Provenance
 from .policy import asset_grid, default_matrix, recommend
 from .qkdlink import raw_rate, secret_rate
 from .report import MetricsReport
 from .rng import StreamRegistry, random_bits
-from .scenario import Scenario, SharingScenario, technique_to_jsonable
-from .sharing import reconstruct, refresh as refresh_shares, split
+from .scenario import Scenario, SharingScenario, technique_to_jsonable, whole_ticks
+from .sharing import ShareConfig, reconstruct, refresh as refresh_shares, split
 from .starnet import (
     BranchSpec,
     Node,
@@ -51,14 +63,6 @@ class EventKind(IntEnum):
     REPORT = 5
 
 
-@dataclass(frozen=True)
-class Event:
-    time: float
-    sequence: int
-    kind: EventKind
-    entity: str
-
-
 @dataclass
 class _PairFlow:
     src: str
@@ -72,6 +76,7 @@ class _PairFlow:
 @dataclass
 class _SharingRuntime:
     spec: SharingScenario
+    config: ShareConfig
     secret: int
     shares: list
     budget: KeyPool
@@ -83,6 +88,18 @@ class _SharingRuntime:
 
 def _fingerprint(bits: bytes) -> str:
     return hashlib.sha256(bits).hexdigest()[:16]
+
+
+def _slot(m: int, period: float, dt: float) -> int | Fraction:
+    """The tick slot of a source's m-th firing at float time m * period.
+
+    Whole ticks by `whole_ticks` give the integer; anything else gives
+    the exact ratio of the two floats, which is never within 1e-9 of a
+    tick and so orders against the ticks as the float times do.
+    """
+    time = m * period
+    k = whole_ticks(time / dt)
+    return Fraction(time) / Fraction(dt) if k is None else k
 
 
 class _Sim:
@@ -148,6 +165,7 @@ class _Sim:
             secret = rng.randrange(config.field_prime)
             self.sharings[inst.id] = _SharingRuntime(
                 spec=inst,
+                config=config,
                 secret=secret,
                 shares=split(secret, config, rng),
                 budget=KeyPool(
@@ -156,6 +174,33 @@ class _Sim:
                     rng=self.streams.stream(f"sharing-budget/{inst.id}"),
                 ),
             )
+
+        # Periodic sources as (kind, period, handler, entity). A source's
+        # index is its order, so same-slot firings of one kind run in
+        # declaration order.
+        self.sources: list[tuple[EventKind, float, Callable[[float, str], None], str]] = []
+        self.relays: dict[str, tuple[str, str, int]] = {}  # entity -> (src, dst, bits)
+        for t in scenario.traffic:
+            if t.relay_bits > 0:
+                name = f"{t.src}->{t.dst}"
+                self.relays[name] = (t.src, t.dst, t.relay_bits)
+                period = t.relay_interval_seconds
+                self.sources.append((EventKind.RELAY_REQUEST, period, self.on_relay_request, name))
+        for inst in scenario.sharing:
+            self.sources.append(
+                (EventKind.REFRESH, inst.refresh_period_seconds, self.on_refresh, inst.id)
+            )
+        # Firings run up to the duration, with one part in 1e12 of slack
+        # for float products such as 3 * 0.1.
+        self.horizon = scenario.duration_seconds * (1.0 + 1e-12)
+        # The next firing of each source: (slot, kind, order, m).
+        self.due = [
+            (_slot(1, period, self.dt), kind, order, 1)
+            for order, (kind, period, _, _) in enumerate(self.sources)
+            if period <= self.horizon
+        ]
+        heapify(self.due)
+        self.last_slot: int | Fraction = 0
 
         self.relay_rng = self.streams.stream("relay/hub")
         self.master_bits_by_id = {b.id: b.master_bits for b in scenario.branches}
@@ -214,46 +259,6 @@ class _Sim:
             self.report.event_trace = []
 
     # ------------------------------------------------------------------
-    # schedule
-
-    def build_schedule(self) -> list[Event]:
-        s = self.scenario
-        horizon = s.duration_seconds * (1.0 + 1e-12)
-        raw: list[tuple[float, int, int, str]] = []
-        for k in range(1, self.n_ticks + 1):
-            t = k * self.dt
-            raw.append((t, EventKind.LINK_TICK, 0, ""))
-            for order, b in enumerate(s.branches):
-                if b.rotation_frequency_hz > 0:
-                    raw.append((t, EventKind.ROTATION, order, b.id))
-            for order, name in enumerate(self.flows):
-                raw.append((t, EventKind.TRAFFIC_SEND, order, name))
-        for order, t_spec in enumerate(s.traffic):
-            if t_spec.relay_bits > 0:
-                m = 1
-                while m * t_spec.relay_interval_seconds <= horizon:
-                    raw.append(
-                        (
-                            m * t_spec.relay_interval_seconds,
-                            EventKind.RELAY_REQUEST,
-                            order,
-                            f"{t_spec.src}->{t_spec.dst}",
-                        )
-                    )
-                    m += 1
-        for order, inst in enumerate(s.sharing):
-            m = 1
-            while m * inst.refresh_period_seconds <= horizon:
-                raw.append((m * inst.refresh_period_seconds, EventKind.REFRESH, order, inst.id))
-                m += 1
-        raw.append((s.duration_seconds, EventKind.REPORT, 0, ""))
-        raw.sort(key=lambda item: (item[0], int(item[1]), item[2]))
-        return [
-            Event(time=t, sequence=seq, kind=EventKind(kind), entity=entity)
-            for seq, (t, kind, order, entity) in enumerate(raw)
-        ]
-
-    # ------------------------------------------------------------------
     # handlers
 
     def unmet(self, time: float, kind: str, entity: str, bits: int) -> None:
@@ -279,15 +284,15 @@ class _Sim:
         )
         return k_src, k_dst
 
-    def on_link_tick(self, event: Event) -> None:
-        active = schedule_channels(self.topology, now=event.time)
-        step = hub_cpu_step(self.topology, self.dt, active, now=event.time)
+    def on_link_tick(self, time: float, entity: str) -> None:
+        active = schedule_channels(self.topology, now=time)
+        step = hub_cpu_step(self.topology, self.dt, active, now=time)
         self.consumed["auth"] += sum(step.auth_bits_from_pool.values())
         for bid in step.halted:
             link = self.topology.link(bid)
             need = link.params.post_processing_messages_per_round * link.auth.tag_cost_bits
-            self.unmet(event.time, "auth", bid, need)
-        self.report.times.append(event.time)
+            self.unmet(time, "auth", bid, need)
+        self.report.times.append(time)
         active_set = set(active)
         deposited = step.deposited
         for bid, pool, pool_available, deposited_bits, is_active in self.columns:
@@ -299,26 +304,25 @@ class _Sim:
         processed_cost(step.cpu_processed)
         active_link_count(len(active))
 
-    def on_rotation(self, event: Event) -> None:
-        bid = event.entity
+    def on_rotation(self, time: float, bid: str) -> None:
         state = self.ciphers[bid]
-        due = due_rotations(state, event.time)
+        due = due_rotations(state, time)
         if due <= 0:
             return
         pool = self.topology.link(bid).pool
         need = self.master_bits_by_id[bid]
         for _ in range(due):
             try:
-                k_q = pool.draw(need, Provenance.QUANTUM, created_at=event.time)
+                k_q = pool.draw(need, Provenance.QUANTUM, created_at=time)
             except InsufficientKey:
-                self.unmet(event.time, "rotation", bid, need)
+                self.unmet(time, "rotation", bid, need)
                 break
-            rotate_master(state, k_q, now=event.time)
+            rotate_master(state, k_q, now=time)
             self.consumed["rotation"] += need
             self.rotation_counts[bid] += 1
 
-    def on_traffic(self, event: Event) -> None:
-        flow = self.flows[event.entity]
+    def on_traffic(self, time: float, name: str) -> None:
+        flow = self.flows[name]
         flow.pending += flow.bits_per_tick
         want = int(flow.pending)
         ask = want - want % 8  # pads are spent on whole-byte messages
@@ -330,48 +334,40 @@ class _Sim:
         usable = min(ask, pool_src.available_bits, pool_dst.available_bits)
         usable -= usable % 8
         if usable > 0:
-            k_src, k_dst = self.relay(event.time, flow.src, flow.dst, usable, "otp_traffic")
+            self.relay(time, flow.src, flow.dst, usable, "otp_traffic")
             self.consumed["otp_traffic"] += 2 * usable
-            payload = bytes(usable // 8)
-            ciphertext = otp_encrypt(k_src, payload)
-            if otp_decrypt(k_dst, ciphertext) != payload:
-                raise AssertionError("one-time-pad round trip failed")
             flow.served_bits += usable
         if usable < ask:
             flow.unmet_bits += ask - usable
-            self.unmet(event.time, "otp_traffic", event.entity, ask - usable)
+            self.unmet(time, "otp_traffic", name, ask - usable)
 
-    def on_relay_request(self, event: Event) -> None:
-        src, dst = event.entity.split("->")
-        spec = next(
-            t for t in self.scenario.traffic if t.src == src and t.dst == dst and t.relay_bits > 0
-        )
-        n = spec.relay_bits
+    def on_relay_request(self, time: float, name: str) -> None:
+        src, dst, n = self.relays[name]
         pool_src = self.topology.link(src).pool
         pool_dst = self.topology.link(dst).pool
         if pool_src.available_bits < n or pool_dst.available_bits < n:
-            self.unmet(event.time, "relay", event.entity, n)
+            self.unmet(time, "relay", name, n)
             return
-        self.relay(event.time, src, dst, n, "relay_request")
+        self.relay(time, src, dst, n, "relay_request")
         self.consumed["relay"] += 2 * n
         self.relay_delivered_bits += n
 
-    def on_refresh(self, event: Event) -> None:
-        runtime = self.sharings[event.entity]
-        config = runtime.spec.config()
+    def on_refresh(self, time: float, inst_id: str) -> None:
+        runtime = self.sharings[inst_id]
+        config = runtime.config
         cost = config.refresh_cost_bits
         a, b = runtime.spec.custodians
         pool_a = self.topology.link(a).pool
         pool_b = self.topology.link(b).pool
         if pool_a.available_bits < cost or pool_b.available_bits < cost:
             runtime.deferrals += 1
-            exposure = event.time - runtime.last_refresh_time
+            exposure = time - runtime.last_refresh_time
             runtime.max_exposure_seconds = max(runtime.max_exposure_seconds, exposure)
-            self.unmet(event.time, "refresh", event.entity, 2 * cost)
+            self.unmet(time, "refresh", inst_id, 2 * cost)
             self.report.refresh_ledger.append(
                 {
-                    "time": event.time,
-                    "instance": event.entity,
+                    "time": time,
+                    "instance": inst_id,
                     "round": runtime.rounds_completed,
                     "status": "deferred",
                     "pool_bits": 0,
@@ -380,19 +376,19 @@ class _Sim:
             )
             return
         # The delivered key is the refresh pad material.
-        self.relay(event.time, a, b, cost, "refresh")
+        self.relay(time, a, b, cost, "refresh")
         self.consumed["refresh"] += 2 * cost
         runtime.budget.deposit(cost)
         rng = self.streams.stream(f"sharing/{runtime.spec.id}")
         runtime.shares = refresh_shares(runtime.shares, config, rng, runtime.budget)
         runtime.rounds_completed += 1
-        exposure = event.time - runtime.last_refresh_time
+        exposure = time - runtime.last_refresh_time
         runtime.max_exposure_seconds = max(runtime.max_exposure_seconds, exposure)
-        runtime.last_refresh_time = event.time
+        runtime.last_refresh_time = time
         self.report.refresh_ledger.append(
             {
-                "time": event.time,
-                "instance": event.entity,
+                "time": time,
+                "instance": inst_id,
                 "round": runtime.rounds_completed,
                 "status": "ok",
                 "pool_bits": 2 * cost,
@@ -436,7 +432,7 @@ class _Sim:
             )
 
         for inst_id, runtime in self.sharings.items():
-            config = runtime.spec.config()
+            config = runtime.config
             tail = s.duration_seconds - runtime.last_refresh_time
             runtime.max_exposure_seconds = max(runtime.max_exposure_seconds, tail)
             check = reconstruct(runtime.shares[: config.threshold_k], config)
@@ -499,27 +495,45 @@ class _Sim:
             )
         return report
 
+    def fire_periodic(self, limit: int | float) -> None:
+        """Run, in heap order, every periodic firing whose slot is below limit."""
+        heap = self.due
+        trace = self.report.event_trace
+        while heap and heap[0][0] < limit:
+            slot, kind, order, m = heappop(heap)
+            if slot < self.last_slot:
+                raise AssertionError(f"slot {slot} follows slot {self.last_slot}")
+            self.last_slot = slot
+            _, period, handler, entity = self.sources[order]
+            time = m * period
+            if trace is not None:
+                trace.append((time, len(trace), kind.name, entity))
+            handler(time, entity)
+            if (m + 1) * period <= self.horizon:
+                heappush(heap, (_slot(m + 1, period, self.dt), kind, order, m + 1))
+
     def run(self) -> MetricsReport:
-        events = self.build_schedule()
-        handlers = {
-            EventKind.LINK_TICK: self.on_link_tick,
-            EventKind.ROTATION: self.on_rotation,
-            EventKind.TRAFFIC_SEND: self.on_traffic,
-            EventKind.RELAY_REQUEST: self.on_relay_request,
-            EventKind.REFRESH: self.on_refresh,
-        }
-        last = (-1.0, -1)
-        for event in events:
-            if not (event.time > last[0] or (event.time == last[0] and event.sequence > last[1])):
-                raise AssertionError(f"event order violated at {event}")
-            last = (event.time, event.sequence)
-            if self.report.event_trace is not None:
-                self.report.event_trace.append(
-                    (event.time, event.sequence, event.kind.name, event.entity)
-                )
-            if event.kind is EventKind.REPORT:
-                continue
-            handlers[event.kind](event)
+        dt = self.dt
+        per_tick = [(EventKind.LINK_TICK, self.on_link_tick, "")]
+        per_tick += [
+            (EventKind.ROTATION, self.on_rotation, b.id)
+            for b in self.scenario.branches
+            if b.rotation_frequency_hz > 0
+        ]
+        per_tick += [(EventKind.TRAFFIC_SEND, self.on_traffic, name) for name in self.flows]
+        trace = self.report.event_trace
+        self.fire_periodic(1)
+        for k in range(1, self.n_ticks + 1):
+            time = k * dt
+            for kind, handler, entity in per_tick:
+                if trace is not None:
+                    trace.append((time, len(trace), kind.name, entity))
+                handler(time, entity)
+            # slot k follows tick k; slots in (k, k + 1) precede tick k + 1
+            self.fire_periodic(k + 1)
+        self.fire_periodic(math.inf)  # past the last tick, within the horizon
+        if trace is not None:
+            trace.append((self.scenario.duration_seconds, len(trace), EventKind.REPORT.name, ""))
         return self.finish()
 
 

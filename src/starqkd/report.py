@@ -1,9 +1,9 @@
 """Simulation reports and their JSON/CSV emission.
 
 Reports are plain data and serialize deterministically: same scenario,
-same seed, byte-identical output. JSON is one document; CSV emission
-writes one file per time-series group plus a meta file carrying the
-seed and format version.
+same seed, byte-identical output. JSON is one document, streamed to the
+file; CSV emission writes one file per time-series group plus a meta
+file carrying the seed and format version.
 """
 
 from __future__ import annotations
@@ -11,12 +11,18 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import Any
 
 from .errors import IoError
 
 FORMAT_VERSION = 1
+
+# The report.json encoding: sorted keys, two-space indent.
+_JSON = json.JSONEncoder(sort_keys=True, indent=2)
+# Encoder chunks joined per file write; most chunks are a few bytes.
+_CHUNKS_PER_WRITE = 8192
 
 
 @dataclass
@@ -60,7 +66,7 @@ class MetricsReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return _JSON.encode(self.to_dict()) + "\n"
 
 
 def _series_columns(report: MetricsReport, series_name: str) -> list[tuple[str, list]]:
@@ -88,8 +94,14 @@ def emit_report(report: MetricsReport, fmt: str, out_dir: str | Path) -> list[Pa
     written: list[Path] = []
     try:
         if fmt == "json":
+            # Streamed to the file: the same bytes as to_json, without
+            # holding the whole document in memory.
             path = out / "report.json"
-            path.write_text(report.to_json(), encoding="utf-8")
+            chunks = _JSON.iterencode(report.to_dict())
+            with path.open("w", encoding="utf-8") as fh:
+                while block := "".join(islice(chunks, _CHUNKS_PER_WRITE)):
+                    fh.write(block)
+                fh.write("\n")
             written.append(path)
             return written
 

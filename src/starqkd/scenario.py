@@ -46,8 +46,8 @@ from .sharing import DEFAULT_FIELD_PRIME, ShareConfig
 
 SCENARIO_FORMAT_VERSION = 1
 
-# duration_seconds / tick_seconds may not exceed this: the engine
-# schedules every tick of every link up front.
+# duration_seconds / tick_seconds may not exceed this: the engine runs
+# every tick of every link and keeps one series entry per tick.
 MAX_TICKS = 10_000_000
 # m_c * k_t may not exceed this: validate_matrix and default_matrix
 # visit every cell of the grid.
@@ -405,6 +405,16 @@ def _check_seed(seed: int) -> None:
         raise ValidationError("seed", f"must fit in 64 bits, got {seed}")
 
 
+def whole_ticks(ratio: float) -> int | None:
+    """The integer nearest ratio if within one part in 1e9 of it, else None.
+
+    A duration must be a whole number of ticks by this rule, and the
+    engine runs a periodic event on a tick when its time is one by it.
+    """
+    k = round(ratio)
+    return k if abs(ratio - k) <= 1e-9 * max(1.0, abs(ratio)) else None
+
+
 def _check_duration(duration: float, tick: float) -> None:
     if not math.isfinite(duration):
         raise ValidationError("duration_seconds", f"must be a finite number, got {duration!r}")
@@ -415,7 +425,8 @@ def _check_duration(duration: float, tick: float) -> None:
         raise ValidationError(
             "duration_seconds", f"{ratio:g} ticks exceeds the limit of {MAX_TICKS}"
         )
-    if abs(ratio - round(ratio)) > 1e-9 * max(1.0, abs(ratio)) or round(ratio) < 1:
+    ticks = whole_ticks(ratio)
+    if ticks is None or ticks < 1:
         raise ValidationError(
             "duration_seconds", f"must be a whole number of ticks, got {ratio} ticks"
         )

@@ -230,6 +230,10 @@ def hub_cpu_step(
 ) -> HubStepReport:
     """Run production on the active links under the hub's CPU budget.
 
+    active_ids (default: every branch) must name distinct branches of
+    this star; an unknown id raises KeyError and a repeated one
+    ValueError, before anything changes.
+
     Backlogged work from earlier intervals drains first, FIFO. If this
     interval's fresh work then overruns what is left of the budget,
     every active link is served the same fraction of its bits and the
@@ -250,6 +254,8 @@ def hub_cpu_step(
         for bid in active_ids:
             if bid not in links:
                 raise KeyError(f"no branch {bid!r} in this star")
+        if len(set(active_ids)) != len(active_ids):
+            raise ValueError(f"active_ids repeats a branch: {list(active_ids)}")
         actives = list(active_ids)
 
     released: dict[str, Fraction] = {}

@@ -1,0 +1,201 @@
+"""Frozen corpus of random valid scenarios, and two metamorphic oracles.
+
+`corpus_scenario(i)` builds scenario i from a `random.Random` seeded by
+its index alone, so the corpus does not move when a test library is
+upgraded. Each of the 200 scenarios has 1-8 branches and at most 60
+ticks, and they mix throttled and unthrottled hubs, one-time-pad flows,
+relays, secret sharing, rotation, assets and tick lengths that are not
+whole seconds. Most runs stop by tick 20 so the corpus runs in about
+two seconds; about a third run up to 60 ticks, long enough for hub
+backlogs, slow rotation and the longer periods to show.
+`tests/golden_corpus.json` pins each scenario's `report.json` sha256;
+a change that moves one on purpose updates the file and says which
+digests moved and why.
+
+Regenerate the digests with `PYTHONPATH=src python tests/test_corpus.py`.
+"""
+
+import hashlib
+import json
+import math
+import random
+from fractions import Fraction
+from pathlib import Path
+
+from starqkd.engine import run
+from starqkd.report import emit_report
+from starqkd.scenario import (
+    ingest_scenario,
+    scenario_from_dict,
+    scenario_to_dict,
+    with_overrides,
+)
+
+HERE = Path(__file__).resolve().parent
+GOLDEN_PATH = HERE / "golden_corpus.json"
+SCENARIOS = HERE.parent / "scenarios"
+CORPUS_SIZE = 200
+
+TICK_SECONDS = (1.0, 1.0, 0.5, 0.25, 0.1, 0.7, 2.0, 0.3)
+# Periods in seconds for relays and refresh; some fall between ticks.
+PERIODS = (0.3, 0.5, 0.7, 1.0, 2.5, 3.0, 4.0, 7.0, 10.0)
+
+
+def corpus_scenario(index: int) -> dict:
+    """Scenario `index` of the corpus, as the JSON object a file would hold."""
+    rng = random.Random(f"starqkd-corpus/{index}")
+    tick = rng.choice(TICK_SECONDS)
+    n_branches = rng.randint(1, 8)
+    branches = []
+    for j in range(n_branches):
+        branch = {
+            "id": f"b{j}",
+            "distance_km": round(rng.uniform(1.0, 160.0), 1),
+            "qber": round(rng.uniform(0.005, 0.05), 4),
+        }
+        if rng.random() < 0.3:
+            branch["auth_reserved_bits"] = rng.choice((0, 512, 2048))
+        if rng.random() < 0.3:
+            branch["pool_target_bits"] = rng.choice((4096, 50000))
+        if rng.random() < 0.4:
+            branch["rotation_frequency_hz"] = rng.choice((0.05, 0.2, 0.5, 1.0))
+            branch["master_bits"] = rng.choice((128, 256, 1024))
+        branches.append(branch)
+    data = {
+        "seed": rng.randrange(2**32),
+        "tick_seconds": tick,
+        "duration_seconds": rng.randint(1, 60 if rng.random() < 0.3 else 20) * tick,
+        "branches": branches,
+    }
+    if rng.random() < 0.5:
+        data["hub"] = {
+            "channel_count": rng.randint(1, n_branches),
+            "cpu_capacity_per_sec": rng.choice((5e3, 3e4, 1.2e5, 1e6)),
+        }
+    ids = [b["id"] for b in branches]
+    if n_branches >= 2:
+        pairs = [(a, b) for a in ids for b in ids if a != b]
+        traffic = []
+        for src, dst in rng.sample(pairs, min(len(pairs), rng.randint(0, 4))):
+            demand = {"src": src, "dst": dst}
+            if rng.random() < 0.7:
+                demand["otp_bits_per_sec"] = rng.choice((4.0, 12.5, 96.0, 800.0, 20000.0))
+            if rng.random() < 0.5:
+                demand["relay_bits"] = rng.choice((64, 512, 4096))
+                demand["relay_interval_seconds"] = rng.choice(PERIODS)
+            traffic.append(demand)
+        data["traffic"] = traffic
+        if rng.random() < 0.4:
+            n = rng.randint(2, 5)
+            data["sharing"] = [
+                {
+                    "id": "vault",
+                    "n_locations": n,
+                    "threshold_k": rng.randint(1, n),
+                    "field_prime": rng.choice((257, 2305843009213693951)),
+                    "refresh_period_seconds": rng.choice(PERIODS),
+                    "custodians": rng.sample(ids, 2),
+                }
+            ]
+    if rng.random() < 0.4:
+        data["assets"] = [
+            {
+                "id": f"a{j}",
+                "sensitivity_index": rng.randint(1, 4),
+                "time_index": rng.randint(1, 4),
+                "lifetime_seconds": rng.choice((0.0, 3.15e7, 6.3e8)),
+                "data_state": rng.choice(("at_rest", "in_motion", "in_use")),
+            }
+            for j in range(rng.randint(1, 3))
+        ]
+        if rng.random() < 0.5:
+            data["classes"] = {"m_c": 4, "k_t": 4}
+    if rng.random() < 0.3:
+        data["migration"] = {"x_years": 5.0, "y_years": 7.0, "z_years": rng.choice((10.0, 15.0))}
+    return data
+
+
+def report_digest(report, out_dir: Path) -> str:
+    (path,) = emit_report(report, "json", out_dir)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def golden() -> dict[int, str]:
+    """Scenario index -> sha256 of its report.json."""
+    pinned = json.loads(GOLDEN_PATH.read_text())["report_sha256"]
+    return {int(index): digest for index, digest in pinned.items()}
+
+
+def compact_json(report) -> str:
+    # The C encoder emits the same tokens as the indented report.json, so
+    # equal compact text means equal report bytes, at a fraction of the cost.
+    return json.dumps(report.to_dict(), sort_keys=True)
+
+
+def test_corpus_scenarios_close_repeat_round_trip_and_keep_their_digests(tmp_path):
+    pinned = golden()
+    assert sorted(pinned) == list(range(CORPUS_SIZE))
+    moved = []
+    for index in range(CORPUS_SIZE):
+        scenario = scenario_from_dict(corpus_scenario(index))
+        assert scenario_from_dict(scenario_to_dict(scenario)) == scenario, index
+
+        report = run(scenario)
+        t = report.totals
+        assert t["generated_bits"] == t["pool_available_bits"] + t["consumed_bits_total"], index
+        assert t["consumed_bits_total"] == sum(t["consumed_bits"].values()), index
+        for link in report.links.values():
+            pool = link["pool"]
+            assert pool["generated_bits"] == pool["available_bits"] + pool["consumed_bits"], index
+        assert compact_json(run(scenario)) == compact_json(report), index
+
+        if report_digest(report, tmp_path) != pinned[index]:
+            moved.append(index)
+    assert moved == []
+
+
+def seed_invariant_view(report) -> dict:
+    return {
+        "totals": report.totals,
+        "unmet_bits": [(u["kind"], u["entity"], u["bits"]) for u in report.unmet_demand],
+        "pool_series": {
+            bid: (link["series"]["pool_available"], link["series"]["deposited_bits"])
+            for bid, link in report.links.items()
+        },
+    }
+
+
+def test_seed_moves_key_bits_never_amounts():
+    base = ingest_scenario(SCENARIOS / "star10.json")
+    views = [seed_invariant_view(run(with_overrides(base, seed=seed))) for seed in (0, 7, 12345)]
+    assert views[0] == views[1] == views[2]
+
+
+def test_unthrottled_generation_matches_secret_rate_closed_form():
+    dt = 0.7
+    ticks = 400
+    s = scenario_from_dict(
+        {
+            "tick_seconds": dt,
+            "duration_seconds": ticks * dt,
+            "branches": [{"id": "near", "distance_km": 12.0}, {"id": "far", "distance_km": 85.0}],
+        }
+    )
+    assert s.tick_count == ticks
+    r = run(s)
+    for link in r.links.values():
+        expected = math.floor(ticks * Fraction(link["secret_rate_bps"]) * Fraction(dt))
+        assert link["pool"]["generated_bits"] == expected
+
+
+if __name__ == "__main__":
+    import sys
+    import tempfile
+
+    pinned = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for i in range(CORPUS_SIZE):
+            scenario = scenario_from_dict(corpus_scenario(i))
+            pinned[str(i)] = report_digest(run(scenario), Path(tmp))
+    GOLDEN_PATH.write_text(json.dumps({"report_sha256": pinned}, indent=1) + "\n")
+    print(f"wrote {len(pinned)} digests to {GOLDEN_PATH}", file=sys.stderr)

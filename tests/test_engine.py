@@ -164,6 +164,27 @@ def test_relay_interval_between_ticks():
     assert times == sorted(times)
 
 
+def test_relay_on_a_tick_runs_after_it_whatever_the_float_rounding():
+    # 3 * 0.1 rounds above 0.3, and 3 * 0.3 rounds below 9 * 0.1 == 0.9:
+    # each relay is due on tick 3 or 9 and must follow that tick's production
+    s = scenario_from_dict(
+        small_scenario(
+            duration_seconds=1.2,
+            tick_seconds=0.1,
+            traffic=[
+                {"src": "b1", "dst": "b2", "relay_bits": 64, "relay_interval_seconds": 0.3}
+            ],
+        )
+    )
+    r = run(s, collect_trace=True)
+    events = [(t, kind) for t, _, kind, _ in r.event_trace]
+    assert 3 * 0.1 == 0.30000000000000004 and 3 * 0.3 == 0.8999999999999999
+    for relay_time, tick in ((0.3, 3), (3 * 0.3, 9)):
+        relay = events.index((relay_time, "RELAY_REQUEST"))
+        assert events.index((tick * 0.1, "LINK_TICK")) < relay
+        assert relay < events.index(((tick + 1) * 0.1, "LINK_TICK"))
+
+
 def test_refresh_rounds_and_budget():
     s = scenario_from_dict(
         small_scenario(

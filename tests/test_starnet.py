@@ -195,6 +195,17 @@ def test_hub_step_unconstrained_matches_standalone_ticks():
     assert topo.backlog == []
 
 
+def test_hub_step_rejects_unknown_or_repeated_ids():
+    topo = star(n=2)
+    with pytest.raises(KeyError):
+        hub_cpu_step(topo, 1.0, ["b9"])
+    with pytest.raises(ValueError, match="repeats"):
+        hub_cpu_step(topo, 1.0, ["b1", "b1"])
+    # a rejected step changes nothing
+    assert topo.link("b1").pool.total_generated_bits == 0
+    assert topo.link("b1").auth.total_consumed_bits == 0
+
+
 def test_hub_step_proportional_deferral():
     # three flat links producing 30/30/60 cost units against capacity 60
     specs = [
