@@ -1,19 +1,26 @@
 """Deterministic discrete-event simulation of one star network.
 
 The run is one loop over the tick index k = 1..n. Tick k, at time
-k * dt, runs link production, then master-key rotation for each rotating
-branch and one-time-pad traffic for each flow, in declaration order.
-Relay requests and share refreshes are periodic sources. Each keeps
-its next firing in a small heap keyed by (slot, kind, order, m), where
-the slot is the firing's time in ticks as an exact number: the integer
-k when m * period / dt is a whole number of ticks by
-`scenario.whole_ticks`, otherwise the exact ratio of the two floats.
-A firing at slot k runs after tick k's traffic, and one between ticks
-runs before the next tick. Same-time events are therefore ordered by
-kind (production, rotation, traffic, relay requests, refresh, report)
-and then by declaration order, with no float rounding between kinds,
-and the same seed reproduces the report byte for byte. The schedule
-holds one entry per source, not one per event.
+k * dt, runs link production and then one-time-pad traffic for each
+flow, in declaration order. Master-key rotations, relay requests and
+share refreshes are periodic sources. Each keeps its next firing in a
+small heap keyed by (slot, kind, order, m), where the slot is the
+firing's time in ticks as an exact number: the integer k when
+m * period / dt is a whole number of ticks by `scenario.whole_ticks`,
+otherwise the exact ratio of the two floats. A rotation needs fresh key,
+which arrives on ticks, so it runs on the first tick at or after its
+time, between that tick's production and its traffic, and is stamped
+with the tick's time; one the pool cannot pay stays owed and is retried
+on the next tick, and the rotations due by the time it is paid follow
+on the same tick, so the schedule never drifts. A relay or refresh on
+tick k runs after that tick's traffic, and one between ticks runs
+before the next tick. Every periodic firing runs while its slot is at
+most the tick count, and that one slot rule decides whether and when it
+runs. Same-time events are therefore ordered by kind (production,
+rotation, traffic, relay requests, refresh, report) and then by
+declaration order, with no float rounding between kinds, and the same
+seed reproduces the report byte for byte. The schedule holds one entry
+per source, not one per event.
 
 Key-bit conservation is exact and closes over five consumption
 categories: authentication top-ups, one-time-pad traffic, relay
@@ -28,16 +35,15 @@ import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import Callable
 
-from .errors import InsufficientKey
-from .hybrid import HybridCipherState, due_rotations, mosca_at_risk, rotate_master
-from .keycore import KeyMaterial, KeyPool, Provenance
+from .hybrid import mosca_at_risk
+from .keycore import KeyMaterial, KeyPool
 from .policy import asset_grid, default_matrix, recommend
 from .qkdlink import raw_rate, secret_rate
 from .report import MetricsReport
-from .rng import StreamRegistry, random_bits
+from .rng import StreamRegistry
 from .scenario import Scenario, SharingScenario, technique_to_jsonable, whole_ticks
 from .sharing import ShareConfig, reconstruct, refresh as refresh_shares, split
 from .starnet import (
@@ -90,18 +96,6 @@ def _fingerprint(bits: bytes) -> str:
     return hashlib.sha256(bits).hexdigest()[:16]
 
 
-def _slot(m: int, period: float, dt: float) -> int | Fraction:
-    """The tick slot of a source's m-th firing at float time m * period.
-
-    Whole ticks by `whole_ticks` give the integer; anything else gives
-    the exact ratio of the two floats, which is never within 1e-9 of a
-    tick and so orders against the ticks as the float times do.
-    """
-    time = m * period
-    k = whole_ticks(time / dt)
-    return Fraction(time) / Fraction(dt) if k is None else k
-
-
 class _Sim:
     def __init__(self, scenario: Scenario, collect_trace: bool) -> None:
         self.scenario = scenario
@@ -128,25 +122,6 @@ class _Sim:
             for b in scenario.branches
         ]
         self.topology: StarTopology = build_star(hub, specs)
-
-        self.ciphers: dict[str, HybridCipherState] = {}
-        for b in scenario.branches:
-            key_rng = self.streams.stream(f"keys/{b.id}")
-            master = KeyMaterial(
-                id=f"{b.id}/master",
-                bits=random_bits(key_rng, b.master_bits),
-                bit_length=b.master_bits,
-                provenance=Provenance.MASTER,
-            )
-            session = KeyMaterial(
-                id=f"{b.id}/session",
-                bits=random_bits(key_rng, b.session_bits),
-                bit_length=b.session_bits,
-                provenance=Provenance.SESSION,
-            )
-            self.ciphers[b.id] = HybridCipherState(
-                master=master, session=session, rotation_frequency_hz=b.rotation_frequency_hz
-            )
 
         self.flows: dict[str, _PairFlow] = {}
         for t in scenario.traffic:
@@ -177,8 +152,13 @@ class _Sim:
 
         # Periodic sources as (kind, period, handler, entity). A source's
         # index is its order, so same-slot firings of one kind run in
-        # declaration order.
-        self.sources: list[tuple[EventKind, float, Callable[[float, str], None], str]] = []
+        # declaration order. A handler that returns True is still owed
+        # and is retried on the next tick.
+        self.sources: list[tuple[EventKind, float, Callable[[float, str], bool | None], str]] = [
+            (EventKind.ROTATION, 1.0 / b.rotation_frequency_hz, self.on_rotation, b.id)
+            for b in scenario.branches
+            if b.rotation_frequency_hz > 0
+        ]
         self.relays: dict[str, tuple[str, str, int]] = {}  # entity -> (src, dst, bits)
         for t in scenario.traffic:
             if t.relay_bits > 0:
@@ -190,16 +170,10 @@ class _Sim:
             self.sources.append(
                 (EventKind.REFRESH, inst.refresh_period_seconds, self.on_refresh, inst.id)
             )
-        # Firings run up to the duration, with one part in 1e12 of slack
-        # for float products such as 3 * 0.1.
-        self.horizon = scenario.duration_seconds * (1.0 + 1e-12)
         # The next firing of each source: (slot, kind, order, m).
-        self.due = [
-            (_slot(1, period, self.dt), kind, order, 1)
-            for order, (kind, period, _, _) in enumerate(self.sources)
-            if period <= self.horizon
-        ]
-        heapify(self.due)
+        self.due: list[tuple[int | Fraction, EventKind, int, int]] = []
+        for order, (kind, period, _, _) in enumerate(self.sources):
+            self.schedule(self.slot(kind, 1, period), kind, order, 1)
         self.last_slot: int | Fraction = 0
 
         self.relay_rng = self.streams.stream("relay/hub")
@@ -214,7 +188,7 @@ class _Sim:
             "refresh": 0,
         }
         self.relay_delivered_bits = 0
-        self.rotation_counts: dict[str, int] = {b.id: 0 for b in scenario.branches}
+        self.epochs: dict[str, list[list]] = {b.id: [] for b in scenario.branches}
 
         # report skeleton
         self.report = MetricsReport(
@@ -304,22 +278,18 @@ class _Sim:
         processed_cost(step.cpu_processed)
         active_link_count(len(active))
 
-    def on_rotation(self, time: float, bid: str) -> None:
-        state = self.ciphers[bid]
-        due = due_rotations(state, time)
-        if due <= 0:
-            return
+    def on_rotation(self, time: float, bid: str) -> bool:
+        """Pay one master-key rotation from the branch pool; True if starved."""
         pool = self.topology.link(bid).pool
         need = self.master_bits_by_id[bid]
-        for _ in range(due):
-            try:
-                k_q = pool.draw(need, Provenance.QUANTUM, created_at=time)
-            except InsufficientKey:
-                self.unmet(time, "rotation", bid, need)
-                break
-            rotate_master(state, k_q, now=time)
-            self.consumed["rotation"] += need
-            self.rotation_counts[bid] += 1
+        if pool.available_bits < need:
+            self.unmet(time, "rotation", bid, need)
+            return True
+        pool.spend(need)
+        self.consumed["rotation"] += need
+        epochs = self.epochs[bid]
+        epochs.append([time, f"{bid}/master@e{len(epochs) + 1}"])
+        return False
 
     def on_traffic(self, time: float, name: str) -> None:
         flow = self.flows[name]
@@ -419,12 +389,8 @@ class _Sim:
             entry["halted_ticks"] = link.halted_ticks
         report.hub["backlog_cost_final"] = float(self.topology.backlog_cost)
 
-        for bid, count in self.rotation_counts.items():
-            state = self.ciphers[bid]
-            report.rotations[bid] = {
-                "count": count,
-                "epochs": [[t, key_id] for t, key_id in state.epoch_log],
-            }
+        for bid, epochs in self.epochs.items():
+            report.rotations[bid] = {"count": len(epochs), "epochs": epochs}
 
         for name, flow in self.flows.items():
             report.links[flow.src].setdefault("flows_out", []).append(
@@ -495,43 +461,64 @@ class _Sim:
             )
         return report
 
-    def fire_periodic(self, limit: int | float) -> None:
-        """Run, in heap order, every periodic firing whose slot is below limit."""
+    def slot(self, kind: EventKind, m: int, period: float) -> int | Fraction:
+        """The tick slot of a source's m-th firing, at float time m * period.
+
+        Whole ticks by `whole_ticks` give the integer; anything else gives
+        the exact ratio of the two floats, which is never within 1e-9 of a
+        tick and so orders against the ticks as the float times do. A
+        rotation takes the first tick at or after its time, since fresh
+        key arrives on ticks. A time past the tick after the last one,
+        infinity included, is that tick.
+        """
+        time = m * period
+        ratio = time / self.dt
+        if ratio > self.n_ticks + 1:
+            return self.n_ticks + 1
+        k = whole_ticks(ratio)
+        slot = Fraction(time) / Fraction(self.dt) if k is None else k
+        return math.ceil(slot) if kind is EventKind.ROTATION else slot
+
+    def schedule(self, slot: int | Fraction, kind: EventKind, order: int, m: int) -> None:
+        """Queue a firing; one past the last tick never runs."""
+        if slot <= self.n_ticks:
+            heappush(self.due, (slot, kind, order, m))
+
+    def fire(self, limit: tuple) -> None:
+        """Run, in heap order, every periodic firing that sorts before limit."""
         heap = self.due
         trace = self.report.event_trace
-        while heap and heap[0][0] < limit:
+        while heap and heap[0] < limit:
             slot, kind, order, m = heappop(heap)
             if slot < self.last_slot:
                 raise AssertionError(f"slot {slot} follows slot {self.last_slot}")
             self.last_slot = slot
             _, period, handler, entity = self.sources[order]
-            time = m * period
+            time = slot * self.dt if kind is EventKind.ROTATION else m * period
             if trace is not None:
                 trace.append((time, len(trace), kind.name, entity))
-            handler(time, entity)
-            if (m + 1) * period <= self.horizon:
-                heappush(heap, (_slot(m + 1, period, self.dt), kind, order, m + 1))
+            if handler(time, entity):
+                self.schedule(slot + 1, kind, order, m)
+            else:
+                # a firing owed since an earlier tick may find the next one due
+                self.schedule(max(slot, self.slot(kind, m + 1, period)), kind, order, m + 1)
 
     def run(self) -> MetricsReport:
         dt = self.dt
-        per_tick = [(EventKind.LINK_TICK, self.on_link_tick, "")]
-        per_tick += [
-            (EventKind.ROTATION, self.on_rotation, b.id)
-            for b in self.scenario.branches
-            if b.rotation_frequency_hz > 0
-        ]
-        per_tick += [(EventKind.TRAFFIC_SEND, self.on_traffic, name) for name in self.flows]
         trace = self.report.event_trace
-        self.fire_periodic(1)
+        fire = self.fire
         for k in range(1, self.n_ticks + 1):
             time = k * dt
-            for kind, handler, entity in per_tick:
+            fire((k, EventKind.LINK_TICK))  # everything due before tick k
+            if trace is not None:
+                trace.append((time, len(trace), EventKind.LINK_TICK.name, ""))
+            self.on_link_tick(time, "")
+            fire((k, EventKind.TRAFFIC_SEND))  # the rotations due on tick k
+            for name in self.flows:
                 if trace is not None:
-                    trace.append((time, len(trace), kind.name, entity))
-                handler(time, entity)
-            # slot k follows tick k; slots in (k, k + 1) precede tick k + 1
-            self.fire_periodic(k + 1)
-        self.fire_periodic(math.inf)  # past the last tick, within the horizon
+                    trace.append((time, len(trace), EventKind.TRAFFIC_SEND.name, name))
+                self.on_traffic(time, name)
+        fire((self.n_ticks + 1, EventKind.LINK_TICK))  # what follows the last tick
         if trace is not None:
             trace.append((self.scenario.duration_seconds, len(trace), EventKind.REPORT.name, ""))
         return self.finish()

@@ -222,7 +222,8 @@ def _classical_recommendation(
         # Shor-class attacks void the public-key assumption outright.
         horizon = SecurityHorizon(t_s_seconds=0.0, t_sq_seconds=0.0)
         feasible = asset.lifetime_seconds == 0.0
-        if not feasible:
+        # Only recorded traffic can be decrypted later.
+        if not feasible and attacker.records_traffic:
             notes.append(
                 "store-now-decrypt-later exposure: recorded ciphertext falls "
                 "with the public-key assumption"

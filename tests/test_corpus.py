@@ -10,9 +10,12 @@ two seconds; about a third run up to 60 ticks, long enough for hub
 backlogs, slow rotation and the longer periods to show.
 `tests/golden_corpus.json` pins each scenario's `report.json` sha256;
 a change that moves one on purpose updates the file and says which
-digests moved and why.
+digests moved and why. Each run is also checked for closure, repeats,
+a round trip, and each rotating branch's count against the rotations
+due by the last tick.
 
-Regenerate the digests with `PYTHONPATH=src python tests/test_corpus.py`.
+Regenerate the digests with `PYTHONPATH=src python tests/test_corpus.py`,
+which prints the indices whose digest moved.
 """
 
 import hashlib
@@ -28,6 +31,7 @@ from starqkd.scenario import (
     ingest_scenario,
     scenario_from_dict,
     scenario_to_dict,
+    whole_ticks,
     with_overrides,
 )
 
@@ -132,6 +136,33 @@ def compact_json(report) -> str:
     return json.dumps(report.to_dict(), sort_keys=True)
 
 
+def rotations_due(hz: float, tick: float, ticks: int) -> int:
+    """How many rotations m have their time m / hz at or before the last tick.
+
+    A time is on tick k when it is within one part in 1e9 of k ticks, the
+    rule that makes a duration a whole number of ticks.
+    """
+    period = 1.0 / hz
+    m = 0
+    while True:
+        ratio = (m + 1) * period / tick
+        k = whole_ticks(ratio)
+        if (ratio if k is None else k) > ticks:
+            return m
+        m += 1
+
+
+def check_rotation_counts(scenario, report) -> None:
+    """Every rotation due runs, unless the branch was short of key for one."""
+    starved = {u["entity"] for u in report.unmet_demand if u["kind"] == "rotation"}
+    dt, ticks = scenario.tick_seconds, scenario.tick_count
+    for b in scenario.branches:
+        if b.rotation_frequency_hz > 0:
+            due = rotations_due(b.rotation_frequency_hz, dt, ticks)
+            count = report.rotations[b.id]["count"]
+            assert count <= due and (count == due or b.id in starved), (b.id, count, due)
+
+
 def test_corpus_scenarios_close_repeat_round_trip_and_keep_their_digests(tmp_path):
     pinned = golden()
     assert sorted(pinned) == list(range(CORPUS_SIZE))
@@ -148,6 +179,7 @@ def test_corpus_scenarios_close_repeat_round_trip_and_keep_their_digests(tmp_pat
             pool = link["pool"]
             assert pool["generated_bits"] == pool["available_bits"] + pool["consumed_bits"], index
         assert compact_json(run(scenario)) == compact_json(report), index
+        check_rotation_counts(scenario, report)
 
         if report_digest(report, tmp_path) != pinned[index]:
             moved.append(index)
@@ -192,10 +224,13 @@ if __name__ == "__main__":
     import sys
     import tempfile
 
+    before = golden() if GOLDEN_PATH.exists() else {}
     pinned = {}
     with tempfile.TemporaryDirectory() as tmp:
         for i in range(CORPUS_SIZE):
             scenario = scenario_from_dict(corpus_scenario(i))
             pinned[str(i)] = report_digest(run(scenario), Path(tmp))
     GOLDEN_PATH.write_text(json.dumps({"report_sha256": pinned}, indent=1) + "\n")
+    moved = [i for i in range(CORPUS_SIZE) if before.get(i) != pinned[str(i)]]
     print(f"wrote {len(pinned)} digests to {GOLDEN_PATH}", file=sys.stderr)
+    print(f"{len(moved)} moved: {', '.join(map(str, moved)) or 'none'}", file=sys.stderr)

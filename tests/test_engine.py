@@ -115,6 +115,76 @@ def test_rotation_schedule_and_accounting():
     assert r.totals["consumed_bits"]["rotation"] == 5 * 256
 
 
+def rotation_times(report, bid="b1") -> list[float]:
+    return [t for t, _ in report.rotations[bid]["epochs"]]
+
+
+@pytest.mark.parametrize(
+    "hz, tick, duration, count, first_ticks",
+    [(0.3, 1.0, 100.0, 30, [4, 7, 10, 14]), (0.5, 0.7, 42.0, 21, [3, 6, 9, 12])],
+)
+def test_rotation_between_ticks_keeps_its_rate(hz, tick, duration, count, first_ticks):
+    # rotation m is due at m / f and runs on the first tick at or after it,
+    # so a period that is not a whole number of ticks never drifts
+    s = scenario_from_dict(
+        small_scenario(
+            tick_seconds=tick,
+            duration_seconds=duration,
+            branches=[{"id": "b1", "rotation_frequency_hz": hz}],
+        )
+    )
+    r = run(s)
+    assert r.rotations["b1"]["count"] == count
+    assert [u for u in r.unmet_demand if u["kind"] == "rotation"] == []
+    assert rotation_times(r)[:4] == [k * tick for k in first_ticks]
+
+
+def test_rotation_too_slow_to_come_due_never_runs():
+    # 1 / 5e-324 overflows to an infinite period
+    s = scenario_from_dict(
+        small_scenario(branches=[{"id": "b1", "rotation_frequency_hz": 5e-324}])
+    )
+    assert run(s).rotations["b1"] == {"count": 0, "epochs": []}
+
+
+def test_starved_rotations_catch_up_on_the_schedule():
+    # one hub channel serves the four empty pools first, so b1 gets no key
+    # before tick 5; the rotations due at 1.25, 2.5, 3.75 and 5 s are paid
+    # there, and the later ones keep to the 1.25 s grid
+    s = scenario_from_dict(
+        small_scenario(
+            duration_seconds=12.0,
+            hub={"channel_count": 1, "cpu_capacity_per_sec": 1e9},
+            branches=[{"id": f"o{j}", "pool_target_bits": 4096} for j in range(4)]
+            + [{"id": "b1", "rotation_frequency_hz": 0.8, "master_bits": 3000}],
+        )
+    )
+    r = run(s)
+    assert r.links["b1"]["series"]["deposited_bits"][:4] == [0, 0, 0, 0]
+    assert [u["time"] for u in r.unmet_demand if u["kind"] == "rotation"] == [2.0, 3.0, 4.0]
+    assert rotation_times(r) == [5.0] * 4 + [7.0, 8.0, 9.0, 10.0, 12.0]
+    assert r.rotations["b1"]["epochs"][-1] == [12.0, "b1/master@e9"]
+    assert r.totals["consumed_bits"]["rotation"] == 9 * 3000
+
+
+def test_rotation_between_ticks_runs_on_the_next_tick_before_traffic():
+    s = scenario_from_dict(
+        small_scenario(
+            duration_seconds=6.0,
+            branches=[{"id": "b1", "rotation_frequency_hz": 0.4}, {"id": "b2"}],
+            traffic=[{"src": "b1", "dst": "b2", "otp_bits_per_sec": 16.0}],
+        )
+    )
+    r = run(s, collect_trace=True)
+    events = [(t, kind) for t, _, kind, _ in r.event_trace]
+    # due at 2.5 and 5.0 s: a rotation shows only on ticks 3 and 5
+    assert [t for t, kind in events if kind == "ROTATION"] == [3.0, 5.0]
+    rotation = events.index((3.0, "ROTATION"))
+    assert events[rotation - 1] == (3.0, "LINK_TICK")
+    assert events[rotation + 1] == (3.0, "TRAFFIC_SEND")
+    assert rotation_times(r) == [3.0, 5.0]
+
+
 def test_otp_traffic_byte_quantized_service():
     # 4 bits per second turns into one whole byte every other tick
     s = scenario_from_dict(
@@ -317,7 +387,7 @@ def test_event_trace_is_ordered_and_prioritized():
         ranks = [EventKind[k] for k in kinds]
         assert ranks == sorted(ranks)
     # every whole tick leads with link production
-    assert all(kinds[0] == "LINK_TICK" for t, kinds in by_time.items() if t != 5.0 or True)
+    assert all(kinds[0] == "LINK_TICK" for kinds in by_time.values())
 
 
 def test_report_series_lengths_match_ticks():

@@ -96,6 +96,14 @@ def test_classical_corner_with_quantum_attacker_is_infeasible():
     assert any("store-now-decrypt-later" in n for n in rec.notes)
 
 
+def test_store_now_decrypt_later_note_needs_an_attacker_who_records():
+    live_only = AttackerModel(classical_ops_per_sec=1e9, has_quantum=True, records_traffic=False)
+    rec = recommend(asset(1, 1, lifetime=10.0), default_matrix(3, 3), live_only)
+    assert rec.technique.kind is TechniqueKind.CLASSICAL_PUBLIC_KEY
+    assert not rec.feasible
+    assert not any("store-now-decrypt-later" in n for n in rec.notes)
+
+
 def test_classical_corner_zero_lifetime_is_fine():
     rec = recommend(asset(1, 1, lifetime=0.0), default_matrix(3, 3), QUANTUM)
     assert rec.feasible
