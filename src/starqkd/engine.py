@@ -32,19 +32,20 @@ from __future__ import annotations
 
 import hashlib
 import math
+import random
 from dataclasses import dataclass, field
 from enum import IntEnum
 from fractions import Fraction
 from heapq import heappop, heappush
-from typing import Callable
+from typing import Any, Callable
 
 from .hybrid import mosca_at_risk
-from .keycore import KeyMaterial, KeyPool
+from .keycore import KeyPool
 from .policy import asset_grid, default_matrix, recommend
-from .qkdlink import raw_rate, secret_rate
+from .qkdlink import LinkState, raw_rate, secret_rate
 from .report import MetricsReport
 from .rng import StreamRegistry
-from .scenario import Scenario, SharingScenario, technique_to_jsonable, whole_ticks
+from .scenario import Scenario, technique_to_jsonable, whole_ticks
 from .sharing import ShareConfig, reconstruct, refresh as refresh_shares, split
 from .starnet import (
     BranchSpec,
@@ -70,19 +71,40 @@ class EventKind(IntEnum):
 
 
 @dataclass
-class _PairFlow:
-    src: str
-    dst: str
-    bits_per_tick: Fraction  # exact rate times tick length
+class _Branch:
+    """One branch: its link, rotation size, per-tick series, epochs and flows out."""
+
+    name: str
+    link: LinkState
+    master_bits: int
+    series: dict[str, list] = field(
+        default_factory=lambda: {"pool_available": [], "deposited_bits": [], "active": []}
+    )
+    epochs: list[list] = field(default_factory=list)
+    flows_out: list[_Pair] = field(default_factory=list)
+
+
+@dataclass
+class _Pair:
+    """One traffic entry: its one-time-pad flow and its relay requests."""
+
+    name: str  # "src->dst"
+    pools: tuple[KeyPool, KeyPool]  # src, dst; a branch pool's link_id is its branch
+    bits_per_tick: Fraction  # exact OTP rate times tick length
+    relay_bits: int
     pending: Fraction = field(default_factory=lambda: Fraction(0))
     served_bits: int = 0
     unmet_bits: int = 0
 
 
 @dataclass
-class _SharingRuntime:
-    spec: SharingScenario
+class _Sharing:
+    """One sharing instance: its two custodians, shares and refresh record."""
+
+    name: str
+    pools: tuple[KeyPool, KeyPool]  # the two custodians'
     config: ShareConfig
+    rng: random.Random
     secret: int
     shares: list
     budget: KeyPool
@@ -92,15 +114,10 @@ class _SharingRuntime:
     max_exposure_seconds: float = 0.0
 
 
-def _fingerprint(bits: bytes) -> str:
-    return hashlib.sha256(bits).hexdigest()[:16]
-
-
 class _Sim:
     def __init__(self, scenario: Scenario, collect_trace: bool) -> None:
         self.scenario = scenario
-        self.collect_trace = collect_trace
-        self.streams = StreamRegistry(scenario.seed)
+        streams = StreamRegistry(scenario.seed)
         self.dt = scenario.tick_seconds
         self.n_ticks = scenario.tick_count
 
@@ -117,67 +134,70 @@ class _Sim:
                 auth_reserved_bits=b.auth_reserved_bits,
                 auth_tag_cost_bits=b.auth_tag_cost_bits,
                 pool_target_bits=b.pool_target_bits,
-                pool_rng=self.streams.stream(f"pool/{b.id}"),
+                pool_rng=streams.stream(f"pool/{b.id}"),
             )
             for b in scenario.branches
         ]
         self.topology: StarTopology = build_star(hub, specs)
 
-        self.flows: dict[str, _PairFlow] = {}
+        # One runtime object per branch, traffic pair and sharing
+        # instance; handlers get the object, never a name to look up. An
+        # object's name is the entity its ledger rows and trace entries carry.
+        # Periodic sources are (kind, period, handler, target). A source's
+        # index is its order, so same-slot firings of one kind run in
+        # declaration order. A handler that returns True is still owed
+        # and is retried on the next tick.
+        self.sources: list[tuple[EventKind, float, Callable[[float, Any], bool | None], Any]] = []
+        self.branches: list[_Branch] = []
+        for b in scenario.branches:
+            branch = _Branch(b.id, self.topology.link(b.id), b.master_bits)
+            self.branches.append(branch)
+            if b.rotation_frequency_hz > 0:
+                period = 1.0 / b.rotation_frequency_hz
+                self.sources.append((EventKind.ROTATION, period, self.on_rotation, branch))
+        by_name = {branch.name: branch for branch in self.branches}
+        self.flows: list[_Pair] = []
         for t in scenario.traffic:
+            pair = _Pair(
+                name=f"{t.src}->{t.dst}",
+                pools=(by_name[t.src].link.pool, by_name[t.dst].link.pool),
+                bits_per_tick=Fraction(t.otp_bits_per_sec) * Fraction(self.dt),
+                relay_bits=t.relay_bits,
+            )
             if t.otp_bits_per_sec > 0:
-                name = f"{t.src}->{t.dst}"
-                self.flows[name] = _PairFlow(
-                    src=t.src,
-                    dst=t.dst,
-                    bits_per_tick=Fraction(t.otp_bits_per_sec) * Fraction(self.dt),
-                )
-
-        self.sharings: dict[str, _SharingRuntime] = {}
+                self.flows.append(pair)
+                by_name[t.src].flows_out.append(pair)
+            if t.relay_bits > 0:
+                period = t.relay_interval_seconds
+                self.sources.append((EventKind.RELAY_REQUEST, period, self.on_relay_request, pair))
+        self.sharings: list[_Sharing] = []
         for inst in scenario.sharing:
-            rng = self.streams.stream(f"sharing/{inst.id}")
+            rng = streams.stream(f"sharing/{inst.id}")
             config = inst.config()
             secret = rng.randrange(config.field_prime)
-            self.sharings[inst.id] = _SharingRuntime(
-                spec=inst,
+            sharing = _Sharing(
+                name=inst.id,
+                pools=tuple(by_name[c].link.pool for c in inst.custodians),
                 config=config,
+                rng=rng,
                 secret=secret,
                 shares=split(secret, config, rng),
                 budget=KeyPool(
                     link_id=f"sharing/{inst.id}",
                     target_bits=config.refresh_cost_bits,
-                    rng=self.streams.stream(f"sharing-budget/{inst.id}"),
+                    rng=streams.stream(f"sharing-budget/{inst.id}"),
                 ),
             )
-
-        # Periodic sources as (kind, period, handler, entity). A source's
-        # index is its order, so same-slot firings of one kind run in
-        # declaration order. A handler that returns True is still owed
-        # and is retried on the next tick.
-        self.sources: list[tuple[EventKind, float, Callable[[float, str], bool | None], str]] = [
-            (EventKind.ROTATION, 1.0 / b.rotation_frequency_hz, self.on_rotation, b.id)
-            for b in scenario.branches
-            if b.rotation_frequency_hz > 0
-        ]
-        self.relays: dict[str, tuple[str, str, int]] = {}  # entity -> (src, dst, bits)
-        for t in scenario.traffic:
-            if t.relay_bits > 0:
-                name = f"{t.src}->{t.dst}"
-                self.relays[name] = (t.src, t.dst, t.relay_bits)
-                period = t.relay_interval_seconds
-                self.sources.append((EventKind.RELAY_REQUEST, period, self.on_relay_request, name))
-        for inst in scenario.sharing:
-            self.sources.append(
-                (EventKind.REFRESH, inst.refresh_period_seconds, self.on_refresh, inst.id)
-            )
+            self.sharings.append(sharing)
+            period = inst.refresh_period_seconds
+            self.sources.append((EventKind.REFRESH, period, self.on_refresh, sharing))
         # The next firing of each source: (slot, kind, order, m).
         self.due: list[tuple[int | Fraction, EventKind, int, int]] = []
         for order, (kind, period, _, _) in enumerate(self.sources):
             self.schedule(self.slot(kind, 1, period), kind, order, 1)
         self.last_slot: int | Fraction = 0
 
-        self.relay_rng = self.streams.stream("relay/hub")
-        self.master_bits_by_id = {b.id: b.master_bits for b in scenario.branches}
+        self.relay_rng = streams.stream("relay/hub")
 
         # accounting
         self.consumed = {
@@ -187,48 +207,20 @@ class _Sim:
             "rotation": 0,
             "refresh": 0,
         }
-        self.relay_delivered_bits = 0
-        self.epochs: dict[str, list[list]] = {b.id: [] for b in scenario.branches}
 
-        # report skeleton
         self.report = MetricsReport(
             seed=scenario.seed,
             duration_seconds=scenario.duration_seconds,
             tick_seconds=scenario.tick_seconds,
         )
-        for b in scenario.branches:
-            self.report.links[b.id] = {
-                "distance_km": b.link.distance_km,
-                "raw_rate_bps": raw_rate(b.link),
-                "secret_rate_bps": secret_rate(b.link),
-                "series": {"pool_available": [], "deposited_bits": [], "active": []},
-            }
-        self.report.hub = {
-            "id": scenario.hub.id,
-            "channel_count": scenario.channel_count,
-            "cpu_capacity_per_sec": scenario.hub.cpu_capacity_per_sec,
-            "series": {"backlog_cost": [], "processed_cost": [], "active_link_count": []},
-        }
-        # Per-tick columns, bound once: (branch id, pool, and the append
+        self.hub_series = {"backlog_cost": [], "processed_cost": [], "active_link_count": []}
+        # Per-tick columns, bound once: (branch name, pool, and the append
         # of its pool_available, deposited_bits and active series).
-        self.columns = []
-        for b in scenario.branches:
-            series = self.report.links[b.id]["series"]
-            self.columns.append(
-                (
-                    b.id,
-                    self.topology.link(b.id).pool,
-                    series["pool_available"].append,
-                    series["deposited_bits"].append,
-                    series["active"].append,
-                )
-            )
-        hub_series = self.report.hub["series"]
-        self.hub_columns = (
-            hub_series["backlog_cost"].append,
-            hub_series["processed_cost"].append,
-            hub_series["active_link_count"].append,
-        )
+        self.columns = [
+            (b.name, b.link.pool, *(column.append for column in b.series.values()))
+            for b in self.branches
+        ]
+        self.hub_columns = tuple(column.append for column in self.hub_series.values())
         if collect_trace:
             self.report.event_trace = []
 
@@ -241,10 +233,12 @@ class _Sim:
         )
 
     def relay(
-        self, time: float, src: str, dst: str, n: int, purpose: str
-    ) -> tuple[KeyMaterial, KeyMaterial]:
-        """Relay n bits between src and dst and log it in the relay ledger."""
-        k_src, k_dst, record = relay_key(self.topology, src, dst, n, self.relay_rng, now=time)
+        self, time: float, ends: tuple[KeyPool, KeyPool], n: int, purpose: str, category: str
+    ) -> None:
+        """Relay n bits between the pools' branches; both pads count to category."""
+        src, dst = ends[0].link_id, ends[1].link_id
+        k_src, _, record = relay_key(self.topology, src, dst, n, self.relay_rng, now=time)
+        self.consumed[category] += 2 * n
         self.report.relay_ledger.append(
             {
                 "time": time,
@@ -252,13 +246,12 @@ class _Sim:
                 "branch_j": record.branch_j,
                 "bits": record.bits,
                 "key_id": record.key_id,
-                "key_fingerprint": _fingerprint(k_src.bits),
+                "key_fingerprint": hashlib.sha256(k_src.bits).hexdigest()[:16],
                 "purpose": purpose,
             }
         )
-        return k_src, k_dst
 
-    def on_link_tick(self, time: float, entity: str) -> None:
+    def on_link_tick(self, time: float) -> None:
         active = schedule_channels(self.topology, now=time)
         step = hub_cpu_step(self.topology, self.dt, active, now=time)
         self.consumed["auth"] += sum(step.auth_bits_from_pool.values())
@@ -278,90 +271,68 @@ class _Sim:
         processed_cost(step.cpu_processed)
         active_link_count(len(active))
 
-    def on_rotation(self, time: float, bid: str) -> bool:
+    def on_rotation(self, time: float, branch: _Branch) -> bool:
         """Pay one master-key rotation from the branch pool; True if starved."""
-        pool = self.topology.link(bid).pool
-        need = self.master_bits_by_id[bid]
+        pool = branch.link.pool
+        need = branch.master_bits
         if pool.available_bits < need:
-            self.unmet(time, "rotation", bid, need)
+            self.unmet(time, "rotation", branch.name, need)
             return True
         pool.spend(need)
         self.consumed["rotation"] += need
-        epochs = self.epochs[bid]
-        epochs.append([time, f"{bid}/master@e{len(epochs) + 1}"])
+        epochs = branch.epochs
+        epochs.append([time, f"{branch.name}/master@e{len(epochs) + 1}"])
         return False
 
-    def on_traffic(self, time: float, name: str) -> None:
-        flow = self.flows[name]
-        flow.pending += flow.bits_per_tick
-        want = int(flow.pending)
+    def on_traffic(self, time: float, pair: _Pair) -> None:
+        pair.pending += pair.bits_per_tick
+        want = int(pair.pending)
         ask = want - want % 8  # pads are spent on whole-byte messages
         if ask <= 0:
             return
-        flow.pending -= ask
-        pool_src = self.topology.link(flow.src).pool
-        pool_dst = self.topology.link(flow.dst).pool
+        pair.pending -= ask
+        pool_src, pool_dst = pair.pools
         usable = min(ask, pool_src.available_bits, pool_dst.available_bits)
         usable -= usable % 8
         if usable > 0:
-            self.relay(time, flow.src, flow.dst, usable, "otp_traffic")
-            self.consumed["otp_traffic"] += 2 * usable
-            flow.served_bits += usable
+            self.relay(time, pair.pools, usable, "otp_traffic", "otp_traffic")
+            pair.served_bits += usable
         if usable < ask:
-            flow.unmet_bits += ask - usable
-            self.unmet(time, "otp_traffic", name, ask - usable)
+            pair.unmet_bits += ask - usable
+            self.unmet(time, "otp_traffic", pair.name, ask - usable)
 
-    def on_relay_request(self, time: float, name: str) -> None:
-        src, dst, n = self.relays[name]
-        pool_src = self.topology.link(src).pool
-        pool_dst = self.topology.link(dst).pool
+    def on_relay_request(self, time: float, pair: _Pair) -> None:
+        n = pair.relay_bits
+        pool_src, pool_dst = pair.pools
         if pool_src.available_bits < n or pool_dst.available_bits < n:
-            self.unmet(time, "relay", name, n)
+            self.unmet(time, "relay", pair.name, n)
             return
-        self.relay(time, src, dst, n, "relay_request")
-        self.consumed["relay"] += 2 * n
-        self.relay_delivered_bits += n
+        self.relay(time, pair.pools, n, "relay_request", "relay")
 
-    def on_refresh(self, time: float, inst_id: str) -> None:
-        runtime = self.sharings[inst_id]
-        config = runtime.config
-        cost = config.refresh_cost_bits
-        a, b = runtime.spec.custodians
-        pool_a = self.topology.link(a).pool
-        pool_b = self.topology.link(b).pool
+    def on_refresh(self, time: float, inst: _Sharing) -> None:
+        cost = inst.config.refresh_cost_bits
+        pool_a, pool_b = inst.pools
+        exposure = time - inst.last_refresh_time
+        inst.max_exposure_seconds = max(inst.max_exposure_seconds, exposure)
         if pool_a.available_bits < cost or pool_b.available_bits < cost:
-            runtime.deferrals += 1
-            exposure = time - runtime.last_refresh_time
-            runtime.max_exposure_seconds = max(runtime.max_exposure_seconds, exposure)
-            self.unmet(time, "refresh", inst_id, 2 * cost)
-            self.report.refresh_ledger.append(
-                {
-                    "time": time,
-                    "instance": inst_id,
-                    "round": runtime.rounds_completed,
-                    "status": "deferred",
-                    "pool_bits": 0,
-                    "exposure_seconds": exposure,
-                }
-            )
-            return
-        # The delivered key is the refresh pad material.
-        self.relay(time, a, b, cost, "refresh")
-        self.consumed["refresh"] += 2 * cost
-        runtime.budget.deposit(cost)
-        rng = self.streams.stream(f"sharing/{runtime.spec.id}")
-        runtime.shares = refresh_shares(runtime.shares, config, rng, runtime.budget)
-        runtime.rounds_completed += 1
-        exposure = time - runtime.last_refresh_time
-        runtime.max_exposure_seconds = max(runtime.max_exposure_seconds, exposure)
-        runtime.last_refresh_time = time
+            inst.deferrals += 1
+            self.unmet(time, "refresh", inst.name, 2 * cost)
+            status, pool_bits = "deferred", 0
+        else:
+            # The delivered key is the refresh pad material.
+            self.relay(time, inst.pools, cost, "refresh", "refresh")
+            inst.budget.deposit(cost)
+            inst.shares = refresh_shares(inst.shares, inst.config, inst.rng, inst.budget)
+            inst.rounds_completed += 1
+            inst.last_refresh_time = time
+            status, pool_bits = "ok", 2 * cost
         self.report.refresh_ledger.append(
             {
                 "time": time,
-                "instance": inst_id,
-                "round": runtime.rounds_completed,
-                "status": "ok",
-                "pool_bits": 2 * cost,
+                "instance": inst.name,
+                "round": inst.rounds_completed,
+                "status": status,
+                "pool_bits": pool_bits,
                 "exposure_seconds": exposure,
             }
         )
@@ -372,44 +343,54 @@ class _Sim:
     def finish(self) -> MetricsReport:
         report = self.report
         s = self.scenario
-        for b in s.branches:
-            link = self.topology.link(b.id)
-            entry = report.links[b.id]
-            entry["pool"] = {
-                "target_bits": link.pool.target_bits,
-                "available_bits": link.pool.available_bits,
-                "generated_bits": link.pool.total_generated_bits,
-                "consumed_bits": link.pool.total_consumed_bits,
+        for b in self.branches:
+            link = b.link
+            entry = {
+                "distance_km": link.params.distance_km,
+                "raw_rate_bps": raw_rate(link.params),
+                "secret_rate_bps": secret_rate(link.params),
+                "series": b.series,
+                "pool": {
+                    "target_bits": link.pool.target_bits,
+                    "available_bits": link.pool.available_bits,
+                    "generated_bits": link.pool.total_generated_bits,
+                    "consumed_bits": link.pool.total_consumed_bits,
+                },
+                "auth": {
+                    "reserved_bits_remaining": link.auth.reserved_bits,
+                    "consumed_bits": link.auth.total_consumed_bits,
+                },
+                "cpu_cost_total": link.cumulative_cpu_cost,
+                "halted_ticks": link.halted_ticks,
             }
-            entry["auth"] = {
-                "reserved_bits_remaining": link.auth.reserved_bits,
-                "consumed_bits": link.auth.total_consumed_bits,
-            }
-            entry["cpu_cost_total"] = link.cumulative_cpu_cost
-            entry["halted_ticks"] = link.halted_ticks
-        report.hub["backlog_cost_final"] = float(self.topology.backlog_cost)
+            if b.flows_out:
+                entry["flows_out"] = [
+                    {"flow": p.name, "served_bits": p.served_bits, "unmet_bits": p.unmet_bits}
+                    for p in b.flows_out
+                ]
+            report.links[b.name] = entry
+            report.rotations[b.name] = {"count": len(b.epochs), "epochs": b.epochs}
+        report.hub = {
+            "id": s.hub.id,
+            "channel_count": s.channel_count,
+            "cpu_capacity_per_sec": s.hub.cpu_capacity_per_sec,
+            "series": self.hub_series,
+            "backlog_cost_final": float(self.topology.backlog_cost),
+        }
 
-        for bid, epochs in self.epochs.items():
-            report.rotations[bid] = {"count": len(epochs), "epochs": epochs}
-
-        for name, flow in self.flows.items():
-            report.links[flow.src].setdefault("flows_out", []).append(
-                {"flow": name, "served_bits": flow.served_bits, "unmet_bits": flow.unmet_bits}
-            )
-
-        for inst_id, runtime in self.sharings.items():
-            config = runtime.config
-            tail = s.duration_seconds - runtime.last_refresh_time
-            runtime.max_exposure_seconds = max(runtime.max_exposure_seconds, tail)
-            check = reconstruct(runtime.shares[: config.threshold_k], config)
-            report.sharing[inst_id] = {
+        for inst in self.sharings:
+            config = inst.config
+            tail = s.duration_seconds - inst.last_refresh_time
+            inst.max_exposure_seconds = max(inst.max_exposure_seconds, tail)
+            check = reconstruct(inst.shares[: config.threshold_k], config)
+            report.sharing[inst.name] = {
                 "n_locations": config.n_locations,
                 "threshold_k": config.threshold_k,
-                "rounds_completed": runtime.rounds_completed,
-                "deferrals": runtime.deferrals,
-                "max_exposure_seconds": runtime.max_exposure_seconds,
+                "rounds_completed": inst.rounds_completed,
+                "deferrals": inst.deferrals,
+                "max_exposure_seconds": inst.max_exposure_seconds,
                 "refresh_cost_bits": config.refresh_cost_bits,
-                "reconstruct_ok": check == runtime.secret,
+                "reconstruct_ok": check == inst.secret,
             }
 
         if s.assets:
@@ -438,17 +419,18 @@ class _Sim:
 
         report.mosca_at_risk = None if s.migration is None else mosca_at_risk(s.migration)
 
-        generated = sum(self.topology.link(b.id).pool.total_generated_bits for b in s.branches)
-        available = sum(self.topology.link(b.id).pool.available_bits for b in s.branches)
-        consumed = sum(self.topology.link(b.id).pool.total_consumed_bits for b in s.branches)
+        pools = [b.link.pool for b in self.branches]
+        generated = sum(pool.total_generated_bits for pool in pools)
+        available = sum(pool.available_bits for pool in pools)
+        consumed = sum(pool.total_consumed_bits for pool in pools)
         by_category = dict(self.consumed)
         report.totals = {
             "generated_bits": generated,
             "pool_available_bits": available,
             "consumed_bits_total": consumed,
             "consumed_bits": by_category,
-            "otp_message_bits": sum(f.served_bits for f in self.flows.values()),
-            "relay_delivered_bits": self.relay_delivered_bits,
+            "otp_message_bits": sum(p.served_bits for p in self.flows),
+            "relay_delivered_bits": by_category["relay"] // 2,  # a pad bit at each end
         }
         if generated != available + consumed:
             raise AssertionError(
@@ -493,11 +475,11 @@ class _Sim:
             if slot < self.last_slot:
                 raise AssertionError(f"slot {slot} follows slot {self.last_slot}")
             self.last_slot = slot
-            _, period, handler, entity = self.sources[order]
+            _, period, handler, target = self.sources[order]
             time = slot * self.dt if kind is EventKind.ROTATION else m * period
             if trace is not None:
-                trace.append((time, len(trace), kind.name, entity))
-            if handler(time, entity):
+                trace.append((time, len(trace), kind.name, target.name))
+            if handler(time, target):
                 self.schedule(slot + 1, kind, order, m)
             else:
                 # a firing owed since an earlier tick may find the next one due
@@ -512,12 +494,12 @@ class _Sim:
             fire((k, EventKind.LINK_TICK))  # everything due before tick k
             if trace is not None:
                 trace.append((time, len(trace), EventKind.LINK_TICK.name, ""))
-            self.on_link_tick(time, "")
+            self.on_link_tick(time)
             fire((k, EventKind.TRAFFIC_SEND))  # the rotations due on tick k
-            for name in self.flows:
+            for pair in self.flows:
                 if trace is not None:
-                    trace.append((time, len(trace), EventKind.TRAFFIC_SEND.name, name))
-                self.on_traffic(time, name)
+                    trace.append((time, len(trace), EventKind.TRAFFIC_SEND.name, pair.name))
+                self.on_traffic(time, pair)
         fire((self.n_ticks + 1, EventKind.LINK_TICK))  # what follows the last tick
         if trace is not None:
             trace.append((self.scenario.duration_seconds, len(trace), EventKind.REPORT.name, ""))

@@ -69,13 +69,6 @@ class MetricsReport:
         return _JSON.encode(self.to_dict()) + "\n"
 
 
-def _series_columns(report: MetricsReport, series_name: str) -> list[tuple[str, list]]:
-    return [
-        (link_id, data["series"][series_name])
-        for link_id, data in report.links.items()
-    ]
-
-
 def emit_report(report: MetricsReport, fmt: str, out_dir: str | Path) -> list[Path]:
     """Write the report to out_dir; returns the files written.
 
@@ -105,37 +98,32 @@ def emit_report(report: MetricsReport, fmt: str, out_dir: str | Path) -> list[Pa
             written.append(path)
             return written
 
-        meta = out / "meta.csv"
-        with meta.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["format_version", "seed", "duration_seconds", "tick_seconds"])
-            writer.writerow(
-                [FORMAT_VERSION, report.seed, report.duration_seconds, report.tick_seconds]
-            )
-        written.append(meta)
-
-        for series_name, filename in (
-            ("pool_available", "pool_available.csv"),
-            ("deposited_bits", "deposited_bits.csv"),
-        ):
-            cols = _series_columns(report, series_name)
+        # Each file as (name, header, rows): meta.csv has one row, and the
+        # series files one row per tick and one column per series.
+        links = report.links
+        pools, deposits = (
+            [link["series"][name] for link in links.values()]
+            for name in ("pool_available", "deposited_bits")
+        )
+        hub = report.hub.get("series", {})
+        hub_names = sorted(hub)
+        meta = (FORMAT_VERSION, report.seed, report.duration_seconds, report.tick_seconds)
+        tables = (
+            ("meta.csv", ["format_version", "seed", "duration_seconds", "tick_seconds"], [meta]),
+            ("pool_available.csv", ["time", *links], zip(report.times, *pools)),
+            ("deposited_bits.csv", ["time", *links], zip(report.times, *deposits)),
+            ("hub.csv", ["time", *hub_names], zip(report.times, *map(hub.get, hub_names))),
+        )
+        for filename, header, rows in tables:
             path = out / filename
             with path.open("w", newline="", encoding="utf-8") as fh:
                 writer = csv.writer(fh)
-                writer.writerow(["time"] + [link_id for link_id, _ in cols])
-                for i, t in enumerate(report.times):
-                    writer.writerow([t] + [series[i] for _, series in cols])
+                writer.writerow(header)
+                # One writerow per row, not writerows: a wrapped writer
+                # that counts rows then sees each one.
+                for row in rows:
+                    writer.writerow(row)
             written.append(path)
-
-        hub_series = report.hub.get("series", {})
-        hub_names = sorted(hub_series)
-        path = out / "hub.csv"
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["time"] + hub_names)
-            for i, t in enumerate(report.times):
-                writer.writerow([t] + [hub_series[name][i] for name in hub_names])
-        written.append(path)
         return written
     except OSError as exc:
         raise IoError(f"cannot write report files under {out}: {exc}") from exc

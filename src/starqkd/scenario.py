@@ -14,14 +14,15 @@ and reports its precondition errors at the same path; `scenario_to_dict`
 dumps through the same tables. Hand-written checks remain only for rules
 across fields. Strict mode rejects unknown fields; lax mode warns and
 drops them. `null` means the default only where the default is null.
-A run may have at most MAX_TICKS ticks, and a policy grid at most
-MAX_GRID_CELLS cells.
+A run may have at most MAX_TICKS ticks and a hub CPU demand of at most
+MAX_CPU_DEMAND, and a policy grid at most MAX_GRID_CELLS cells.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -49,6 +50,10 @@ SCENARIO_FORMAT_VERSION = 1
 # duration_seconds / tick_seconds may not exceed this: the engine runs
 # every tick of every link and keeps one series entry per tick.
 MAX_TICKS = 10_000_000
+# The whole run's hub CPU demand may not exceed this, half the largest
+# float: every backlog, processed and cumulative cost is at most the
+# demand, so none of them, float sums' rounding included, leaves range.
+MAX_CPU_DEMAND = sys.float_info.max / 2
 # m_c * k_t may not exceed this: validate_matrix and default_matrix
 # visit every cell of the grid.
 MAX_GRID_CELLS = 10_000
@@ -60,7 +65,6 @@ DEFAULT_HUB_ID = "hub"
 DEFAULT_HUB_CPU_PER_SEC = 1e18
 DEFAULT_AUTH_RESERVED_BITS = 65536
 DEFAULT_MASTER_BITS = 256
-DEFAULT_SESSION_BITS = 128
 
 DEFAULT_LINK = LinkParams(
     distance_km=10.0,
@@ -90,7 +94,6 @@ class BranchScenario:
     pool_target_bits: int = DEFAULT_POOL_TARGET_BITS
     rotation_frequency_hz: float = 0.0
     master_bits: int = DEFAULT_MASTER_BITS
-    session_bits: int = DEFAULT_SESSION_BITS
 
 
 @dataclass(frozen=True)
@@ -263,7 +266,6 @@ _BRANCH = dict(
     pool_target_bits=_int(DEFAULT_POOL_TARGET_BITS, minimum=1),
     rotation_frequency_hz=_float(0.0, minimum=0.0),
     master_bits=_int(DEFAULT_MASTER_BITS, minimum=1),
-    session_bits=_int(DEFAULT_SESSION_BITS, minimum=1),
 )
 
 # A branch object carries its link's fields inline.
@@ -432,6 +434,16 @@ def _check_duration(duration: float, tick: float) -> None:
         )
 
 
+def _check_cpu_demand(branches: tuple[BranchScenario, ...], duration: float, tick: float) -> None:
+    per_tick = sum(b.link.cpu_cost_per_sec * tick for b in branches)
+    demand = round(duration / tick) * per_tick
+    if not demand <= MAX_CPU_DEMAND:
+        raise ValidationError(
+            "duration_seconds",
+            f"the run's hub CPU demand of {demand:g} cost units exceeds {MAX_CPU_DEMAND:g}",
+        )
+
+
 def _check_grid(m_c: int, k_t: int, path: str) -> None:
     if m_c * k_t > MAX_GRID_CELLS:
         raise ValidationError(
@@ -562,6 +574,7 @@ def scenario_from_dict(data: Any, strict: bool = True) -> Scenario:
         raise ValidationError("branches", "at least one branch is required")
     hub = _build(HubScenario, "hub", _read(values["hub"], "hub", _HUB, strict))
     _check_unique(branches, "branches", taken=(hub.id,))
+    _check_cpu_demand(branches, values["duration_seconds"], values["tick_seconds"])
 
     known = {b.id for b in branches}
     traffic = tuple(
@@ -709,5 +722,6 @@ def with_overrides(
         out = replace(out, seed=seed)
     if duration_seconds is not None:
         _check_duration(duration_seconds, out.tick_seconds)
+        _check_cpu_demand(out.branches, duration_seconds, out.tick_seconds)
         out = replace(out, duration_seconds=duration_seconds)
     return out

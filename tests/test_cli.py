@@ -5,6 +5,8 @@ import json
 import pytest
 
 from starqkd.cli import main
+from starqkd.qkdlink import raw_rate
+from starqkd.scenario import DEFAULT_LINK
 
 
 def test_validate_ok(capsys):
@@ -125,6 +127,27 @@ def test_simulate_rejects_bad_override(tmp_path, capsys):
         assert main(["simulate", *argv, "--out", out]) == 1
         err = capsys.readouterr().err
         assert path in err and "Traceback" not in err
+
+
+def test_simulate_rejects_a_run_whose_cpu_demand_leaves_float_range(tmp_path, capsys):
+    # Each tick's CPU cost overflows a float on its own.
+    huge_tick = {"duration_seconds": 2e307, "tick_seconds": 1e307, "branches": [{"id": "a"}]}
+    # Each branch's tick costs 0.9e308, finite, but two branches and three
+    # ticks add up past the largest float.
+    tick = 0.9e308 / raw_rate(DEFAULT_LINK)
+    huge_total = {
+        "duration_seconds": 3 * tick,
+        "tick_seconds": tick,
+        "hub": {"cpu_capacity_per_sec": 1.0},
+        "branches": [{"id": "a"}, {"id": "b"}],
+    }
+    for name, data in (("huge_tick", huge_tick), ("huge_total", huge_total)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        assert main(["simulate", str(path), "--out", str(tmp_path / "run")]) == 1, name
+        err = capsys.readouterr().err
+        assert "duration_seconds: the run's hub CPU demand" in err, name
+        assert "Traceback" not in err, name
 
 
 def test_plan_with_default_matrix(capsys):

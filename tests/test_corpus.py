@@ -18,6 +18,7 @@ Regenerate the digests with `PYTHONPATH=src python tests/test_corpus.py`,
 which prints the indices whose digest moved.
 """
 
+import csv
 import hashlib
 import json
 import math
@@ -163,6 +164,24 @@ def check_rotation_counts(scenario, report) -> None:
             assert count <= due and (count == due or b.id in starved), (b.id, count, due)
 
 
+def check_csv_matches_report(report, out_dir: Path) -> None:
+    """The series CSV files hold the report's times and series, as text."""
+    emit_report(report, "csv", out_dir)
+    files = {
+        name: {bid: link["series"][name] for bid, link in report.links.items()}
+        for name in ("pool_available", "deposited_bits")
+    }
+    hub = report.hub["series"]
+    files["hub"] = {key: hub[key] for key in sorted(hub)}
+    for name, series in files.items():
+        with (out_dir / f"{name}.csv").open(newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        expected = {"time": report.times, **series}
+        assert header == list(expected), name
+        got = dict(zip(header, map(list, zip(*rows))))
+        assert got == {key: list(map(str, values)) for key, values in expected.items()}, name
+
+
 def test_corpus_scenarios_close_repeat_round_trip_and_keep_their_digests(tmp_path):
     pinned = golden()
     assert sorted(pinned) == list(range(CORPUS_SIZE))
@@ -180,6 +199,9 @@ def test_corpus_scenarios_close_repeat_round_trip_and_keep_their_digests(tmp_pat
             assert pool["generated_bits"] == pool["available_bits"] + pool["consumed_bits"], index
         assert compact_json(run(scenario)) == compact_json(report), index
         check_rotation_counts(scenario, report)
+
+        # A new directory each time: overwriting files is slow on some file systems.
+        check_csv_matches_report(report, tmp_path / "csv" / str(index))
 
         if report_digest(report, tmp_path) != pinned[index]:
             moved.append(index)

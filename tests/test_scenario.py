@@ -8,9 +8,12 @@ import pytest
 
 from starqkd import scenario as scenario_module
 
+from starqkd.engine import run
 from starqkd.errors import ParseError, ValidationError
 from starqkd.policy import TechniqueKind
+from starqkd.qkdlink import raw_rate
 from starqkd.scenario import (
+    DEFAULT_LINK,
     SCENARIO_FORMAT_VERSION,
     ingest_matrix,
     ingest_plan_inputs,
@@ -95,6 +98,31 @@ def test_unknown_key_strict_vs_lax():
     with pytest.warns(UserWarning, match="typo_key"):
         s = scenario_from_dict(data, strict=False)
     assert s.duration_seconds == 10.0
+
+
+def test_session_bits_is_not_a_branch_field():
+    data = minimal()
+    data["branches"][0]["session_bits"] = 128
+    with pytest.raises(ValidationError, match=r"branches\[0\]: unknown field\(s\): session_bits"):
+        scenario_from_dict(data)
+    with pytest.warns(UserWarning, match="session_bits"):
+        s = scenario_from_dict(data, strict=False)
+    assert s == scenario_from_dict(minimal())
+
+
+def test_cpu_demand_of_the_whole_run_must_fit_a_float():
+    data = minimal()
+    data["hub"] = {"cpu_capacity_per_sec": 1.0}
+    data["tick_seconds"] = 0.6e308 / raw_rate(DEFAULT_LINK)
+    data["duration_seconds"] = data["tick_seconds"]
+    s = scenario_from_dict(data)  # one tick costs 0.6e308
+    assert run(s).hub["backlog_cost_final"] > 0
+    match = "duration_seconds: the run's hub CPU demand"
+    with pytest.raises(ValidationError, match=match):
+        with_overrides(s, duration_seconds=2 * data["tick_seconds"])
+    data["duration_seconds"] = 2 * data["tick_seconds"]
+    with pytest.raises(ValidationError, match=match):
+        scenario_from_dict(data)
 
 
 def test_duplicate_branch_ids():
