@@ -20,7 +20,7 @@ import sys
 from .errors import ScenarioInvalid, StarQkdError
 from .hybrid import PRACTICALLY_INFINITE_SECONDS, YEAR_SECONDS, AttackerModel, mosca_at_risk
 from .keycore import DEFAULT_POOL_TARGET_BITS, Provenance
-from .policy import asset_grid, default_matrix, recommend
+from .policy import default_matrix, recommend
 from .qkdlink import LinkParams
 from .report import emit_report
 from .rng import StreamRegistry
@@ -29,6 +29,7 @@ from .scenario import (
     ingest_matrix,
     ingest_plan_inputs,
     ingest_scenario,
+    policy_grid,
     with_overrides,
 )
 from .starnet import BranchSpec, Node, NodeKind, build_star, relay_key
@@ -122,12 +123,9 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         print("error: --ops-per-sec must be a positive finite number", file=sys.stderr)
         return 2
     assets, classes, migration = ingest_plan_inputs(args.assets)
-    if args.matrix is not None:
-        matrix = ingest_matrix(args.matrix)
-    elif classes is not None:
-        matrix = default_matrix(*classes)
-    else:
-        matrix = default_matrix(*asset_grid(assets))
+    matrix = None if args.matrix is None else ingest_matrix(args.matrix)
+    grid = policy_grid(assets, classes, matrix)
+    matrix = matrix or default_matrix(*grid)
     attacker = AttackerModel(
         classical_ops_per_sec=args.ops_per_sec,
         has_quantum=args.attacker == "quantum",

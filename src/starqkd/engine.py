@@ -41,11 +41,11 @@ from typing import Any, Callable
 
 from .hybrid import mosca_at_risk
 from .keycore import KeyPool
-from .policy import asset_grid, default_matrix, recommend
+from .policy import default_matrix, recommend
 from .qkdlink import LinkState, raw_rate, secret_rate
 from .report import MetricsReport
 from .rng import StreamRegistry
-from .scenario import Scenario, technique_to_jsonable, whole_ticks
+from .scenario import Scenario, policy_grid, technique_to_jsonable, whole_ticks
 from .sharing import ShareConfig, reconstruct, refresh as refresh_shares, split
 from .starnet import (
     BranchSpec,
@@ -394,12 +394,7 @@ class _Sim:
             }
 
         if s.assets:
-            if s.policy_matrix is not None:
-                matrix = s.policy_matrix
-            elif s.classes is not None:
-                matrix = default_matrix(*s.classes)
-            else:
-                matrix = default_matrix(*asset_grid(s.assets))
+            matrix = s.policy_matrix or default_matrix(*policy_grid(s.assets, s.classes))
             for asset in s.assets:
                 rec = recommend(asset, matrix, s.attacker)
                 report.assets.append(

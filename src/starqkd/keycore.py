@@ -9,6 +9,7 @@ single-use key material returned by KeyPool.draw.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -159,7 +160,10 @@ class KeyPool:
 
     @property
     def fill_ratio(self) -> float:
-        return self.available_bits / self.target_bits
+        try:
+            return self.available_bits / self.target_bits
+        except OverflowError:  # the quotient leaves float range
+            return math.inf
 
     def assert_conservation(self) -> None:
         if self.total_generated_bits != self.available_bits + self.total_consumed_bits:

@@ -125,8 +125,8 @@ class PolicyMatrix:
 def asset_grid(assets: Sequence[InfoAsset]) -> tuple[int, int]:
     """The smallest grid, at least 2x2, that holds every asset's class indices."""
     return (
-        max(2, max(a.sensitivity_index for a in assets)),
-        max(2, max(a.time_index for a in assets)),
+        max([2, *(a.sensitivity_index for a in assets)]),
+        max([2, *(a.time_index for a in assets)]),
     )
 
 

@@ -10,7 +10,7 @@ and burns authentication key per round.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 
@@ -169,12 +169,4 @@ def tick(state: LinkState, dt: float, now: float = 0.0) -> TickOutcome:
     out = produce(state, dt, now)
     if out.halted:
         return out
-    deposited = release(state, out.produced_bits)
-    return TickOutcome(
-        produced_bits=out.produced_bits,
-        deposited_bits=deposited,
-        cpu_cost=out.cpu_cost,
-        auth_bits_from_budget=out.auth_bits_from_budget,
-        auth_bits_from_pool=out.auth_bits_from_pool,
-        halted=False,
-    )
+    return replace(out, deposited_bits=release(state, out.produced_bits))

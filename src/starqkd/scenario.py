@@ -399,12 +399,7 @@ def _dump(obj: Any, table: dict[str, _Field]) -> dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
-# checks shared with with_overrides
-
-
-def _check_seed(seed: int) -> None:
-    if not 0 <= seed < 2**64:
-        raise ValidationError("seed", f"must fit in 64 bits, got {seed}")
+# rules across sections, each decided in one place
 
 
 def whole_ticks(ratio: float) -> int | None:
@@ -417,9 +412,11 @@ def whole_ticks(ratio: float) -> int | None:
     return k if abs(ratio - k) <= 1e-9 * max(1.0, abs(ratio)) else None
 
 
-def _check_duration(duration: float, tick: float) -> None:
-    if not math.isfinite(duration):
-        raise ValidationError("duration_seconds", f"must be a finite number, got {duration!r}")
+def _check_run(s: Scenario) -> None:
+    """Check the seed, the tick count and the hub CPU demand of a run."""
+    if _as_int(s.seed, "seed", 0) >= 2**64:
+        raise ValidationError("seed", f"must fit in 64 bits, got {s.seed}")
+    duration, tick = _as_float(s.duration_seconds, "duration_seconds"), s.tick_seconds
     if duration <= 0:
         raise ValidationError("duration_seconds", f"must be positive, got {duration}")
     ratio = duration / tick
@@ -432,11 +429,7 @@ def _check_duration(duration: float, tick: float) -> None:
         raise ValidationError(
             "duration_seconds", f"must be a whole number of ticks, got {ratio} ticks"
         )
-
-
-def _check_cpu_demand(branches: tuple[BranchScenario, ...], duration: float, tick: float) -> None:
-    per_tick = sum(b.link.cpu_cost_per_sec * tick for b in branches)
-    demand = round(duration / tick) * per_tick
+    demand = ticks * sum(b.link.cpu_cost_per_sec * tick for b in s.branches)
     if not demand <= MAX_CPU_DEMAND:
         raise ValidationError(
             "duration_seconds",
@@ -451,10 +444,36 @@ def _check_grid(m_c: int, k_t: int, path: str) -> None:
         )
 
 
-def _check_asset_grid(assets: tuple[InfoAsset, ...]) -> None:
-    """Bound the default grid that run and plan size from the asset indices."""
-    if assets:
-        _check_grid(*asset_grid(assets), "assets")
+def policy_grid(
+    assets: tuple[InfoAsset, ...],
+    classes: tuple[int, int] | None = None,
+    matrix: PolicyMatrix | None = None,
+) -> tuple[int, int]:
+    """The (m_c, k_t) grid that run and plan apply to assets.
+
+    The matrix's dimensions if there is a matrix, which must agree with
+    classes if both are given; else classes; else the smallest grid that
+    holds every asset, bounded by MAX_GRID_CELLS. Every asset must fit.
+    """
+    if matrix is not None:
+        grid = (matrix.m_c, matrix.k_t)
+        if classes is not None and grid != classes:
+            raise ValidationError(
+                "policy_matrix",
+                f"matrix is {grid[0]}x{grid[1]} but classes say {classes[0]}x{classes[1]}",
+            )
+    elif classes is not None:
+        grid = classes
+    else:
+        grid = asset_grid(assets)
+        _check_grid(*grid, "assets")
+    for i, item in enumerate(assets):
+        for key, name, limit in zip(("sensitivity_index", "time_index"), _CLASSES, grid):
+            if getattr(item, key) > limit:
+                raise ValidationError(
+                    f"assets[{i}].{key}", f"{getattr(item, key)} exceeds {name}={limit}"
+                )
+    return grid
 
 
 def _check_unique(items: tuple, section: str, taken: tuple[str, ...] = ()) -> None:
@@ -536,10 +555,12 @@ def _parse_matrix(obj: Any, path: str, strict: bool) -> PolicyMatrix:
 
 
 def _parse_assets(objs: list, strict: bool) -> tuple[InfoAsset, ...]:
-    return tuple(
+    assets = tuple(
         _build(InfoAsset, f"assets[{i}]", _read(obj, f"assets[{i}]", _ASSET, strict))
         for i, obj in enumerate(objs)
     )
+    _check_unique(assets, "assets")
+    return assets
 
 
 def _parse_classes(obj: Any, strict: bool) -> tuple[int, int] | None:
@@ -564,8 +585,6 @@ def scenario_from_dict(data: Any, strict: bool = True) -> Scenario:
         raise ValidationError(
             "format_version", f"expected {SCENARIO_FORMAT_VERSION}, got {version!r}"
         )
-    _check_seed(values["seed"])
-    _check_duration(values["duration_seconds"], values["tick_seconds"])
 
     branches = tuple(
         _parse_branch(obj, f"branches[{i}]", strict) for i, obj in enumerate(values["branches"])
@@ -574,7 +593,6 @@ def scenario_from_dict(data: Any, strict: bool = True) -> Scenario:
         raise ValidationError("branches", "at least one branch is required")
     hub = _build(HubScenario, "hub", _read(values["hub"], "hub", _HUB, strict))
     _check_unique(branches, "branches", taken=(hub.id,))
-    _check_cpu_demand(branches, values["duration_seconds"], values["tick_seconds"])
 
     known = {b.id for b in branches}
     traffic = tuple(
@@ -604,27 +622,11 @@ def scenario_from_dict(data: Any, strict: bool = True) -> Scenario:
                 )
 
     assets = _parse_assets(values["assets"], strict)
-    _check_unique(assets, "assets")
     classes = _parse_classes(values["classes"], strict)
     matrix = None
     if values["policy_matrix"] is not None:
         matrix = _parse_matrix(values["policy_matrix"], "policy_matrix", strict)
-        if classes is not None and (matrix.m_c, matrix.k_t) != classes:
-            raise ValidationError(
-                "policy_matrix",
-                f"matrix is {matrix.m_c}x{matrix.k_t} but classes say "
-                f"{classes[0]}x{classes[1]}",
-            )
-    bound = classes if matrix is None else (matrix.m_c, matrix.k_t)
-    if bound is None:
-        _check_asset_grid(assets)
-    else:
-        for i, item in enumerate(assets):
-            for key, name, limit in zip(("sensitivity_index", "time_index"), _CLASSES, bound):
-                if getattr(item, key) > limit:
-                    raise ValidationError(
-                        f"assets[{i}].{key}", f"{getattr(item, key)} exceeds {name}={limit}"
-                    )
+    policy_grid(assets, classes, matrix)
 
     attacker = _build(
         AttackerModel, "attacker", _read(values["attacker"], "attacker", _ATTACKER, strict)
@@ -640,7 +642,9 @@ def scenario_from_dict(data: Any, strict: bool = True) -> Scenario:
         attacker=attacker,
         migration=_parse_migration(values["migration"], strict),
     )
-    return Scenario(**values)
+    scenario = Scenario(**values)
+    _check_run(scenario)
+    return scenario
 
 
 def _load_json(path: str | Path) -> Any:
@@ -662,8 +666,7 @@ def ingest_plan_inputs(
     values = _read(_load_json(path), "assets file", _PLAN, strict)
     assets = _parse_assets(values["assets"], strict)
     classes = _parse_classes(values["classes"], strict)
-    if classes is None:
-        _check_asset_grid(assets)
+    policy_grid(assets, classes)
     return assets, classes, _parse_migration(values["migration"], strict)
 
 
@@ -715,13 +718,11 @@ def scenario_to_dict(s: Scenario) -> dict[str, Any]:
 def with_overrides(
     s: Scenario, seed: int | None = None, duration_seconds: float | None = None
 ) -> Scenario:
-    """Apply CLI-style overrides, re-checking what they can break."""
-    out = s
-    if seed is not None:
-        _check_seed(seed)
-        out = replace(out, seed=seed)
-    if duration_seconds is not None:
-        _check_duration(duration_seconds, out.tick_seconds)
-        _check_cpu_demand(out.branches, duration_seconds, out.tick_seconds)
-        out = replace(out, duration_seconds=duration_seconds)
+    """Apply CLI-style overrides and check the run they give."""
+    out = replace(
+        s,
+        seed=s.seed if seed is None else seed,
+        duration_seconds=s.duration_seconds if duration_seconds is None else duration_seconds,
+    )
+    _check_run(out)
     return out

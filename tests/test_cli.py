@@ -164,8 +164,10 @@ def test_plan_classical_attacker(capsys):
     assert "classical attacker" in out
 
 
-def test_plan_with_matrix_file(tmp_path, capsys):
-    cells = [
+MATRIX_2X2 = {
+    "m_c": 2,
+    "k_t": 2,
+    "cells": [
         {"sensitivity": c, "time": t, "technique": kind}
         for c, t, kind in [
             (1, 1, "classical_public_key"),
@@ -173,9 +175,13 @@ def test_plan_with_matrix_file(tmp_path, capsys):
             (2, 1, "post_quantum"),
             (2, 2, "qkd_otp"),
         ]
-    ]
+    ],
+}
+
+
+def test_plan_with_matrix_file(tmp_path, capsys):
     matrix = tmp_path / "m.json"
-    matrix.write_text(json.dumps({"m_c": 2, "k_t": 2, "cells": cells}))
+    matrix.write_text(json.dumps(MATRIX_2X2))
     inventory = tmp_path / "inv.json"
     inventory.write_text(
         json.dumps(
@@ -225,6 +231,81 @@ def test_plan_rejects_huge_grid(tmp_path, capsys, classes, time_index, matrix, m
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and "exceeds the limit of 10000" in err
+
+
+@pytest.mark.parametrize(
+    ("inventory", "matrix", "code", "message"),
+    [
+        ({"assets": []}, False, 0, "policy grid: 2 sensitivity x 2 retention classes"),
+        (
+            {
+                "assets": [{"id": "a", "sensitivity_index": 5, "time_index": 1}],
+                "classes": {"m_c": 2, "k_t": 2},
+            },
+            False,
+            1,
+            "error: assets[0].sensitivity_index: 5 exceeds m_c=2",
+        ),
+        (
+            {"assets": [{"id": "a", "sensitivity_index": 5, "time_index": 1}]},
+            True,
+            1,
+            "error: assets[0].sensitivity_index: 5 exceeds m_c=2",
+        ),
+        (
+            {
+                "assets": [
+                    {"id": "a", "sensitivity_index": 1, "time_index": 1},
+                    {"id": "a", "sensitivity_index": 2, "time_index": 2},
+                ]
+            },
+            False,
+            1,
+            "error: assets[1].id: duplicate id 'a'",
+        ),
+        (
+            {
+                "assets": [{"id": "a", "sensitivity_index": 1, "time_index": 1}],
+                "classes": {"m_c": 3, "k_t": 3},
+            },
+            True,
+            1,
+            "error: policy_matrix: matrix is 2x2 but classes say 3x3",
+        ),
+    ],
+    ids=[
+        "empty-inventory",
+        "outside-classes",
+        "outside-matrix",
+        "duplicate-id",
+        "matrix-disagrees-with-classes",
+    ],
+)
+def test_plan_applies_the_simulate_grid_rule(tmp_path, capsys, inventory, matrix, code, message):
+    (tmp_path / "inv.json").write_text(json.dumps(inventory))
+    argv = ["plan", str(tmp_path / "inv.json")]
+    if matrix:
+        (tmp_path / "m.json").write_text(json.dumps(MATRIX_2X2))
+        argv += ["--matrix", str(tmp_path / "m.json")]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert message in (captured.out if code == 0 else captured.err)
+    assert "Traceback" not in captured.err
+
+
+def test_simulate_runs_a_pool_too_full_for_a_float_fill_ratio(tmp_path, capsys):
+    # The pool holds ~1e294 times its target after one tick, and costs no CPU.
+    data = {
+        "duration_seconds": 1e300,
+        "tick_seconds": 1e299,
+        "branches": [{"id": "a", "source_rate_hz": 1e300, "cpu_cost_per_raw_bit": 0}],
+    }
+    path = tmp_path / "full.json"
+    path.write_text(json.dumps(data))
+    assert main(["simulate", str(path), "--out", str(tmp_path / "run")]) == 0
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    assert report["links"]["a"]["pool"]["available_bits"] > 1e300
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_relay_demo(capsys):

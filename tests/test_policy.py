@@ -12,6 +12,7 @@ from starqkd.policy import (
     PolicyMatrix,
     Technique,
     TechniqueKind,
+    asset_grid,
     default_matrix,
     recommend,
     validate_matrix,
@@ -30,6 +31,12 @@ def asset(c, t, lifetime=3.156e7, state=DataState.IN_MOTION, aid="a") -> InfoAss
         lifetime_seconds=lifetime,
         data_state=state,
     )
+
+
+def test_asset_grid_is_at_least_2x2():
+    assert asset_grid(()) == (2, 2)
+    assert asset_grid([asset(1, 1)]) == (2, 2)
+    assert asset_grid([asset(3, 1), asset(1, 5)]) == (3, 5)
 
 
 def test_default_matrix_3x3_center_is_hybrid():

@@ -1,6 +1,7 @@
 """Scenario file parsing, validation, and round-tripping."""
 
 import json
+import math
 import re
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from starqkd.policy import TechniqueKind
 from starqkd.qkdlink import raw_rate
 from starqkd.scenario import (
     DEFAULT_LINK,
+    MAX_CPU_DEMAND,
     SCENARIO_FORMAT_VERSION,
     ingest_matrix,
     ingest_plan_inputs,
@@ -348,6 +350,51 @@ def test_with_overrides():
         with_overrides(s, duration_seconds=10.3)
     with pytest.raises(ValidationError):
         with_overrides(s, seed=2**64)
+
+
+def _cpu_demand_overflow(data: dict) -> dict:
+    """One tick costs 0.6 MAX_CPU_DEMAND; the override asks for two."""
+    per_sec = sum(b.link.cpu_cost_per_sec for b in scenario_from_dict(data).branches)
+    data["tick_seconds"] = data["duration_seconds"] = 0.6 * MAX_CPU_DEMAND / per_sec
+    return {"duration_seconds": 2 * data["tick_seconds"]}
+
+
+# name: (overrides made from the base dict, whether they are rejected)
+OVERRIDES = {
+    "seed": (lambda data: {"seed": 5}, False),
+    "largest-seed": (lambda data: {"seed": 2**64 - 1}, False),
+    "seed-2**64": (lambda data: {"seed": 2**64}, True),
+    "seed--1": (lambda data: {"seed": -1}, True),
+    "longer": (lambda data: {"duration_seconds": 2 * data["duration_seconds"]}, False),
+    "duration-nan": (lambda data: {"duration_seconds": math.nan}, True),
+    "duration-10**400": (lambda data: {"duration_seconds": 10**400}, True),
+    "duration-0": (lambda data: {"duration_seconds": 0.0}, True),
+    "duration-1e12": (lambda data: {"duration_seconds": 1e12}, True),
+    "non-whole-ticks": (
+        lambda data: {"duration_seconds": 10.5 * data.get("tick_seconds", 1)},
+        True,
+    ),
+    "cpu-demand-overflow": (_cpu_demand_overflow, True),
+}
+
+
+def _outcome(build):
+    """The built Scenario, or the path and message of its ValidationError."""
+    try:
+        return build()
+    except ValidationError as exc:
+        return exc.path, str(exc)
+
+
+@pytest.mark.parametrize("case", OVERRIDES)
+@pytest.mark.parametrize("name", ["minimal.json", "star10.json"])
+def test_with_overrides_decides_as_the_parser_does(name, case):
+    data = json.loads((Path("scenarios") / name).read_text())
+    make, rejected = OVERRIDES[case]
+    overrides = make(data)
+    expected = _outcome(lambda: scenario_from_dict(data | overrides))
+    assert isinstance(expected, tuple) == rejected
+    assert _outcome(lambda: with_overrides(scenario_from_dict(data), **overrides)) == expected
 
 
 def test_round_trip_shipped_scenario():
