@@ -16,24 +16,29 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 
 from .errors import ScenarioInvalid, StarQkdError
-from .hybrid import PRACTICALLY_INFINITE_SECONDS, YEAR_SECONDS, AttackerModel, mosca_at_risk
+from .hybrid import PRACTICALLY_INFINITE_SECONDS, YEAR_SECONDS, mosca_at_risk
 from .keycore import DEFAULT_POOL_TARGET_BITS, Provenance
 from .policy import default_matrix, recommend
-from .qkdlink import LinkParams
 from .report import emit_report
-from .rng import StreamRegistry
+from .rng import MAX_SEED, StreamRegistry
 from .scenario import (
     DEFAULT_ATTACKER,
     ingest_matrix,
     ingest_plan_inputs,
     ingest_scenario,
     policy_grid,
+    scenario_from_dict,
     with_overrides,
 )
-from .starnet import BranchSpec, Node, NodeKind, build_star, relay_key
+from .starnet import relay_key
 from . import engine
+
+# relay-demo builds at most this many branches, the largest star the
+# simulator is measured at.
+MAX_DEMO_BRANCHES = 1000
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -126,10 +131,10 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     matrix = None if args.matrix is None else ingest_matrix(args.matrix)
     grid = policy_grid(assets, classes, matrix)
     matrix = matrix or default_matrix(*grid)
-    attacker = AttackerModel(
+    attacker = replace(
+        DEFAULT_ATTACKER,
         classical_ops_per_sec=args.ops_per_sec,
         has_quantum=args.attacker == "quantum",
-        records_traffic=True,
     )
     print(
         f"policy grid: {matrix.m_c} sensitivity x {matrix.k_t} retention classes, "
@@ -162,28 +167,29 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_relay_demo(args: argparse.Namespace) -> int:
-    if args.branches < 2:
-        print("error: relay needs at least 2 branches", file=sys.stderr)
+    if not 2 <= args.branches <= MAX_DEMO_BRANCHES:
+        print(
+            f"error: relay needs at least 2 branches and at most {MAX_DEMO_BRANCHES}",
+            file=sys.stderr,
+        )
         return 2
     if not 0 < args.bits <= DEFAULT_POOL_TARGET_BITS:
         print(f"error: --bits must be between 1 and {DEFAULT_POOL_TARGET_BITS}", file=sys.stderr)
         return 2
-    streams = StreamRegistry(args.seed)
-    link = LinkParams(
-        distance_km=10.0, source_rate_hz=1e6, detector_efficiency=0.2, qber=0.02
+    if not 0 <= args.seed <= MAX_SEED:
+        print(f"error: --seed must be between 0 and {MAX_SEED}", file=sys.stderr)
+        return 2
+    # The demo steps no clock; the duration only makes the scenario whole.
+    scenario = scenario_from_dict(
+        {
+            "seed": args.seed,
+            "duration_seconds": 1.0,
+            "hub": {"channel_count": args.branches, "cpu_capacity_per_sec": 1e9},
+            "branches": [{"id": f"b{i:02d}"} for i in range(1, args.branches + 1)],
+        }
     )
-    hub = Node(
-        id="hub", kind=NodeKind.HUB, channel_count=args.branches, cpu_capacity_per_sec=1e9
-    )
-    specs = [
-        BranchSpec(
-            node=Node(id=f"b{i:02d}", kind=NodeKind.BRANCH),
-            link=link,
-            pool_rng=streams.stream(f"pool/b{i:02d}"),
-        )
-        for i in range(1, args.branches + 1)
-    ]
-    topo = build_star(hub, specs)
+    streams = StreamRegistry(scenario.seed)
+    topo = engine.build_topology(scenario, streams)
     for bid in topo.branch_ids():
         topo.link(bid).pool.deposit(2 * args.bits)
     src, dst = topo.branch_ids()[0], topo.branch_ids()[1]

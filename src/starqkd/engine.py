@@ -114,6 +114,28 @@ class _Sharing:
     max_exposure_seconds: float = 0.0
 
 
+def build_topology(scenario: Scenario, streams: StreamRegistry) -> StarTopology:
+    """The scenario's star, each branch pool drawing from its own stream."""
+    hub = Node(
+        id=scenario.hub.id,
+        kind=NodeKind.HUB,
+        channel_count=scenario.channel_count,
+        cpu_capacity_per_sec=scenario.hub.cpu_capacity_per_sec,
+    )
+    specs = [
+        BranchSpec(
+            node=Node(id=b.id, kind=NodeKind.BRANCH),
+            link=b.link,
+            auth_reserved_bits=b.auth_reserved_bits,
+            auth_tag_cost_bits=b.auth_tag_cost_bits,
+            pool_target_bits=b.pool_target_bits,
+            pool_rng=streams.stream(f"pool/{b.id}"),
+        )
+        for b in scenario.branches
+    ]
+    return build_star(hub, specs)
+
+
 class _Sim:
     def __init__(self, scenario: Scenario, collect_trace: bool) -> None:
         self.scenario = scenario
@@ -121,24 +143,7 @@ class _Sim:
         self.dt = scenario.tick_seconds
         self.n_ticks = scenario.tick_count
 
-        hub = Node(
-            id=scenario.hub.id,
-            kind=NodeKind.HUB,
-            channel_count=scenario.channel_count,
-            cpu_capacity_per_sec=scenario.hub.cpu_capacity_per_sec,
-        )
-        specs = [
-            BranchSpec(
-                node=Node(id=b.id, kind=NodeKind.BRANCH),
-                link=b.link,
-                auth_reserved_bits=b.auth_reserved_bits,
-                auth_tag_cost_bits=b.auth_tag_cost_bits,
-                pool_target_bits=b.pool_target_bits,
-                pool_rng=streams.stream(f"pool/{b.id}"),
-            )
-            for b in scenario.branches
-        ]
-        self.topology: StarTopology = build_star(hub, specs)
+        self.topology = build_topology(scenario, streams)
 
         # One runtime object per branch, traffic pair and sharing
         # instance; handlers get the object, never a name to look up. An

@@ -24,6 +24,7 @@ from .errors import (
 from .rng import derive_seed, random_bits
 
 DEFAULT_POOL_TARGET_BITS = 1_000_000
+DEFAULT_AUTH_RESERVED_BITS = 65536
 DEFAULT_TAG_COST_BITS = 128
 
 

@@ -10,7 +10,7 @@ and the asset's lifetime, escalating when the numbers do not close.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum, IntEnum
 from fractions import Fraction
 from typing import Sequence
@@ -45,6 +45,14 @@ class TechniqueKind(IntEnum):
     @property
     def label(self) -> str:
         return self.name.lower()
+
+
+# Work factors of the techniques whose horizon recommend() gives as
+# t_sq = t_s: post-quantum, and classical against a classical attacker.
+_EFFECTIVE_BITS = {
+    TechniqueKind.CLASSICAL_PUBLIC_KEY: CLASSICAL_PK_EFFECTIVE_BITS,
+    TechniqueKind.POST_QUANTUM: POST_QUANTUM_EFFECTIVE_BITS,
+}
 
 
 class DataState(Enum):
@@ -214,27 +222,6 @@ class Recommendation:
     notes: tuple[str, ...] = ()
 
 
-def _classical_recommendation(
-    asset: InfoAsset, technique: Technique, attacker: AttackerModel
-) -> Recommendation:
-    notes: list[str] = []
-    if attacker.has_quantum:
-        # Shor-class attacks void the public-key assumption outright.
-        horizon = SecurityHorizon(t_s_seconds=0.0, t_sq_seconds=0.0)
-        feasible = asset.lifetime_seconds == 0.0
-        # Only recorded traffic can be decrypted later.
-        if not feasible and attacker.records_traffic:
-            notes.append(
-                "store-now-decrypt-later exposure: recorded ciphertext falls "
-                "with the public-key assumption"
-            )
-    else:
-        t_s = estimate_t_s(CLASSICAL_PK_EFFECTIVE_BITS, attacker)
-        horizon = SecurityHorizon(t_s_seconds=t_s, t_sq_seconds=t_s)
-        feasible = t_s >= asset.lifetime_seconds
-    return Recommendation(asset.id, technique, horizon, feasible, tuple(notes))
-
-
 def recommend(
     asset: InfoAsset, matrix: PolicyMatrix, attacker: AttackerModel
 ) -> Recommendation:
@@ -255,18 +242,23 @@ def recommend(
             "locations with threshold sharing"
         )
 
-    if technique.kind is TechniqueKind.CLASSICAL_PUBLIC_KEY:
-        base = _classical_recommendation(asset, technique, attacker)
-        return Recommendation(
-            asset.id, base.technique, base.horizon, base.feasible, tuple(notes) + base.notes
-        )
+    if technique.kind is TechniqueKind.CLASSICAL_PUBLIC_KEY and attacker.has_quantum:
+        # Shor-class attacks void the public-key assumption outright.
+        horizon = SecurityHorizon(t_s_seconds=0.0, t_sq_seconds=0.0)
+        feasible = asset.lifetime_seconds == 0.0
+        # Only recorded traffic can be decrypted later.
+        if not feasible and attacker.records_traffic:
+            notes.append(
+                "store-now-decrypt-later exposure: recorded ciphertext falls "
+                "with the public-key assumption"
+            )
+        return Recommendation(asset.id, technique, horizon, feasible, tuple(notes))
 
-    if technique.kind is TechniqueKind.POST_QUANTUM:
-        t_s = estimate_t_s(POST_QUANTUM_EFFECTIVE_BITS, attacker)
+    if technique.kind in _EFFECTIVE_BITS:
+        t_s = estimate_t_s(_EFFECTIVE_BITS[technique.kind], attacker)
         horizon = SecurityHorizon(t_s_seconds=t_s, t_sq_seconds=t_s)
-        return Recommendation(
-            asset.id, technique, horizon, t_s >= asset.lifetime_seconds, tuple(notes)
-        )
+        feasible = t_s >= asset.lifetime_seconds
+        return Recommendation(asset.id, technique, horizon, feasible, tuple(notes))
 
     if technique.kind is TechniqueKind.HYBRID:
         assert technique.hybrid is not None
@@ -276,15 +268,7 @@ def recommend(
                 sizing.session_bits, f, attacker, asset.lifetime_seconds
             )
             if horizon.t_sq_seconds >= asset.lifetime_seconds:
-                chosen = Technique(
-                    TechniqueKind.HYBRID,
-                    HybridParams(
-                        master_bits=sizing.master_bits,
-                        session_bits=sizing.session_bits,
-                        quantum_bits=sizing.quantum_bits,
-                        rotation_frequency_hz=f,
-                    ),
-                )
+                chosen = replace(technique, hybrid=replace(sizing, rotation_frequency_hz=f))
                 return Recommendation(asset.id, chosen, horizon, True, tuple(notes))
         notes.append(
             "hybrid rotation cannot cover the asset lifetime at any "

@@ -63,6 +63,11 @@ class LinkParams:
         """cpu_cost_per_raw_bit * raw_rate(self), in cost units per second."""
         return self.cpu_cost_per_raw_bit * raw_rate(self)
 
+    @cached_property
+    def cpu_cost_per_sec_exact(self) -> Fraction:
+        """cpu_cost_per_sec as an exact rational."""
+        return Fraction(self.cpu_cost_per_sec)
+
 
 def raw_rate(params: LinkParams) -> float:
     """Sifted detection rate in bits per second."""

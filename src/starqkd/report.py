@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import islice
 from pathlib import Path
 from typing import Any
@@ -47,23 +47,9 @@ class MetricsReport:
     event_trace: list[tuple[float, int, str, str]] | None = None
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "format_version": FORMAT_VERSION,
-            "seed": self.seed,
-            "duration_seconds": self.duration_seconds,
-            "tick_seconds": self.tick_seconds,
-            "times": self.times,
-            "links": self.links,
-            "hub": self.hub,
-            "relay_ledger": self.relay_ledger,
-            "refresh_ledger": self.refresh_ledger,
-            "rotations": self.rotations,
-            "unmet_demand": self.unmet_demand,
-            "assets": self.assets,
-            "sharing": self.sharing,
-            "totals": self.totals,
-            "mosca_at_risk": self.mosca_at_risk,
-        }
+        """Every field but event_trace, by reference, after the format version."""
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "event_trace"}
+        return {"format_version": FORMAT_VERSION, **out}
 
     def to_json(self) -> str:
         return _JSON.encode(self.to_dict()) + "\n"

@@ -14,8 +14,10 @@ and reports its precondition errors at the same path; `scenario_to_dict`
 dumps through the same tables. Hand-written checks remain only for rules
 across fields. Strict mode rejects unknown fields; lax mode warns and
 drops them. `null` means the default only where the default is null.
-A run may have at most MAX_TICKS ticks and a hub CPU demand of at most
-MAX_CPU_DEMAND, and a policy grid at most MAX_GRID_CELLS cells.
+A run may have at most MAX_TICKS ticks, at most MAX_TICKS periodic
+firings (rotations, relay requests and share refreshes together) and a
+hub CPU demand of at most MAX_CPU_DEMAND, and a policy grid at most
+MAX_GRID_CELLS cells.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Any, Callable
 
 from .errors import BadField, ParseError, ValidationError
 from .hybrid import AttackerModel, MigrationTimeline
-from .keycore import DEFAULT_POOL_TARGET_BITS, DEFAULT_TAG_COST_BITS
+from .keycore import DEFAULT_AUTH_RESERVED_BITS, DEFAULT_POOL_TARGET_BITS, DEFAULT_TAG_COST_BITS
 from .policy import (
     DataState,
     HybridParams,
@@ -48,7 +50,8 @@ from .sharing import DEFAULT_FIELD_PRIME, ShareConfig
 SCENARIO_FORMAT_VERSION = 1
 
 # duration_seconds / tick_seconds may not exceed this: the engine runs
-# every tick of every link and keeps one series entry per tick.
+# every tick of every link and keeps one series entry per tick. Nor may
+# the run's periodic firings together, each of which logs an entry.
 MAX_TICKS = 10_000_000
 # The whole run's hub CPU demand may not exceed this, half the largest
 # float: every backlog, processed and cumulative cost is at most the
@@ -63,7 +66,6 @@ DEFAULT_TICK_SECONDS = 1.0
 DEFAULT_HUB_ID = "hub"
 # Effectively unthrottled; a hub row can lower it.
 DEFAULT_HUB_CPU_PER_SEC = 1e18
-DEFAULT_AUTH_RESERVED_BITS = 65536
 DEFAULT_MASTER_BITS = 256
 
 DEFAULT_LINK = LinkParams(
@@ -413,7 +415,7 @@ def whole_ticks(ratio: float) -> int | None:
 
 
 def _check_run(s: Scenario) -> None:
-    """Check the seed, the tick count and the hub CPU demand of a run."""
+    """Check a run's seed, tick count, hub CPU demand and periodic firings."""
     if _as_int(s.seed, "seed", 0) >= 2**64:
         raise ValidationError("seed", f"must fit in 64 bits, got {s.seed}")
     duration, tick = _as_float(s.duration_seconds, "duration_seconds"), s.tick_seconds
@@ -435,6 +437,26 @@ def _check_run(s: Scenario) -> None:
             "duration_seconds",
             f"the run's hub CPU demand of {demand:g} cost units exceeds {MAX_CPU_DEMAND:g}",
         )
+    # Each periodic firing logs a ledger or unmet entry, so a run may have
+    # at most MAX_TICKS of them. (firings over the run, path) per source:
+    firings = [
+        (duration * b.rotation_frequency_hz, f"branches[{i}].rotation_frequency_hz")
+        for i, b in enumerate(s.branches)
+        if b.rotation_frequency_hz > 0
+    ]
+    firings += [
+        (duration / t.relay_interval_seconds, f"traffic[{i}].relay_interval_seconds")
+        for i, t in enumerate(s.traffic)
+        if t.relay_interval_seconds > 0
+    ]
+    firings += [
+        (duration / inst.refresh_period_seconds, f"sharing[{i}].refresh_period_seconds")
+        for i, inst in enumerate(s.sharing)
+    ]
+    total = sum(count for count, _ in firings)
+    if total > MAX_TICKS:
+        _, path = max(firings, key=lambda firing: firing[0])  # the first of the largest
+        raise ValidationError(path, f"{total:g} periodic firings exceed the limit of {MAX_TICKS}")
 
 
 def _check_grid(m_c: int, k_t: int, path: str) -> None:

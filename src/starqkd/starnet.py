@@ -15,7 +15,8 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import DuplicateId, InsufficientKey, NoBranches
-from .keycore import KeyMaterial, KeyPool, AuthBudget, Provenance
+from .keycore import DEFAULT_AUTH_RESERVED_BITS, DEFAULT_POOL_TARGET_BITS, DEFAULT_TAG_COST_BITS
+from .keycore import AuthBudget, KeyMaterial, KeyPool, Provenance
 from .qkdlink import LinkParams, LinkState, produce, release
 from .rng import random_bits
 
@@ -52,9 +53,9 @@ class BranchSpec:
 
     node: Node
     link: LinkParams
-    auth_reserved_bits: int = 65536
-    auth_tag_cost_bits: int = 128
-    pool_target_bits: int = 1_000_000
+    auth_reserved_bits: int = DEFAULT_AUTH_RESERVED_BITS
+    auth_tag_cost_bits: int = DEFAULT_TAG_COST_BITS
+    pool_target_bits: int = DEFAULT_POOL_TARGET_BITS
     pool_rng: random.Random | None = None
 
 
@@ -237,8 +238,10 @@ def hub_cpu_step(
     Backlogged work from earlier intervals drains first, FIFO. If this
     interval's fresh work then overruns what is left of the budget,
     every active link is served the same fraction of its bits and the
-    remainder joins the backlog. Bit accounting is exact: deferred bits
-    are deposited, in order, by later steps.
+    remainder joins the backlog. Bit and cost accounting is exact: each
+    cost is the exact product of a per-second rate and dt, as each
+    produced amount is, and deferred bits are deposited, in order, by
+    later steps.
 
     This is the only code that mutates topology.backlog. It keeps
     topology.backlog_cost exact as it goes, less the budget the drain
@@ -264,17 +267,20 @@ def hub_cpu_step(
     auth_budget: dict[str, int] = {}
     new_items: list[_BacklogItem] = []
     demanded = 0.0
+    exact_dt = Fraction(dt)
     for bid in actives:
-        out = produce(links[bid], dt, now)
+        link = links[bid]
+        out = produce(link, dt, now)
         if out.halted:
             halted.append(bid)
             continue
         auth_pool[bid] = out.auth_bits_from_pool
         auth_budget[bid] = out.auth_bits_from_budget
         demanded += out.cpu_cost
-        new_items.append(_BacklogItem(bid, Fraction(out.cpu_cost), out.produced_bits))
+        cost = link.params.cpu_cost_per_sec_exact * exact_dt
+        new_items.append(_BacklogItem(bid, cost, out.produced_bits))
 
-    capacity = Fraction(topology.hub.cpu_capacity_per_sec) * Fraction(dt)
+    capacity = Fraction(topology.hub.cpu_capacity_per_sec) * exact_dt
     budget = capacity
 
     # Old work first, in arrival order.

@@ -22,6 +22,38 @@ def test_validate_bad_file(tmp_path, capsys):
     assert "duration_seconds" in capsys.readouterr().err
 
 
+FAST_SOURCES = {
+    "traffic[0].relay_interval_seconds: 1e+12": {
+        "branches": [{"id": "a"}, {"id": "b"}],
+        "traffic": [{"src": "a", "dst": "b", "relay_bits": 8, "relay_interval_seconds": 1e-9}],
+    },
+    "sharing[0].refresh_period_seconds: 1e+12": {
+        "branches": [{"id": "a"}, {"id": "b"}],
+        "sharing": [
+            {
+                "id": "s",
+                "n_locations": 3,
+                "threshold_k": 2,
+                "refresh_period_seconds": 1e-9,
+                "custodians": ["a", "b"],
+            }
+        ],
+    },
+    "branches[0].rotation_frequency_hz: 1e+15": {
+        "branches": [{"id": "a", "source_rate_hz": 1e15, "rotation_frequency_hz": 1e12}],
+    },
+}
+
+
+@pytest.mark.parametrize("message", FAST_SOURCES)
+def test_validate_bounds_periodic_firings(tmp_path, capsys, message):
+    p = tmp_path / "fast.json"
+    p.write_text(json.dumps({"duration_seconds": 1000, **FAST_SOURCES[message]}))
+    assert main(["validate", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {message} periodic firings exceed the limit of 10000000\n"
+
+
 def test_validate_missing_file(capsys):
     assert main(["validate", "no/such/file.json"]) == 1
     assert "cannot read" in capsys.readouterr().err
@@ -315,6 +347,11 @@ def test_relay_demo(capsys):
     assert "128" in out
 
 
+def test_relay_demo_largest_star(capsys):
+    assert main(["relay-demo", "--branches", "1000", "--seed", str(2**64 - 1)]) == 0
+    assert "star of 1000 branches" in capsys.readouterr().out
+
+
 def test_relay_demo_deterministic(capsys):
     main(["relay-demo", "--seed", "4"])
     first = capsys.readouterr().out
@@ -328,11 +365,24 @@ def test_relay_demo_deterministic(capsys):
         (["relay-demo", "--branches", "1"], "at least 2"),
         (["relay-demo", "--bits", "0"], "--bits must be between 1 and"),
         (["relay-demo", "--bits", "100000000000"], "--bits must be between 1 and"),
+        (["relay-demo", "--branches", "1001"], "at most 1000"),
+        (["relay-demo", "--seed", "-1"], "--seed must be between 0 and"),
+        (["relay-demo", "--seed", str(2**64)], "--seed must be between 0 and"),
         (["plan", "scenarios/assets.json", "--ops-per-sec", "0"], "--ops-per-sec must be"),
         (["plan", "scenarios/assets.json", "--ops-per-sec", "nan"], "--ops-per-sec must be"),
         (["plan", "scenarios/assets.json", "--ops-per-sec", "inf"], "--ops-per-sec must be"),
     ],
-    ids=["single-branch", "zero-bits", "huge-bits", "zero-ops", "nan-ops", "inf-ops"],
+    ids=[
+        "single-branch",
+        "zero-bits",
+        "huge-bits",
+        "too-many-branches",
+        "negative-seed",
+        "seed-2**64",
+        "zero-ops",
+        "nan-ops",
+        "inf-ops",
+    ],
 )
 def test_bad_arguments_exit_two(capsys, argv, message):
     assert main(argv) == 2

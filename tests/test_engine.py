@@ -1,11 +1,12 @@
 """End-to-end simulation runs: determinism, conservation, scheduling."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
 from starqkd.engine import EventKind, run
-from starqkd.scenario import ingest_scenario, scenario_from_dict, with_overrides
+from starqkd.scenario import DEFAULT_LINK, ingest_scenario, scenario_from_dict, with_overrides
 
 
 def small_scenario(**over) -> dict:
@@ -366,6 +367,24 @@ def test_hub_throttle_builds_backlog():
     assert max(r.hub["series"]["backlog_cost"]) > 0
     t = r.totals
     assert t["generated_bits"] == t["pool_available_bits"] + t["consumed_bits_total"]
+
+
+@pytest.mark.parametrize(("tick", "duration"), [(0.1, 10.0), (0.3, 30.0), (0.7, 70.0)])
+def test_hub_cost_per_tick_is_exact(tick, duration):
+    """A hub sized exactly for its link never backlogs; one a float below it
+    defers exactly k * (cost rate - capacity) * dt by tick k."""
+    rate = DEFAULT_LINK.cpu_cost_per_sec
+    assert rate == 63095.73444801933
+    for capacity in (rate, math.nextafter(rate, 0.0)):
+        data = {
+            "duration_seconds": duration,
+            "tick_seconds": tick,
+            "hub": {"cpu_capacity_per_sec": capacity},
+            "branches": [{"id": "a"}],
+        }
+        r = run(scenario_from_dict(data))
+        gap = (Fraction(rate) - Fraction(capacity)) * Fraction(tick)
+        assert r.hub["series"]["backlog_cost"] == [float(k * gap) for k in range(1, 101)]
 
 
 def test_event_trace_is_ordered_and_prioritized():

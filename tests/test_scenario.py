@@ -16,6 +16,7 @@ from starqkd.qkdlink import raw_rate
 from starqkd.scenario import (
     DEFAULT_LINK,
     MAX_CPU_DEMAND,
+    MAX_TICKS,
     SCENARIO_FORMAT_VERSION,
     ingest_matrix,
     ingest_plan_inputs,
@@ -353,10 +354,26 @@ def test_with_overrides():
 
 
 def _cpu_demand_overflow(data: dict) -> dict:
-    """One tick costs 0.6 MAX_CPU_DEMAND; the override asks for two."""
+    """One tick costs 0.6 MAX_CPU_DEMAND; the override asks for two.
+
+    The base has no rotation, relay or sharing source: their firings over
+    so long a tick would break the firing limit in the base itself.
+    """
+    for branch in data["branches"]:
+        branch.pop("rotation_frequency_hz", None)
+    for demand in data.get("traffic", ()):
+        demand.pop("relay_bits", None)
+        demand.pop("relay_interval_seconds", None)
+    data.pop("sharing", None)
     per_sec = sum(b.link.cpu_cost_per_sec for b in scenario_from_dict(data).branches)
     data["tick_seconds"] = data["duration_seconds"] = 0.6 * MAX_CPU_DEMAND / per_sec
     return {"duration_seconds": 2 * data["tick_seconds"]}
+
+
+def _firings_past_limit(data: dict) -> dict:
+    """The first branch rotates at half the firing limit; the override runs four times as long."""
+    data["branches"][0]["rotation_frequency_hz"] = MAX_TICKS / (2 * data["duration_seconds"])
+    return {"duration_seconds": 4 * data["duration_seconds"]}
 
 
 # name: (overrides made from the base dict, whether they are rejected)
@@ -375,6 +392,7 @@ OVERRIDES = {
         True,
     ),
     "cpu-demand-overflow": (_cpu_demand_overflow, True),
+    "firings-past-limit": (_firings_past_limit, True),
 }
 
 
