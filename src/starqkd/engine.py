@@ -261,9 +261,7 @@ class _Sim:
         step = hub_cpu_step(self.topology, self.dt, active, now=time)
         self.consumed["auth"] += sum(step.auth_bits_from_pool.values())
         for bid in step.halted:
-            link = self.topology.link(bid)
-            need = link.params.post_processing_messages_per_round * link.auth.tag_cost_bits
-            self.unmet(time, "auth", bid, need)
+            self.unmet(time, "auth", bid, self.topology.link(bid).round(self.dt).auth_bits)
         self.report.times.append(time)
         active_set = set(active)
         deposited = step.deposited

@@ -52,21 +52,10 @@ class LinkParams:
                 f"got {self.post_processing_messages_per_round}"
             )
 
-    # Derived once per link: produce() runs every tick on these.
-    @cached_property
-    def secret_rate_exact(self) -> Fraction:
-        """secret_rate(self) as an exact rational, in bits per second."""
-        return Fraction(secret_rate(self))
-
     @cached_property
     def cpu_cost_per_sec(self) -> float:
         """cpu_cost_per_raw_bit * raw_rate(self), in cost units per second."""
         return self.cpu_cost_per_raw_bit * raw_rate(self)
-
-    @cached_property
-    def cpu_cost_per_sec_exact(self) -> Fraction:
-        """cpu_cost_per_sec as an exact rational."""
-        return Fraction(self.cpu_cost_per_sec)
 
 
 def raw_rate(params: LinkParams) -> float:
@@ -96,6 +85,17 @@ def secret_rate(params: LinkParams) -> float:
     return raw_rate(params) * secret_fraction(params.qber)
 
 
+@dataclass(frozen=True)
+class Round:
+    """A link's round of dt seconds: its auth cost, and each rate times dt, exact or float."""
+
+    dt: float
+    auth_bits: int
+    bits: Fraction
+    cpu: float
+    cpu_exact: Fraction
+
+
 @dataclass
 class LinkState:
     """Mutable per-link runtime state: pool, auth budget, carries."""
@@ -108,6 +108,20 @@ class LinkState:
     # Sub-bit production carried between deposits; keeps long runs
     # partition-invariant (two half ticks land the same bits as one).
     pending_bits: Fraction = field(default_factory=lambda: Fraction(0))
+    _round: Round | None = field(default=None, init=False, repr=False, compare=False)
+
+    def round(self, dt: float) -> Round:
+        """The round of dt seconds, redone only for a new dt (params and tag cost are fixed)."""
+        if self._round is None or self._round.dt != dt:
+            exact_dt = Fraction(dt)
+            self._round = Round(
+                dt=dt,
+                auth_bits=self.params.post_processing_messages_per_round * self.auth.tag_cost_bits,
+                bits=Fraction(secret_rate(self.params)) * exact_dt,
+                cpu=self.params.cpu_cost_per_sec * dt,
+                cpu_exact=Fraction(self.params.cpu_cost_per_sec) * exact_dt,
+            )
+        return self._round
 
 
 @dataclass(frozen=True)
@@ -134,27 +148,19 @@ def produce(state: LinkState, dt: float, now: float = 0.0) -> TickOutcome:
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    params = state.params
-    messages = params.post_processing_messages_per_round
-    from_budget = 0
-    from_pool = 0
-    if messages > 0:
-        cost_bits = messages * state.auth.tag_cost_bits
-        shortfall = max(0, cost_bits - state.auth.reserved_bits)
-        if shortfall > 0:
-            try:
-                state.pool.spend(shortfall)  # spent as authentication tags
-            except InsufficientKey:
-                state.halted_ticks += 1
-                return TickOutcome(Fraction(0), 0, 0.0, 0, 0, True)
-            state.auth.deposit(shortfall)
-        state.auth.consume(messages)
-        from_pool = shortfall
-        from_budget = cost_bits - shortfall
-    produced = params.secret_rate_exact * Fraction(dt)
-    cpu = params.cpu_cost_per_sec * dt
-    state.cumulative_cpu_cost += cpu
-    return TickOutcome(produced, 0, cpu, from_budget, from_pool, False)
+    rnd = state.round(dt)
+    shortfall = max(0, rnd.auth_bits - state.auth.reserved_bits)
+    if shortfall > 0:
+        try:
+            state.pool.spend(shortfall)  # spent as authentication tags
+        except InsufficientKey:
+            state.halted_ticks += 1
+            return TickOutcome(Fraction(0), 0, 0.0, 0, 0, True)
+        state.auth.deposit(shortfall)
+    if rnd.auth_bits > 0:
+        state.auth.consume(state.params.post_processing_messages_per_round)
+    state.cumulative_cpu_cost += rnd.cpu
+    return TickOutcome(rnd.bits, 0, rnd.cpu, rnd.auth_bits - shortfall, shortfall, False)
 
 
 def release(state: LinkState, bits: Fraction) -> int:
@@ -170,8 +176,6 @@ def release(state: LinkState, bits: Fraction) -> int:
 
 
 def tick(state: LinkState, dt: float, now: float = 0.0) -> TickOutcome:
-    """produce() immediately followed by an unthrottled release()."""
+    """produce() then an unthrottled release(); a halted round releases nothing."""
     out = produce(state, dt, now)
-    if out.halted:
-        return out
     return replace(out, deposited_bits=release(state, out.produced_bits))

@@ -94,9 +94,16 @@ class StarTopology:
     backlog_cost: Fraction = Fraction(0)
     relay_count: int = 0
     _rr_offset: int = field(default=0, repr=False)
+    _capacity: tuple[float, Fraction] | None = field(default=None, init=False, repr=False)
 
     def branch_ids(self) -> list[str]:
         return [b.id for b in self.branches]
+
+    def capacity(self, dt: float) -> Fraction:
+        """The hub's exact CPU budget for dt seconds, redone only for a new dt."""
+        if self._capacity is None or self._capacity[0] != dt:
+            self._capacity = (dt, Fraction(self.hub.cpu_capacity_per_sec) * Fraction(dt))
+        return self._capacity[1]
 
     def link(self, branch_id: str) -> LinkState:
         got = self.links.get(branch_id)
@@ -140,10 +147,10 @@ def build_star(hub: Node, branch_specs: list[BranchSpec]) -> StarTopology:
 def schedule_channels(topology: StarTopology, now: float = 0.0) -> list[str]:
     """Pick which links get the hub's receiver channels this interval.
 
-    Emptiest pools first (lowest fill ratio); ties rotate round-robin so
-    equally needy branches take strict turns. Advances the rotation
-    pointer once per call. now is accepted for symmetry with the other
-    stepping calls; the decision depends only on pool state.
+    Lowest fill ratio (available_bits / target_bits) first; ties rotate
+    round-robin so equally needy branches take strict turns. Advances the
+    rotation pointer once per call. now is accepted for symmetry with the
+    other stepping calls; the decision depends only on pool state.
     """
     del now
     ids = topology.branch_ids()
@@ -239,9 +246,9 @@ def hub_cpu_step(
     interval's fresh work then overruns what is left of the budget,
     every active link is served the same fraction of its bits and the
     remainder joins the backlog. Bit and cost accounting is exact: each
-    cost is the exact product of a per-second rate and dt, as each
-    produced amount is, and deferred bits are deposited, in order, by
-    later steps.
+    link's cost and produced bits are its LinkState.round(dt), and the
+    budget is topology.capacity(dt), so a run with one dt works them out
+    once. Deferred bits are deposited, in order, by later steps.
 
     This is the only code that mutates topology.backlog. It keeps
     topology.backlog_cost exact as it goes, less the budget the drain
@@ -250,16 +257,10 @@ def hub_cpu_step(
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    links = topology.links
-    if active_ids is None:
-        actives = topology.branch_ids()
-    else:
-        for bid in active_ids:
-            if bid not in links:
-                raise KeyError(f"no branch {bid!r} in this star")
-        if len(set(active_ids)) != len(active_ids):
-            raise ValueError(f"active_ids repeats a branch: {list(active_ids)}")
-        actives = list(active_ids)
+    actives = topology.branch_ids() if active_ids is None else list(active_ids)
+    active_links = [topology.link(bid) for bid in actives]
+    if len(set(actives)) != len(actives):
+        raise ValueError(f"active_ids repeats a branch: {actives}")
 
     released: dict[str, Fraction] = {}
     halted: list[str] = []
@@ -267,9 +268,7 @@ def hub_cpu_step(
     auth_budget: dict[str, int] = {}
     new_items: list[_BacklogItem] = []
     demanded = 0.0
-    exact_dt = Fraction(dt)
-    for bid in actives:
-        link = links[bid]
+    for bid, link in zip(actives, active_links):
         out = produce(link, dt, now)
         if out.halted:
             halted.append(bid)
@@ -277,10 +276,9 @@ def hub_cpu_step(
         auth_pool[bid] = out.auth_bits_from_pool
         auth_budget[bid] = out.auth_bits_from_budget
         demanded += out.cpu_cost
-        cost = link.params.cpu_cost_per_sec_exact * exact_dt
-        new_items.append(_BacklogItem(bid, cost, out.produced_bits))
+        new_items.append(_BacklogItem(bid, link.round(dt).cpu_exact, out.produced_bits))
 
-    capacity = Fraction(topology.hub.cpu_capacity_per_sec) * exact_dt
+    capacity = topology.capacity(dt)
     budget = capacity
 
     # Old work first, in arrival order.
@@ -321,7 +319,7 @@ def hub_cpu_step(
         deferred = total_new - budget
         topology.backlog_cost += deferred
 
-    deposited = {bid: release(links[bid], bits) for bid, bits in released.items()}
+    deposited = {bid: release(topology.links[bid], bits) for bid, bits in released.items()}
     return HubStepReport(
         time=now,
         active_ids=tuple(actives),

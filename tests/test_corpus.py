@@ -5,14 +5,16 @@ its index alone, so the corpus does not move when a test library is
 upgraded. Each of the 200 scenarios has 1-8 branches and at most 60
 ticks, and they mix throttled and unthrottled hubs, one-time-pad flows,
 relays, secret sharing, rotation, assets and tick lengths that are not
-whole seconds. Most runs stop by tick 20 so the corpus runs in about
-two seconds; about a third run up to 60 ticks, long enough for hub
+whole seconds. Most runs stop by tick 20 so the corpus runs in a
+few seconds; about a third run up to 60 ticks, long enough for hub
 backlogs, slow rotation and the longer periods to show.
 `tests/golden_corpus.json` pins each scenario's `report.json` sha256;
 a change that moves one on purpose updates the file and says which
-digests moved and why. Each run is also checked for closure, repeats,
-a round trip, and each rotating branch's count against the rotations
-due by the last tick.
+digests moved and why. Each run is also checked for closure, a round
+trip, CSV series equal to the report's, and each rotating branch's
+count against the rotations due by the last tick. `starqkd simulate`
+runs each scenario file again in process: it must exit 0 and write the
+same `report.json` bytes, which is also the repeat check.
 
 Regenerate the digests with `PYTHONPATH=src python tests/test_corpus.py`,
 which prints the indices whose digest moved.
@@ -26,6 +28,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+from starqkd.cli import main
 from starqkd.engine import run
 from starqkd.report import emit_report
 from starqkd.scenario import (
@@ -120,21 +123,24 @@ def corpus_scenario(index: int) -> dict:
     return data
 
 
-def report_digest(report, out_dir: Path) -> str:
+def report_bytes(report, out_dir: Path) -> bytes:
     (path,) = emit_report(report, "json", out_dir)
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    return path.read_bytes()
+
+
+def simulate_bytes(data: dict, out_dir: Path) -> bytes:
+    """report.json of `starqkd simulate` on the scenario file holding data."""
+    out_dir.mkdir(parents=True)
+    path = out_dir / "scenario.json"
+    path.write_text(json.dumps(data))
+    assert main(["simulate", str(path), "--out", str(out_dir)]) == 0
+    return (out_dir / "report.json").read_bytes()
 
 
 def golden() -> dict[int, str]:
     """Scenario index -> sha256 of its report.json."""
     pinned = json.loads(GOLDEN_PATH.read_text())["report_sha256"]
     return {int(index): digest for index, digest in pinned.items()}
-
-
-def compact_json(report) -> str:
-    # The C encoder emits the same tokens as the indented report.json, so
-    # equal compact text means equal report bytes, at a fraction of the cost.
-    return json.dumps(report.to_dict(), sort_keys=True)
 
 
 def rotations_due(hz: float, tick: float, ticks: int) -> int:
@@ -187,7 +193,8 @@ def test_corpus_scenarios_close_repeat_round_trip_and_keep_their_digests(tmp_pat
     assert sorted(pinned) == list(range(CORPUS_SIZE))
     moved = []
     for index in range(CORPUS_SIZE):
-        scenario = scenario_from_dict(corpus_scenario(index))
+        data = corpus_scenario(index)
+        scenario = scenario_from_dict(data)
         assert scenario_from_dict(scenario_to_dict(scenario)) == scenario, index
 
         report = run(scenario)
@@ -197,13 +204,16 @@ def test_corpus_scenarios_close_repeat_round_trip_and_keep_their_digests(tmp_pat
         for link in report.links.values():
             pool = link["pool"]
             assert pool["generated_bits"] == pool["available_bits"] + pool["consumed_bits"], index
-        assert compact_json(run(scenario)) == compact_json(report), index
         check_rotation_counts(scenario, report)
 
         # A new directory each time: overwriting files is slow on some file systems.
         check_csv_matches_report(report, tmp_path / "csv" / str(index))
 
-        if report_digest(report, tmp_path) != pinned[index]:
+        # The CLI's run of the scenario file is the second run: the same
+        # bytes as this run's report.json mean the run repeats.
+        emitted = simulate_bytes(data, tmp_path / "cli" / str(index))
+        assert emitted == report_bytes(report, tmp_path), index
+        if hashlib.sha256(emitted).hexdigest() != pinned[index]:
             moved.append(index)
     assert moved == []
 
@@ -251,7 +261,7 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for i in range(CORPUS_SIZE):
             scenario = scenario_from_dict(corpus_scenario(i))
-            pinned[str(i)] = report_digest(run(scenario), Path(tmp))
+            pinned[str(i)] = hashlib.sha256(report_bytes(run(scenario), Path(tmp))).hexdigest()
     GOLDEN_PATH.write_text(json.dumps({"report_sha256": pinned}, indent=1) + "\n")
     moved = [i for i in range(CORPUS_SIZE) if before.get(i) != pinned[str(i)]]
     print(f"wrote {len(pinned)} digests to {GOLDEN_PATH}", file=sys.stderr)

@@ -116,6 +116,36 @@ def test_tick_partition_invariance():
         assert whole.pool.available_bits == split.pool.available_bits
 
 
+def test_round_is_the_exact_rate_times_dt():
+    p = params(d=37.0, eta=0.3, qber=0.02, cpu_cost_per_raw_bit=2.5)
+    st = make_state(p, tag=96)
+    for dt in (1.0, 0.7, 0.3, 0.1):
+        rnd = st.round(dt)
+        assert rnd.bits == Fraction(secret_rate(p)) * Fraction(dt)
+        assert rnd.cpu_exact == Fraction(p.cpu_cost_per_sec) * Fraction(dt)
+        # The float cost is the exact one correctly rounded.
+        assert rnd.cpu == p.cpu_cost_per_sec * dt == float(rnd.cpu_exact)
+        assert rnd.auth_bits == 4 * 96
+        assert st.round(dt) is rnd  # worked out once per dt
+        out = produce(st, dt)
+        assert (out.produced_bits, out.cpu_cost) == (rnd.bits, rnd.cpu)
+        assert (out.auth_bits_from_budget, out.auth_bits_from_pool) == (4 * 96, 0)
+
+
+def test_a_link_stepped_at_changing_dt_deposits_each_round():
+    p = LinkParams(0.0, 999.7, 1.0, 0.0, sifting_factor=1.0)
+    st = make_state(p)
+    rate = Fraction(secret_rate(p))
+    steps = (0.5, 0.25, 0.5)
+    produced = Fraction(0)
+    for dt in steps:
+        tick(st, dt)
+        produced += rate * Fraction(dt)
+        assert st.pool.available_bits == math.floor(produced)
+    assert st.pending_bits == produced - math.floor(produced)
+    assert st.cumulative_cpu_cost == sum(p.cpu_cost_per_sec * dt for dt in steps)
+
+
 def test_cumulative_cpu_cost_tracks_raw_bits():
     p = params(qber=0.02)
     st = make_state(p)

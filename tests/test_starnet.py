@@ -161,6 +161,19 @@ def test_schedule_prefers_empty_pools():
     assert set(schedule_channels(topo)) == {"b2", "b3"}
 
 
+def test_schedule_ranks_by_fill_ratio_not_by_bits():
+    # b1 is 60% full with more bits; b2 is 300% full with fewer.
+    specs = [
+        BranchSpec(node=branch(bid), link=flat_link(), pool_target_bits=target,
+                   pool_rng=random.Random(i))
+        for i, (bid, target) in enumerate((("b1", 1000), ("b2", 100)))
+    ]
+    topo = build_star(hub(channels=1), specs)
+    topo.link("b1").pool.deposit(600)
+    topo.link("b2").pool.deposit(300)
+    assert [schedule_channels(topo) for _ in range(2)] == [["b1"], ["b1"]]
+
+
 def test_schedule_round_robin_on_ties():
     topo = star(n=3, channels=1)
     seen = [schedule_channels(topo)[0] for _ in range(6)]
@@ -234,6 +247,22 @@ def test_hub_step_half_capacity_defers_half():
     assert rep.deposited == {"b1": 500}
     assert rep.deferred_cost == 500.0
     assert topo.backlog_cost == Fraction(500)
+
+
+def test_overloaded_hub_processes_each_dt_capacity_exactly():
+    capacity = 700.3
+    topo = star(n=3, channels=3, capacity=capacity, rate=1000.0)
+    for dt in (1.0, 0.3, 0.3, 1.0, 0.3):
+        cost = sum(
+            Fraction(topo.link(bid).params.cpu_cost_per_sec) * Fraction(dt)
+            for bid in topo.branch_ids()
+        )
+        before = topo.backlog_cost
+        rep = hub_cpu_step(topo, dt)
+        assert rep.halted == ()
+        # Each step's fresh work alone overruns the budget, so all of it is used.
+        assert before + cost - topo.backlog_cost == Fraction(capacity) * Fraction(dt)
+        assert topo.capacity(dt) == Fraction(capacity) * Fraction(dt)
 
 
 def test_hub_step_backlog_drains_fifo_and_conserves_bits():
