@@ -229,15 +229,19 @@ class AuthBudget:
         """Pay for n_messages tags; returns the bits spent."""
         if n_messages <= 0:
             raise ValueError(f"n_messages must be positive, got {n_messages}")
-        cost = n_messages * self.tag_cost_bits
-        if self.reserved_bits < cost:
+        return self.spend(n_messages * self.tag_cost_bits)
+
+    def spend(self, n_bits: int) -> int:
+        """Pay n_bits of tag key (0 pays nothing); returns the bits spent."""
+        if n_bits < 0:
+            raise ValueError(f"cannot spend negative auth bits: {n_bits}")
+        if self.reserved_bits < n_bits:
             raise InsufficientAuthKey(
-                f"auth budget holds {self.reserved_bits} bits, "
-                f"{n_messages} messages need {cost}"
+                f"auth budget holds {self.reserved_bits} bits, tags need {n_bits}"
             )
-        self.reserved_bits -= cost
-        self.total_consumed_bits += cost
-        return cost
+        self.reserved_bits -= n_bits
+        self.total_consumed_bits += n_bits
+        return n_bits
 
     def deposit(self, n_bits: int) -> None:
         """Top the budget up, e.g. from a link's key pool."""

@@ -157,8 +157,7 @@ def produce(state: LinkState, dt: float, now: float = 0.0) -> TickOutcome:
             state.halted_ticks += 1
             return TickOutcome(Fraction(0), 0, 0.0, 0, 0, True)
         state.auth.deposit(shortfall)
-    if rnd.auth_bits > 0:
-        state.auth.consume(state.params.post_processing_messages_per_round)
+    state.auth.spend(rnd.auth_bits)
     state.cumulative_cpu_cost += rnd.cpu
     return TickOutcome(rnd.bits, 0, rnd.cpu, rnd.auth_bits - shortfall, shortfall, False)
 

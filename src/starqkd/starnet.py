@@ -17,7 +17,7 @@ from fractions import Fraction
 from .errors import DuplicateId, InsufficientKey, NoBranches
 from .keycore import DEFAULT_AUTH_RESERVED_BITS, DEFAULT_POOL_TARGET_BITS, DEFAULT_TAG_COST_BITS
 from .keycore import AuthBudget, KeyMaterial, KeyPool, Provenance
-from .qkdlink import LinkParams, LinkState, produce, release
+from .qkdlink import LinkParams, LinkState, Round, produce, release
 from .rng import random_bits
 
 
@@ -71,26 +71,20 @@ class RelayRecord:
 
 
 @dataclass
-class _BacklogItem:
-    link_id: str
-    cost: Fraction
-    bits: Fraction
-
-
-@dataclass
 class StarTopology:
     """One hub, its branches, and the per-branch link states.
 
-    backlog is the hub's FIFO of deferred post-processing work and
-    backlog_cost the exact running total of its items' costs. Only
-    hub_cpu_step mutates either, and it keeps the two in step, so a
-    step never re-sums the backlog.
+    backlog is the hub's FIFO of deferred post-processing work: an entry
+    (branch id, Round, owed) owes that share of the round, so it costs
+    owed * round.cpu_exact and yields owed * round.bits. backlog_cost is
+    the exact running total of those costs. Only hub_cpu_step mutates
+    either, and it keeps the two in step, so a step never re-sums it.
     """
 
     hub: Node
     branches: list[Node]
     links: dict[str, LinkState]
-    backlog: list[_BacklogItem] = field(default_factory=list)
+    backlog: list[tuple[str, Round, Fraction]] = field(default_factory=list)
     backlog_cost: Fraction = Fraction(0)
     relay_count: int = 0
     _rr_offset: int = field(default=0, repr=False)
@@ -245,7 +239,8 @@ def hub_cpu_step(
     Backlogged work from earlier intervals drains first, FIFO. If this
     interval's fresh work then overruns what is left of the budget,
     every active link is served the same fraction of its bits and the
-    remainder joins the backlog. Bit and cost accounting is exact: each
+    remainder joins the backlog; work processed in its own interval
+    makes no backlog entry. Bit and cost accounting is exact: each
     link's cost and produced bits are its LinkState.round(dt), and the
     budget is topology.capacity(dt), so a run with one dt works them out
     once. Deferred bits are deposited, in order, by later steps.
@@ -266,7 +261,7 @@ def hub_cpu_step(
     halted: list[str] = []
     auth_pool: dict[str, int] = {}
     auth_budget: dict[str, int] = {}
-    new_items: list[_BacklogItem] = []
+    fresh: list[tuple[str, Round]] = []
     demanded = 0.0
     for bid, link in zip(actives, active_links):
         out = produce(link, dt, now)
@@ -276,45 +271,44 @@ def hub_cpu_step(
         auth_pool[bid] = out.auth_bits_from_pool
         auth_budget[bid] = out.auth_bits_from_budget
         demanded += out.cpu_cost
-        new_items.append(_BacklogItem(bid, link.round(dt).cpu_exact, out.produced_bits))
+        fresh.append((bid, link.round(dt)))
 
     capacity = topology.capacity(dt)
     budget = capacity
 
-    # Old work first, in arrival order.
+    # Old work first, in arrival order; a partly processed head stays put.
     backlog = topology.backlog
     drained = 0
-    for item in backlog:
+    for bid, rnd, owed in backlog:
         if budget <= 0:
             break
-        if item.cost <= budget:
-            budget -= item.cost
-            released[item.link_id] = released.get(item.link_id, 0) + item.bits
+        cost = owed * rnd.cpu_exact
+        if cost <= budget:
+            budget -= cost
+            released[bid] = released.get(bid, 0) + owed * rnd.bits
             drained += 1
         else:
-            served = item.bits * (budget / item.cost)
-            released[item.link_id] = released.get(item.link_id, 0) + served
-            item.bits -= served
-            item.cost -= budget
+            part = budget / rnd.cpu_exact
+            released[bid] = released.get(bid, 0) + part * rnd.bits
+            backlog[drained] = (bid, rnd, owed - part)
             budget = Fraction(0)
     del backlog[:drained]
     processed = capacity - budget
     topology.backlog_cost -= processed
 
     # Then this interval's production, proportionally if it overruns.
-    total_new = sum((item.cost for item in new_items), Fraction(0))
+    total_new = sum((rnd.cpu_exact for _, rnd in fresh), Fraction(0))
     if total_new <= budget:
-        for item in new_items:
-            released[item.link_id] = released.get(item.link_id, 0) + item.bits
+        for bid, rnd in fresh:
+            released[bid] = released.get(bid, 0) + rnd.bits
         processed += total_new
         deferred = Fraction(0)
     else:
         share = budget / total_new
         keep = 1 - share
-        for item in new_items:
-            served = item.bits * share
-            released[item.link_id] = released.get(item.link_id, 0) + served
-            backlog.append(_BacklogItem(item.link_id, item.cost * keep, item.bits - served))
+        for bid, rnd in fresh:
+            released[bid] = released.get(bid, 0) + rnd.bits * share
+            backlog.append((bid, rnd, keep))
         processed += budget
         deferred = total_new - budget
         topology.backlog_cost += deferred

@@ -245,6 +245,14 @@ def test_auth_budget_exact_costs():
     with pytest.raises(InsufficientAuthKey):
         budget.consume(5)
     assert budget.reserved_bits == 616
+    # spend pays a bit count, as produce pays a round's auth bits; 0 pays nothing.
+    assert budget.spend(0) == 0 and budget.spend(616) == 616
+    assert budget.reserved_bits == 0 and budget.total_consumed_bits == 1000
+    with pytest.raises(InsufficientAuthKey):
+        budget.spend(1)
+    with pytest.raises(ValueError):
+        budget.spend(-1)
+    assert budget.total_consumed_bits == 1000
 
 
 def test_auth_budget_two_messages_on_one_tag_of_reserve():

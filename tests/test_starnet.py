@@ -233,7 +233,7 @@ def test_hub_step_proportional_deferral():
     topo = build_star(hub(channels=3, capacity=60.0), specs)
     rep = hub_cpu_step(topo, 1.0)
     assert rep.deposited == {"a": 15, "b": 15, "c": 30}
-    assert [(item.link_id, item.cost) for item in topo.backlog] == [
+    assert [(bid, owed * rnd.cpu_exact) for bid, rnd, owed in topo.backlog] == [
         ("a", Fraction(15)),
         ("b", Fraction(15)),
         ("c", Fraction(30)),
@@ -265,6 +265,19 @@ def test_overloaded_hub_processes_each_dt_capacity_exactly():
         assert topo.capacity(dt) == Fraction(capacity) * Fraction(dt)
 
 
+def test_hub_step_partly_drained_head_stays_at_the_head():
+    specs = [
+        BranchSpec(node=branch(bid), link=flat_link(rate=r), pool_rng=random.Random(i),
+                   auth_reserved_bits=10**9)
+        for i, (bid, r) in enumerate([("a", 100.0), ("b", 200.0), ("c", 300.0)])
+    ]
+    topo = build_star(hub(channels=3, capacity=120.0), specs)
+    assert hub_cpu_step(topo, 1.0).deposited == {"a": 20, "b": 40, "c": 60}
+    # The drain finishes a and takes 40 of b's 160, leaving b at the head.
+    assert hub_cpu_step(topo, 1.0, active_ids=[]).deposited == {"a": 80, "b": 40}
+    assert hub_cpu_step(topo, 1.0, active_ids=[]).deposited == {"b": 120}
+
+
 def test_hub_step_backlog_drains_fifo_and_conserves_bits():
     topo = star(n=2, capacity=800.0, rate=1000.0)
     total = 0
@@ -283,7 +296,10 @@ def test_hub_step_backlog_drains_fifo_and_conserves_bits():
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(
-    rates=st.lists(st.floats(1.0, 5000.0), min_size=1, max_size=6),
+    # qber 0.2 is past the cliff: such a link's rounds yield no bits but cost CPU.
+    links=st.lists(
+        st.tuples(st.floats(1.0, 5000.0), st.sampled_from([0.0, 0.2])), min_size=1, max_size=6
+    ),
     cost_per_bit=st.sampled_from([0.0, 0.5, 1.0, 2.5]),
     capacity=st.floats(100.0, 10000.0),
     channels=st.integers(1, 6),
@@ -291,30 +307,38 @@ def test_hub_step_backlog_drains_fifo_and_conserves_bits():
     steps=st.lists(st.sets(st.integers(0, 5)), min_size=1, max_size=12),
 )
 def test_hub_step_backlog_cost_is_the_exact_backlog_sum(
-    rates, cost_per_bit, capacity, channels, dt, steps
+    links, cost_per_bit, capacity, channels, dt, steps
 ):
     specs = [
         BranchSpec(
             node=branch(f"b{i}"),
-            link=flat_link(rate=rate, cpu_cost_per_raw_bit=cost_per_bit),
+            link=flat_link(rate=rate, qber=qber, cpu_cost_per_raw_bit=cost_per_bit),
             pool_rng=random.Random(i),
             auth_reserved_bits=10**9,
         )
-        for i, rate in enumerate(rates)
+        for i, (rate, qber) in enumerate(links)
     ]
     topo = build_star(hub(channels, capacity), specs)
     ids = topo.branch_ids()
+    rounds_run = dict.fromkeys(ids, 0)
 
     def step(active):
         rep = hub_cpu_step(topo, dt, active)
-        assert topo.backlog_cost == sum((item.cost for item in topo.backlog), Fraction(0))
+        owed = sum((owed * rnd.cpu_exact for _, rnd, owed in topo.backlog), Fraction(0))
+        assert topo.backlog_cost == owed
         assert rep.backlog_cost_after == float(topo.backlog_cost)
+        for bid in set(rep.active_ids) - set(rep.halted):
+            rounds_run[bid] += 1
 
     for picks in steps:  # an empty pick is a drain-only step
         step(sorted({ids[k % len(ids)] for k in picks})[:channels])
     while topo.backlog:
         step([])
     assert topo.backlog_cost == Fraction(0)
+    for bid in ids:  # every bit of every round run has landed or is pending
+        link = topo.link(bid)
+        landed = link.pool.total_generated_bits + link.pending_bits
+        assert landed == rounds_run[bid] * link.round(dt).bits
 
 
 def test_hub_step_skips_halted_links():
