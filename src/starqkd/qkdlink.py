@@ -85,43 +85,104 @@ def secret_rate(params: LinkParams) -> float:
     return raw_rate(params) * secret_fraction(params.qber)
 
 
+def dyadic(x: Fraction) -> tuple[int, int]:
+    """(n, s) with x == n / 2**s, for an x whose denominator is a power of two.
+
+    Fraction of a float is always such an x, and so is a product of two.
+    """
+    return x.numerator, x.denominator.bit_length() - 1
+
+
 @dataclass(frozen=True)
 class Round:
-    """A link's round of dt seconds: its auth cost, and each rate times dt, exact or float."""
+    """A link's round of dt seconds: its auth cost, and each rate times dt, exact or float.
+
+    Both exact amounts are dyadic, so each is also held as an integer
+    and a shift: bits == bits_num / 2**bits_shift and
+    cpu_exact == cpu_num / 2**cpu_shift.
+    """
 
     dt: float
     auth_bits: int
     bits: Fraction
     cpu: float
     cpu_exact: Fraction
+    bits_num: int
+    bits_shift: int
+    cpu_num: int
+    cpu_shift: int
 
 
 @dataclass
 class LinkState:
-    """Mutable per-link runtime state: pool, auth budget, carries."""
+    """Mutable per-link runtime state: pool, auth budget, carries.
+
+    Bits produced but not yet deposited are carried, so long runs are
+    partition-invariant (two half ticks land the same bits as one). The
+    carry is pending_bits == _carry / 2**_shift + _offset, always in
+    [0, 1). A round's bits are dyadic and add to the integer _carry,
+    whose scale 2**_shift only grows, to fit a finer amount. Only a
+    throttled share or a partial drain releases a non-dyadic amount: it
+    adds to the Fraction _offset, which is non-zero only while the carry
+    is not dyadic and folds back into _carry once it is. While _offset
+    is non-zero, _carry may go below zero, since the whole bits
+    deposited are taken from it.
+    """
 
     params: LinkParams
     pool: KeyPool
     auth: AuthBudget
     cumulative_cpu_cost: float = 0.0
     halted_ticks: int = 0
-    # Sub-bit production carried between deposits; keeps long runs
-    # partition-invariant (two half ticks land the same bits as one).
-    pending_bits: Fraction = field(default_factory=lambda: Fraction(0))
+    _carry: int = field(default=0, init=False, repr=False, compare=False)
+    _shift: int = field(default=0, init=False, repr=False, compare=False)
+    _offset: Fraction = field(default=Fraction(0), init=False, repr=False, compare=False)
     _round: Round | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def pending_bits(self) -> Fraction:
+        """The bits carried to the next deposit, exactly."""
+        return Fraction(self._carry, 1 << self._shift) + self._offset
 
     def round(self, dt: float) -> Round:
         """The round of dt seconds, redone only for a new dt (params and tag cost are fixed)."""
         if self._round is None or self._round.dt != dt:
             exact_dt = Fraction(dt)
+            bits = Fraction(secret_rate(self.params)) * exact_dt
+            cpu_exact = Fraction(self.params.cpu_cost_per_sec) * exact_dt
+            bits_num, bits_shift = dyadic(bits)
+            cpu_num, cpu_shift = dyadic(cpu_exact)
             self._round = Round(
                 dt=dt,
                 auth_bits=self.params.post_processing_messages_per_round * self.auth.tag_cost_bits,
-                bits=Fraction(secret_rate(self.params)) * exact_dt,
+                bits=bits,
                 cpu=self.params.cpu_cost_per_sec * dt,
-                cpu_exact=Fraction(self.params.cpu_cost_per_sec) * exact_dt,
+                cpu_exact=cpu_exact,
+                bits_num=bits_num,
+                bits_shift=bits_shift,
+                cpu_num=cpu_num,
+                cpu_shift=cpu_shift,
             )
         return self._round
+
+    def carry(self, num: int, shift: int) -> int:
+        """Add num / 2**shift bits to the carry; deposit its whole part and return it."""
+        s = self._shift
+        if shift > s:
+            self._carry <<= shift - s
+            self._shift = s = shift
+        carry = self._carry + (num << (s - shift))
+        offset = self._offset
+        if offset:
+            d = offset.denominator
+            whole = (carry * d + (offset.numerator << s)) // (d << s)
+        else:
+            whole = carry >> s
+        if whole:
+            carry -= whole << s
+            self.pool.deposit(whole)
+        self._carry = carry
+        return whole
 
 
 @dataclass(frozen=True)
@@ -163,15 +224,23 @@ def produce(state: LinkState, dt: float, now: float = 0.0) -> TickOutcome:
 
 
 def release(state: LinkState, bits: Fraction) -> int:
-    """Stage produced bits and deposit the whole part into the pool."""
+    """Stage produced bits and deposit the whole part into the pool.
+
+    A dyadic amount, such as a round's bits, goes to the integer carry
+    through LinkState.carry. Any other goes to the carry's Fraction
+    offset, which folds back into the integer once it is dyadic again.
+    """
     if bits < 0:
         raise ValueError(f"cannot release negative bits: {bits}")
-    state.pending_bits += bits
-    whole = int(state.pending_bits)
-    if whole > 0:
-        state.pool.deposit(whole)
-        state.pending_bits -= whole
-    return whole
+    d = bits.denominator
+    if d & (d - 1):
+        offset = state._offset + bits
+        d = offset.denominator
+        if d & (d - 1):
+            state._offset = offset
+            return state.carry(0, 0)
+        state._offset, bits = Fraction(0), offset
+    return state.carry(*dyadic(bits))
 
 
 def tick(state: LinkState, dt: float, now: float = 0.0) -> TickOutcome:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .errors import DuplicateId, InsufficientKey, NoBranches
 from .keycore import DEFAULT_AUTH_RESERVED_BITS, DEFAULT_POOL_TARGET_BITS, DEFAULT_TAG_COST_BITS
 from .keycore import AuthBudget, KeyMaterial, KeyPool, Provenance
-from .qkdlink import LinkParams, LinkState, Round, produce, release
+from .qkdlink import LinkParams, LinkState, Round, dyadic, produce, release
 from .rng import random_bits
 
 
@@ -70,6 +70,24 @@ class RelayRecord:
     key_id: str
 
 
+@dataclass(frozen=True)
+class CostScale:
+    """The hub's CPU accounting for steps of dt seconds, as integers at scale 2**shift.
+
+    capacity is the hub's exact budget for one step. shift is fine
+    enough for it and for every link's round cost at this dt and at any
+    dt stepped before, so each cost in the backlog is an integer at it.
+    """
+
+    dt: float
+    shift: int
+    capacity: int
+
+    def cost(self, rnd: Round) -> int:
+        """The round's exact CPU cost at this scale."""
+        return rnd.cpu_num << (self.shift - rnd.cpu_shift)
+
+
 @dataclass
 class StarTopology:
     """One hub, its branches, and the per-branch link states.
@@ -88,16 +106,29 @@ class StarTopology:
     backlog_cost: Fraction = Fraction(0)
     relay_count: int = 0
     _rr_offset: int = field(default=0, repr=False)
-    _capacity: tuple[float, Fraction] | None = field(default=None, init=False, repr=False)
+    _scale: CostScale | None = field(default=None, init=False, repr=False)
 
     def branch_ids(self) -> list[str]:
         return [b.id for b in self.branches]
 
+    def cost_scale(self, dt: float) -> CostScale:
+        """The hub's cost scale for dt seconds, redone only for a new dt."""
+        if self._scale is None or self._scale.dt != dt:
+            capacity, capacity_shift = dyadic(
+                Fraction(self.hub.cpu_capacity_per_sec) * Fraction(dt)
+            )
+            shift = max(
+                capacity_shift,
+                0 if self._scale is None else self._scale.shift,
+                *(link.round(dt).cpu_shift for link in self.links.values()),
+            )
+            self._scale = CostScale(dt, shift, capacity << (shift - capacity_shift))
+        return self._scale
+
     def capacity(self, dt: float) -> Fraction:
-        """The hub's exact CPU budget for dt seconds, redone only for a new dt."""
-        if self._capacity is None or self._capacity[0] != dt:
-            self._capacity = (dt, Fraction(self.hub.cpu_capacity_per_sec) * Fraction(dt))
-        return self._capacity[1]
+        """The hub's exact CPU budget for dt seconds."""
+        scale = self.cost_scale(dt)
+        return Fraction(scale.capacity, 1 << scale.shift)
 
     def link(self, branch_id: str) -> LinkState:
         got = self.links.get(branch_id)
@@ -242,8 +273,13 @@ def hub_cpu_step(
     remainder joins the backlog; work processed in its own interval
     makes no backlog entry. Bit and cost accounting is exact: each
     link's cost and produced bits are its LinkState.round(dt), and the
-    budget is topology.capacity(dt), so a run with one dt works them out
-    once. Deferred bits are deposited, in order, by later steps.
+    budget and the cost of each round are integers at the scale of
+    topology.cost_scale(dt), so a run with one dt works them out once.
+    Fresh work that fits is summed and released as integers, with no
+    Fraction; only the drain and the overrun share divide, and what they
+    release to a link is a Fraction. Deferred bits are deposited, in
+    order, by later steps. Each float in the report is the exact amount
+    correctly rounded, as float() of its Fraction is.
 
     This is the only code that mutates topology.backlog. It keeps
     topology.backlog_cost exact as it goes, less the budget the drain
@@ -257,11 +293,10 @@ def hub_cpu_step(
     if len(set(actives)) != len(actives):
         raise ValueError(f"active_ids repeats a branch: {actives}")
 
-    released: dict[str, Fraction] = {}
     halted: list[str] = []
     auth_pool: dict[str, int] = {}
     auth_budget: dict[str, int] = {}
-    fresh: list[tuple[str, Round]] = []
+    fresh: list[tuple[str, LinkState, Round]] = []
     demanded = 0.0
     for bid, link in zip(actives, active_links):
         out = produce(link, dt, now)
@@ -271,10 +306,15 @@ def hub_cpu_step(
         auth_pool[bid] = out.auth_bits_from_pool
         auth_budget[bid] = out.auth_bits_from_budget
         demanded += out.cpu_cost
-        fresh.append((bid, link.round(dt)))
+        fresh.append((bid, link, link.round(dt)))
 
-    capacity = topology.capacity(dt)
-    budget = capacity
+    # Every cost below is at scale 2**shift: an int, or a Fraction once a
+    # step divides.
+    scale = topology.cost_scale(dt)
+    shift = scale.shift
+    budget = scale.capacity
+    deposited: dict[str, int] = {}
+    links = topology.links
 
     # Old work first, in arrival order; a partly processed head stays put.
     backlog = topology.backlog
@@ -282,38 +322,39 @@ def hub_cpu_step(
     for bid, rnd, owed in backlog:
         if budget <= 0:
             break
-        cost = owed * rnd.cpu_exact
+        round_cost = scale.cost(rnd)
+        cost = owed * round_cost
         if cost <= budget:
             budget -= cost
-            released[bid] = released.get(bid, 0) + owed * rnd.bits
+            bits = owed * rnd.bits
             drained += 1
         else:
-            part = budget / rnd.cpu_exact
-            released[bid] = released.get(bid, 0) + part * rnd.bits
+            part = Fraction(budget, round_cost)
+            bits = part * rnd.bits
             backlog[drained] = (bid, rnd, owed - part)
-            budget = Fraction(0)
+            budget = 0
+        deposited[bid] = deposited.get(bid, 0) + release(links[bid], bits)
     del backlog[:drained]
-    processed = capacity - budget
-    topology.backlog_cost -= processed
+    drain_cost = scale.capacity - budget
 
     # Then this interval's production, proportionally if it overruns.
-    total_new = sum((rnd.cpu_exact for _, rnd in fresh), Fraction(0))
+    total_new = sum(scale.cost(rnd) for _, _, rnd in fresh)
     if total_new <= budget:
-        for bid, rnd in fresh:
-            released[bid] = released.get(bid, 0) + rnd.bits
-        processed += total_new
-        deferred = Fraction(0)
+        for bid, link, rnd in fresh:
+            deposited[bid] = deposited.get(bid, 0) + link.carry(rnd.bits_num, rnd.bits_shift)
+        processed = drain_cost + total_new
+        deferred = 0
     else:
-        share = budget / total_new
+        share = Fraction(budget, total_new)
         keep = 1 - share
-        for bid, rnd in fresh:
-            released[bid] = released.get(bid, 0) + rnd.bits * share
+        for bid, link, rnd in fresh:
+            deposited[bid] = deposited.get(bid, 0) + release(link, rnd.bits * share)
             backlog.append((bid, rnd, keep))
-        processed += budget
+        processed = scale.capacity
         deferred = total_new - budget
-        topology.backlog_cost += deferred
+    if deferred != drain_cost:
+        topology.backlog_cost += Fraction(deferred - drain_cost, 1 << shift)
 
-    deposited = {bid: release(topology.links[bid], bits) for bid, bits in released.items()}
     return HubStepReport(
         time=now,
         active_ids=tuple(actives),
@@ -322,7 +363,7 @@ def hub_cpu_step(
         auth_bits_from_pool=auth_pool,
         auth_bits_from_budget=auth_budget,
         cpu_demanded=demanded,
-        cpu_processed=float(processed),
-        deferred_cost=float(deferred),
+        cpu_processed=processed.numerator / (processed.denominator << shift),
+        deferred_cost=deferred.numerator / (deferred.denominator << shift),
         backlog_cost_after=float(topology.backlog_cost),
     )

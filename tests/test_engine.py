@@ -455,3 +455,25 @@ def test_fractional_rate_carries_exactly():
     offered = Fraction(25, 2) * 40
     assert flow["served_bits"] == (offered // 8) * 8 == 496
     assert flow["unmet_bits"] == 0
+
+
+def test_otp_demand_at_a_tick_of_no_whole_number_of_bits():
+    s = scenario_from_dict(
+        small_scenario(
+            duration_seconds=20.0,
+            tick_seconds=0.1,
+            branches=[{"id": "b1"}, {"id": "b2"}],
+            traffic=[{"src": "b1", "dst": "b2", "otp_bits_per_sec": 1000.0}],
+        )
+    )
+    per_tick = Fraction(1000.0) * Fraction(0.1)
+    assert per_tick.denominator > 1
+    pending, asked = Fraction(0), 0
+    for _ in range(s.tick_count):
+        pending += per_tick
+        ask = math.floor(pending) // 8 * 8  # whole bytes
+        pending -= ask
+        asked += ask
+    flow = run(s).links["b1"]["flows_out"][0]
+    assert flow["served_bits"] > 0
+    assert flow["served_bits"] + flow["unmet_bits"] == asked

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from starqkd.errors import DomainError
 from starqkd.keycore import AuthBudget, KeyPool
@@ -211,3 +212,80 @@ def test_param_validation():
         params(qber=0.6)
     with pytest.raises(ValueError):
         tick(make_state(params()), 0.0)
+
+
+def is_dyadic(x: Fraction) -> bool:
+    return x.denominator & (x.denominator - 1) == 0
+
+
+# A round of each dt, a share of a round (b odd, so not dyadic unless a
+# cancels it), or a round released in two shares whose sum is dyadic again.
+CARRY_STEPS = st.one_of(
+    st.tuples(st.just("round"), st.sampled_from([1.0, 0.5, 0.1, 0.3, 2.0**-40, 1e-7])),
+    st.tuples(
+        st.sampled_from(["share", "split"]),
+        st.sampled_from([1.0, 0.1, 0.3]),
+        st.integers(0, 45),
+        st.sampled_from([3, 5, 7, 9, 15, 45]),
+    ),
+)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(rate=st.floats(0.5, 5000.0), steps=st.lists(CARRY_STEPS, min_size=1, max_size=40))
+def test_carry_matches_a_plain_fraction_model(rate, steps):
+    p = LinkParams(0.0, rate, 1.0, 0.0, sifting_factor=1.0)
+    state = make_state(p)
+    pending = Fraction(0)  # the model: the exact sum, floored at each release
+    total = 0
+
+    def check(bits: Fraction, deposited: int) -> None:
+        nonlocal pending, total
+        pending += bits
+        whole = math.floor(pending)
+        pending -= whole
+        total += whole
+        assert deposited == whole
+        assert state.pool.total_generated_bits == total
+        assert state.pending_bits == pending
+        # The offset is in use exactly while the carry is not dyadic.
+        assert (state._offset != 0) == (not is_dyadic(pending))
+
+    for kind, dt, *share in steps:
+        bits = state.round(dt).bits
+        if kind == "round":
+            check(bits, tick(state, dt).deposited_bits)
+            continue
+        a, b = share
+        part = bits * Fraction(min(a, b), b)
+        check(part, release(state, part))
+        if kind == "split":
+            check(bits - part, release(state, bits - part))
+
+
+def test_carry_at_a_scale_past_two_to_the_thousand():
+    state = make_state(LinkParams(0.0, 999.7, 1.0, 0.0, sifting_factor=1.0))
+    tiny = state.round(1e-300).bits
+    assert 0 < tiny < 1 and tiny.denominator > 2**1000
+    produced = Fraction(0)
+
+    def check(bits: Fraction, deposited: int) -> None:
+        nonlocal produced
+        before = math.floor(produced)
+        produced += bits
+        assert deposited == math.floor(produced) - before
+        assert state.pool.total_generated_bits == math.floor(produced)
+        assert state.pending_bits == produced - math.floor(produced)
+
+    # Two tiny rounds short of a whole bit, then one round onto it exactly.
+    check(1 - 2 * tiny, release(state, 1 - 2 * tiny))
+    check(tiny, tick(state, 1e-300).deposited_bits)
+    assert state.pool.total_generated_bits == 0
+    check(tiny, tick(state, 1e-300).deposited_bits)
+    assert state.pool.total_generated_bits == 1
+    for dt in (1.0, 1e-300, 0.1, 1e-300, 1.0):
+        check(state.round(dt).bits, tick(state, dt).deposited_bits)
+        third = state.round(dt).bits / 3
+        check(third, release(state, third))
+        check(2 * third, release(state, 2 * third))
+    assert state.pool.total_generated_bits > 1000

@@ -265,6 +265,38 @@ def test_overloaded_hub_processes_each_dt_capacity_exactly():
         assert topo.capacity(dt) == Fraction(capacity) * Fraction(dt)
 
 
+def test_hub_step_floats_are_the_exact_amounts_rounded():
+    # Odd rates and capacity at 0.1 s ticks, so no amount is a float exactly.
+    specs = [
+        BranchSpec(node=branch(bid), link=flat_link(rate=r), pool_rng=random.Random(i),
+                   auth_reserved_bits=10**9)
+        for i, (bid, r) in enumerate([("a", 100.3), ("b", 200.7), ("c", 300.1)])
+    ]
+    topo = build_star(hub(channels=3, capacity=350.9), specs)
+    dt = 0.1
+    cost = {bid: topo.link(bid).round(dt).cpu_exact for bid in topo.branch_ids()}
+    capacity = Fraction(350.9) * Fraction(dt)
+    # (active, then whether the step found a backlog, deferred work, left a backlog)
+    steps = (
+        (["a"], (False, False, False)),  # unthrottled
+        (["a", "b", "c"], (False, True, True)),  # overrun
+        (["a", "b", "c"], (True, True, True)),  # drains all, then overruns
+        ([], (True, False, True)),  # drains part of the backlog
+        (["a"], (True, False, False)),  # drains the rest, then runs unthrottled
+    )
+    for active, kind in steps:
+        before = topo.backlog_cost
+        fresh = sum((cost[bid] for bid in active), Fraction(0))
+        processed = min(capacity, before + fresh)
+        deferred = max(Fraction(0), fresh - (capacity - min(before, capacity)))
+        rep = hub_cpu_step(topo, dt, active)
+        assert (before > 0, deferred > 0, topo.backlog != []) == kind
+        assert topo.backlog_cost == before + fresh - processed
+        assert rep.cpu_processed == float(processed) != processed
+        assert rep.deferred_cost == float(deferred)
+        assert rep.backlog_cost_after == float(topo.backlog_cost)
+
+
 def test_hub_step_partly_drained_head_stays_at_the_head():
     specs = [
         BranchSpec(node=branch(bid), link=flat_link(rate=r), pool_rng=random.Random(i),
