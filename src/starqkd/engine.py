@@ -42,7 +42,7 @@ from typing import Any, Callable
 from .hybrid import mosca_at_risk
 from .keycore import KeyPool
 from .policy import default_matrix, recommend
-from .qkdlink import LinkState, dyadic, raw_rate, secret_rate
+from .qkdlink import ONE, SCALE, LinkState, raw_rate, scaled, secret_rate
 from .report import MetricsReport
 from .rng import StreamRegistry
 from .scenario import Scenario, policy_grid, technique_to_jsonable, whole_ticks
@@ -88,18 +88,15 @@ class _Branch:
 class _Pair:
     """One traffic entry: its one-time-pad flow and its relay requests.
 
-    The flow's pad demand is carried as an integer at the fixed scale
-    2**shift: bits_per_tick is the exact OTP rate times the tick length,
-    which is dyadic, and pending is the demand not yet asked for, both
-    at that scale. No Fraction is needed.
+    bits_per_tick is the exact OTP rate times the tick length, and
+    pending the pad demand not yet asked for, each times 2**SCALE.
     """
 
     name: str  # "src->dst"
     pools: tuple[KeyPool, KeyPool]  # src, dst; a branch pool's link_id is its branch
-    bits_per_tick: int
-    shift: int
+    bits_per_tick: int | Fraction
     relay_bits: int
-    pending: int = 0
+    pending: int | Fraction = 0
     served_bits: int = 0
     unmet_bits: int = 0
 
@@ -170,12 +167,10 @@ class _Sim:
         by_name = {branch.name: branch for branch in self.branches}
         self.flows: list[_Pair] = []
         for t in scenario.traffic:
-            bits_per_tick, shift = dyadic(Fraction(t.otp_bits_per_sec) * Fraction(self.dt))
             pair = _Pair(
                 name=f"{t.src}->{t.dst}",
                 pools=(by_name[t.src].link.pool, by_name[t.dst].link.pool),
-                bits_per_tick=bits_per_tick,
-                shift=shift,
+                bits_per_tick=scaled(Fraction(t.otp_bits_per_sec) * Fraction(self.dt)),
                 relay_bits=t.relay_bits,
             )
             if t.otp_bits_per_sec > 0:
@@ -298,11 +293,11 @@ class _Sim:
 
     def on_traffic(self, time: float, pair: _Pair) -> None:
         pair.pending += pair.bits_per_tick
-        want = pair.pending >> pair.shift
+        want = pair.pending // ONE
         ask = want - want % 8  # pads are spent on whole-byte messages
         if ask <= 0:
             return
-        pair.pending -= ask << pair.shift
+        pair.pending -= ask << SCALE
         pool_src, pool_dst = pair.pools
         usable = min(ask, pool_src.available_bits, pool_dst.available_bits)
         usable -= usable % 8

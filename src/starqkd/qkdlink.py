@@ -85,21 +85,25 @@ def secret_rate(params: LinkParams) -> float:
     return raw_rate(params) * secret_fraction(params.qber)
 
 
-def dyadic(x: Fraction) -> tuple[int, int]:
-    """(n, s) with x == n / 2**s, for an x whose denominator is a power of two.
+# Every exact per-tick amount x is held as x * 2**SCALE: an int when that
+# is whole, a Fraction otherwise. A product of two floats that is not
+# whole at this scale is below 2**-22 (two 53-bit mantissas multiply to
+# under 2**106), so only a near-dead link's amounts take the Fraction form.
+SCALE = 128
+ONE = 1 << SCALE
 
-    Fraction of a float is always such an x, and so is a product of two.
-    """
-    return x.numerator, x.denominator.bit_length() - 1
+
+def scaled(x: Fraction) -> int | Fraction:
+    """x * 2**SCALE, as an int when it is whole."""
+    y = x * ONE
+    return y.numerator if y.denominator == 1 else y
 
 
 @dataclass(frozen=True)
 class Round:
     """A link's round of dt seconds: its auth cost, and each rate times dt, exact or float.
 
-    Both exact amounts are dyadic, so each is also held as an integer
-    and a shift: bits == bits_num / 2**bits_shift and
-    cpu_exact == cpu_num / 2**cpu_shift.
+    bits_scaled and cpu_scaled are bits and cpu_exact times 2**SCALE.
     """
 
     dt: float
@@ -107,26 +111,18 @@ class Round:
     bits: Fraction
     cpu: float
     cpu_exact: Fraction
-    bits_num: int
-    bits_shift: int
-    cpu_num: int
-    cpu_shift: int
+    bits_scaled: int | Fraction
+    cpu_scaled: int | Fraction
 
 
 @dataclass
 class LinkState:
-    """Mutable per-link runtime state: pool, auth budget, carries.
+    """Mutable per-link runtime state: pool, auth budget, carry.
 
     Bits produced but not yet deposited are carried, so long runs are
-    partition-invariant (two half ticks land the same bits as one). The
-    carry is pending_bits == _carry / 2**_shift + _offset, always in
-    [0, 1). A round's bits are dyadic and add to the integer _carry,
-    whose scale 2**_shift only grows, to fit a finer amount. Only a
-    throttled share or a partial drain releases a non-dyadic amount: it
-    adds to the Fraction _offset, which is non-zero only while the carry
-    is not dyadic and folds back into _carry once it is. While _offset
-    is non-zero, _carry may go below zero, since the whole bits
-    deposited are taken from it.
+    partition-invariant (two half ticks land the same bits as one).
+    _carry is pending_bits * 2**SCALE, always in [0, 2**SCALE): an int,
+    or a Fraction until the sum is whole again.
     """
 
     params: LinkParams
@@ -134,15 +130,13 @@ class LinkState:
     auth: AuthBudget
     cumulative_cpu_cost: float = 0.0
     halted_ticks: int = 0
-    _carry: int = field(default=0, init=False, repr=False, compare=False)
-    _shift: int = field(default=0, init=False, repr=False, compare=False)
-    _offset: Fraction = field(default=Fraction(0), init=False, repr=False, compare=False)
+    _carry: int | Fraction = field(default=0, init=False, repr=False, compare=False)
     _round: Round | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def pending_bits(self) -> Fraction:
         """The bits carried to the next deposit, exactly."""
-        return Fraction(self._carry, 1 << self._shift) + self._offset
+        return Fraction(self._carry, ONE)
 
     def round(self, dt: float) -> Round:
         """The round of dt seconds, redone only for a new dt (params and tag cost are fixed)."""
@@ -150,38 +144,25 @@ class LinkState:
             exact_dt = Fraction(dt)
             bits = Fraction(secret_rate(self.params)) * exact_dt
             cpu_exact = Fraction(self.params.cpu_cost_per_sec) * exact_dt
-            bits_num, bits_shift = dyadic(bits)
-            cpu_num, cpu_shift = dyadic(cpu_exact)
             self._round = Round(
                 dt=dt,
                 auth_bits=self.params.post_processing_messages_per_round * self.auth.tag_cost_bits,
                 bits=bits,
                 cpu=self.params.cpu_cost_per_sec * dt,
                 cpu_exact=cpu_exact,
-                bits_num=bits_num,
-                bits_shift=bits_shift,
-                cpu_num=cpu_num,
-                cpu_shift=cpu_shift,
+                bits_scaled=scaled(bits),
+                cpu_scaled=scaled(cpu_exact),
             )
         return self._round
 
-    def carry(self, num: int, shift: int) -> int:
-        """Add num / 2**shift bits to the carry; deposit its whole part and return it."""
-        s = self._shift
-        if shift > s:
-            self._carry <<= shift - s
-            self._shift = s = shift
-        carry = self._carry + (num << (s - shift))
-        offset = self._offset
-        if offset:
-            d = offset.denominator
-            whole = (carry * d + (offset.numerator << s)) // (d << s)
-        else:
-            whole = carry >> s
+    def carry(self, amount: int | Fraction) -> int:
+        """Add amount / 2**SCALE bits to the carry; deposit its whole part and return it."""
+        carry = self._carry + amount
+        whole = carry // ONE
         if whole:
-            carry -= whole << s
+            carry -= whole << SCALE
             self.pool.deposit(whole)
-        self._carry = carry
+        self._carry = carry.numerator if carry.denominator == 1 else carry
         return whole
 
 
@@ -224,23 +205,10 @@ def produce(state: LinkState, dt: float, now: float = 0.0) -> TickOutcome:
 
 
 def release(state: LinkState, bits: Fraction) -> int:
-    """Stage produced bits and deposit the whole part into the pool.
-
-    A dyadic amount, such as a round's bits, goes to the integer carry
-    through LinkState.carry. Any other goes to the carry's Fraction
-    offset, which folds back into the integer once it is dyadic again.
-    """
+    """Stage produced bits and deposit the whole part into the pool."""
     if bits < 0:
         raise ValueError(f"cannot release negative bits: {bits}")
-    d = bits.denominator
-    if d & (d - 1):
-        offset = state._offset + bits
-        d = offset.denominator
-        if d & (d - 1):
-            state._offset = offset
-            return state.carry(0, 0)
-        state._offset, bits = Fraction(0), offset
-    return state.carry(*dyadic(bits))
+    return state.carry(scaled(bits))
 
 
 def tick(state: LinkState, dt: float, now: float = 0.0) -> TickOutcome:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .errors import DuplicateId, InsufficientKey, NoBranches
 from .keycore import DEFAULT_AUTH_RESERVED_BITS, DEFAULT_POOL_TARGET_BITS, DEFAULT_TAG_COST_BITS
 from .keycore import AuthBudget, KeyMaterial, KeyPool, Provenance
-from .qkdlink import LinkParams, LinkState, Round, dyadic, produce, release
+from .qkdlink import ONE, SCALE, LinkParams, LinkState, Round, produce, scaled
 from .rng import random_bits
 
 
@@ -70,24 +70,6 @@ class RelayRecord:
     key_id: str
 
 
-@dataclass(frozen=True)
-class CostScale:
-    """The hub's CPU accounting for steps of dt seconds, as integers at scale 2**shift.
-
-    capacity is the hub's exact budget for one step. shift is fine
-    enough for it and for every link's round cost at this dt and at any
-    dt stepped before, so each cost in the backlog is an integer at it.
-    """
-
-    dt: float
-    shift: int
-    capacity: int
-
-    def cost(self, rnd: Round) -> int:
-        """The round's exact CPU cost at this scale."""
-        return rnd.cpu_num << (self.shift - rnd.cpu_shift)
-
-
 @dataclass
 class StarTopology:
     """One hub, its branches, and the per-branch link states.
@@ -106,29 +88,20 @@ class StarTopology:
     backlog_cost: Fraction = Fraction(0)
     relay_count: int = 0
     _rr_offset: int = field(default=0, repr=False)
-    _scale: CostScale | None = field(default=None, init=False, repr=False)
+    _budget: tuple[float, int | Fraction] | None = field(default=None, init=False, repr=False)
 
     def branch_ids(self) -> list[str]:
         return [b.id for b in self.branches]
 
-    def cost_scale(self, dt: float) -> CostScale:
-        """The hub's cost scale for dt seconds, redone only for a new dt."""
-        if self._scale is None or self._scale.dt != dt:
-            capacity, capacity_shift = dyadic(
-                Fraction(self.hub.cpu_capacity_per_sec) * Fraction(dt)
-            )
-            shift = max(
-                capacity_shift,
-                0 if self._scale is None else self._scale.shift,
-                *(link.round(dt).cpu_shift for link in self.links.values()),
-            )
-            self._scale = CostScale(dt, shift, capacity << (shift - capacity_shift))
-        return self._scale
+    def _scaled_capacity(self, dt: float) -> int | Fraction:
+        """capacity(dt) * 2**SCALE, redone only for a new dt."""
+        if self._budget is None or self._budget[0] != dt:
+            self._budget = (dt, scaled(Fraction(self.hub.cpu_capacity_per_sec) * Fraction(dt)))
+        return self._budget[1]
 
     def capacity(self, dt: float) -> Fraction:
         """The hub's exact CPU budget for dt seconds."""
-        scale = self.cost_scale(dt)
-        return Fraction(scale.capacity, 1 << scale.shift)
+        return Fraction(self._scaled_capacity(dt), ONE)
 
     def link(self, branch_id: str) -> LinkState:
         got = self.links.get(branch_id)
@@ -269,17 +242,15 @@ def hub_cpu_step(
 
     Backlogged work from earlier intervals drains first, FIFO. If this
     interval's fresh work then overruns what is left of the budget,
-    every active link is served the same fraction of its bits and the
-    remainder joins the backlog; work processed in its own interval
-    makes no backlog entry. Bit and cost accounting is exact: each
-    link's cost and produced bits are its LinkState.round(dt), and the
-    budget and the cost of each round are integers at the scale of
-    topology.cost_scale(dt), so a run with one dt works them out once.
-    Fresh work that fits is summed and released as integers, with no
-    Fraction; only the drain and the overrun share divide, and what they
-    release to a link is a Fraction. Deferred bits are deposited, in
-    order, by later steps. Each float in the report is the exact amount
-    correctly rounded, as float() of its Fraction is.
+    every active link is served the same share of its bits and the
+    rest joins the backlog; work processed in its own interval makes no
+    backlog entry. Bit and cost accounting is exact: each link's cost
+    and produced bits are its LinkState.round(dt), and every amount is
+    held times 2**SCALE, so whole rounds and a share of 0 or 1 stay in
+    integers and only a share strictly between them is a Fraction.
+    Deferred bits are deposited, in order, by later steps. Each float
+    in the report is the exact amount correctly rounded, as float() of
+    its Fraction is.
 
     This is the only code that mutates topology.backlog. It keeps
     topology.backlog_cost exact as it goes, less the budget the drain
@@ -308,11 +279,8 @@ def hub_cpu_step(
         demanded += out.cpu_cost
         fresh.append((bid, link, link.round(dt)))
 
-    # Every cost below is at scale 2**shift: an int, or a Fraction once a
-    # step divides.
-    scale = topology.cost_scale(dt)
-    shift = scale.shift
-    budget = scale.capacity
+    # Every amount below is times 2**SCALE.
+    budget = capacity = topology._scaled_capacity(dt)
     deposited: dict[str, int] = {}
     links = topology.links
 
@@ -322,38 +290,34 @@ def hub_cpu_step(
     for bid, rnd, owed in backlog:
         if budget <= 0:
             break
-        round_cost = scale.cost(rnd)
-        cost = owed * round_cost
+        cost = owed * rnd.cpu_scaled
         if cost <= budget:
             budget -= cost
-            bits = owed * rnd.bits
+            part = owed
             drained += 1
         else:
-            part = Fraction(budget, round_cost)
-            bits = part * rnd.bits
+            part = Fraction(budget, rnd.cpu_scaled)
             backlog[drained] = (bid, rnd, owed - part)
             budget = 0
-        deposited[bid] = deposited.get(bid, 0) + release(links[bid], bits)
+        deposited[bid] = deposited.get(bid, 0) + links[bid].carry(part * rnd.bits_scaled)
     del backlog[:drained]
-    drain_cost = scale.capacity - budget
+    drain_cost = capacity - budget
 
     # Then this interval's production, proportionally if it overruns.
-    total_new = sum(scale.cost(rnd) for _, _, rnd in fresh)
+    total_new = sum(rnd.cpu_scaled for _, _, rnd in fresh)
     if total_new <= budget:
-        for bid, link, rnd in fresh:
-            deposited[bid] = deposited.get(bid, 0) + link.carry(rnd.bits_num, rnd.bits_shift)
-        processed = drain_cost + total_new
-        deferred = 0
+        share = 1
     else:
-        share = Fraction(budget, total_new)
-        keep = 1 - share
-        for bid, link, rnd in fresh:
-            deposited[bid] = deposited.get(bid, 0) + release(link, rnd.bits * share)
+        share = Fraction(budget, total_new) if budget > 0 else 0
+    keep = 1 - share
+    for bid, link, rnd in fresh:
+        deposited[bid] = deposited.get(bid, 0) + link.carry(share * rnd.bits_scaled)
+        if keep:
             backlog.append((bid, rnd, keep))
-        processed = scale.capacity
-        deferred = total_new - budget
+    deferred = keep * total_new
+    processed = drain_cost + total_new - deferred
     if deferred != drain_cost:
-        topology.backlog_cost += Fraction(deferred - drain_cost, 1 << shift)
+        topology.backlog_cost += Fraction(deferred - drain_cost, ONE)
 
     return HubStepReport(
         time=now,
@@ -363,7 +327,7 @@ def hub_cpu_step(
         auth_bits_from_pool=auth_pool,
         auth_bits_from_budget=auth_budget,
         cpu_demanded=demanded,
-        cpu_processed=processed.numerator / (processed.denominator << shift),
-        deferred_cost=deferred.numerator / (deferred.denominator << shift),
+        cpu_processed=processed.numerator / (processed.denominator << SCALE),
+        deferred_cost=deferred.numerator / (deferred.denominator << SCALE),
         backlog_cost_after=float(topology.backlog_cost),
     )

@@ -20,6 +20,11 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 THROTTLED_100_REPORT_SHA256 = "630f29e459cf4b6a0383fcbbf6d6f8e774a1eebd71f46eb287775104f2276287"
 
+FAR_LINK_REPORT_SHA256 = {
+    1.0: "8b950447b18cf969b46a1b2d40bab9a4faaad6a303fd2074cace049c5e044d79",
+    0.1: "139283ed72b4ab9bd7db704e1b124d14655514b3e5bde9561c957cd88c29d5bf",
+}
+
 GOLDEN = {
     ("star10.json", "json"): {
         "report.json": "a7225bf716fb7935dcb5203afcb44ec3be81abe2ed42b0505b128f69dd23e0ef",
@@ -61,3 +66,38 @@ def test_throttled_100_branch_report_digest(tmp_path):
     assert report.hub["backlog_cost_final"] > 0
     (written,) = emit_report(report, "json", tmp_path / "out")
     assert hashlib.sha256(written.read_bytes()).hexdigest() == THROTTLED_100_REPORT_SHA256
+
+
+def far_link_star(tick: float) -> dict:
+    """A throttled 4-branch star with a 2000 km link, run for 300 ticks of tick seconds.
+
+    The far link's rounds are finer than 2**-128 bits and cost units
+    (2**-168 at 1 s ticks, 2**-223 at 0.1 s), so the hub's sums take
+    the exact Fraction form.
+    """
+    return {
+        "seed": 5,
+        "tick_seconds": tick,
+        "duration_seconds": 300 * tick,
+        "hub": {"channel_count": 3, "cpu_capacity_per_sec": 2.0e4},
+        "branches": [
+            {"id": "a", "distance_km": 12.5},
+            {"id": "b", "distance_km": 31.0},
+            {"id": "c", "distance_km": 7.25},
+            {"id": "far", "distance_km": 2000.0},
+        ],
+        "traffic": [
+            {"src": "a", "dst": "b", "otp_bits_per_sec": 120.0},
+            {"src": "c", "dst": "far", "otp_bits_per_sec": 8.0},
+        ],
+    }
+
+
+@pytest.mark.parametrize("tick", sorted(FAR_LINK_REPORT_SHA256))
+def test_far_link_report_digest(tmp_path, tick):
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(far_link_star(tick)))
+    report = run(ingest_scenario(path))
+    assert report.hub["backlog_cost_final"] > 0
+    (written,) = emit_report(report, "json", tmp_path / "out")
+    assert hashlib.sha256(written.read_bytes()).hexdigest() == FAR_LINK_REPORT_SHA256[tick]

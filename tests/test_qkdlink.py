@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from starqkd.errors import DomainError
 from starqkd.keycore import AuthBudget, KeyPool
 from starqkd.qkdlink import (
+    ONE,
     LinkParams,
     LinkState,
     TickOutcome,
@@ -212,10 +213,8 @@ def test_param_validation():
         params(qber=0.6)
     with pytest.raises(ValueError):
         tick(make_state(params()), 0.0)
-
-
-def is_dyadic(x: Fraction) -> bool:
-    return x.denominator & (x.denominator - 1) == 0
+    with pytest.raises(ValueError, match=r"^cannot release negative bits: -1/3$"):
+        release(make_state(params()), Fraction(-1, 3))
 
 
 # A round of each dt, a share of a round (b odd, so not dyadic unless a
@@ -248,8 +247,8 @@ def test_carry_matches_a_plain_fraction_model(rate, steps):
         assert deposited == whole
         assert state.pool.total_generated_bits == total
         assert state.pending_bits == pending
-        # The offset is in use exactly while the carry is not dyadic.
-        assert (state._offset != 0) == (not is_dyadic(pending))
+        # The carry is an int exactly while pending * 2**SCALE is whole.
+        assert isinstance(state._carry, int) == ((pending * ONE).denominator == 1)
 
     for kind, dt, *share in steps:
         bits = state.round(dt).bits

@@ -216,6 +216,10 @@ def test_sharing_custodians_must_exist():
     ]
     with pytest.raises(ValidationError, match="ghost"):
         scenario_from_dict(data)
+    data["sharing"][0]["custodians"] = ["alpha", "alpha"]
+    with pytest.raises(ValidationError) as err:
+        scenario_from_dict(data)
+    assert str(err.value) == "sharing[0].custodians: custodians must be two distinct branches"
 
 
 def test_sharing_custodian_count():
@@ -302,6 +306,12 @@ def test_matrix_duplicate_cell():
     data["policy_matrix"] = grid
     with pytest.raises(ValidationError, match="defined twice"):
         scenario_from_dict(data)
+    grid = full_matrix_2x2()
+    grid["cells"][1] = {"sensitivity": 3, "time": 1, "technique": "post_quantum"}
+    data["policy_matrix"] = grid
+    with pytest.raises(ValidationError) as err:
+        scenario_from_dict(data)
+    assert str(err.value) == "policy_matrix.cells[1]: cell (3, 1) outside 2x2"
 
 
 def test_matrix_dims_must_match_classes():
@@ -339,6 +349,12 @@ def test_hybrid_technique_object():
     cell = s.policy_matrix.cell(1, 2)
     assert cell.kind is TechniqueKind.HYBRID
     assert cell.hybrid.rotation_frequency_hz == 0.5
+    # A plain technique may also be written as an object; a matrix holding
+    # strings, a plain object and a hybrid object round-trips exactly.
+    grid["cells"][2] = {"sensitivity": 2, "time": 1, "technique": {"kind": "post_quantum"}}
+    s = scenario_from_dict(data | {"policy_matrix": grid})
+    assert s.policy_matrix.cell(2, 1).kind is TechniqueKind.POST_QUANTUM
+    assert scenario_from_dict(scenario_to_dict(s)) == s
 
 
 def test_with_overrides():
