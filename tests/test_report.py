@@ -2,13 +2,20 @@
 
 import csv
 import json
+import math
+import tracemalloc
+from enum import IntEnum
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from starqkd.engine import run
 from starqkd.errors import IoError
-from starqkd.report import FORMAT_VERSION, emit_report
-from starqkd.scenario import scenario_from_dict
+from starqkd.report import FORMAT_VERSION, emit_report, iterencode
+from starqkd.scenario import ingest_scenario, scenario_from_dict, with_overrides
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 @pytest.fixture(scope="module")
@@ -99,3 +106,86 @@ def test_empty_report_skeleton():
     data = json.loads(empty.to_json())
     assert data["format_version"] == FORMAT_VERSION
     assert data["links"] == {} and data["relay_ledger"] == []
+
+
+class _Level(IntEnum):
+    LOW = 3
+    HIGH = 2**70
+
+
+class _Ratio(float):
+    """A float subclass whose repr json must not use."""
+
+    def __repr__(self) -> str:
+        return "ratio"
+
+
+_NAN, _INF = math.nan, math.inf
+# Plain text, plus what JSON escapes: quote, backslash, control characters
+# and everything past ASCII (a surrogate pair for U+1F600).
+_SPECIAL = st.sampled_from('"\\\x00\x1f\x7f\n\u00e9\u2028\U0001f600')
+_TEXT = st.text(st.characters() | _SPECIAL, max_size=6)
+_INTS = st.integers() | st.integers(min_value=2**64 - 2, max_value=2**80) | st.sampled_from(_Level)
+_FLOATS = st.floats() | st.floats().map(_Ratio)
+_SCALARS = st.none() | st.booleans() | _INTS | _FLOATS | _TEXT
+# Lists the encoder may print as one join, and lists one item spoils for it.
+_FLAT_LISTS = (
+    st.lists(st.integers() | st.integers(min_value=2**64, max_value=2**80), max_size=8)
+    | st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8)
+    | st.lists(st.floats(), max_size=8)
+    | st.lists(st.integers() | st.booleans(), max_size=8)
+    | st.lists(st.integers() | st.floats(), max_size=8)
+)
+_TREES = st.recursive(
+    _SCALARS | _FLAT_LISTS,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(_TEXT, children, max_size=4)
+    | st.dictionaries(st.integers() | st.floats(), children, max_size=3),
+    max_leaves=16,
+)
+
+
+@given(_TREES)
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@example([1.5, _NAN, -0.0])
+@example([0.25, _INF, -_INF, -0.0])
+@example([-0.0, 1e300, 5e-324])
+@example([2**64 + 1, -(2**100), 0])
+@example([1, True, 2, False])
+@example([1, 2.5, -3])
+@example({"level": _Level.LOW, "levels": [_Level.LOW, _Level.HIGH], "ratio": _Ratio(0.1)})
+@example([_Ratio(2.0), _Ratio(-0.0), _Ratio(_NAN)])
+@example(((1, 2), (), ("a", None)))
+@example({"": {}, "a": [], "b": [[], {}], "c": [{}], "d": {"e": {"f": []}}})
+@example({'q"uo\\te\n\x00': "\u00e9\u2028\U0001f600\x1f", "\u00e9": ['"', "\\"]})
+@example([{2: "b", 1: "a", -1.5: None, _NAN: 0, _Level.HIGH: 1}, {True: [1]}, {None: {}}])
+def test_iterencode_matches_json_dumps(obj):
+    assert "".join(iterencode(obj)) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [{1, 2}, b"bytes", object(), [1, 2, {3}], {"a": [1.0, b"x"]}, {(1, 2): 0}, {"k": 1, 2: 3}],
+)
+def test_iterencode_rejects_what_json_rejects(obj):
+    with pytest.raises(TypeError):
+        json.dumps(obj, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        "".join(iterencode(obj))
+
+
+def test_emit_json_streams_without_a_second_copy(tmp_path):
+    # emit_report writes the encoder's chunks as they come: its peak
+    # allocation stays far below the size of the report.json it writes.
+    scenario = with_overrides(ingest_scenario(SCENARIOS / "star10.json"), duration_seconds=2000.0)
+    report = run(scenario)
+    tracemalloc.start()
+    try:
+        (path,) = emit_report(report, "json", tmp_path / "out")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 2_000_000
+    assert peak < size / 4, (peak, size)
