@@ -54,7 +54,8 @@ from .starnet import (
     StarTopology,
     build_star,
     hub_cpu_step,
-    relay_key,
+    relay_bits,
+    relay_key,  # unused here; bench/tracing.py looks the name up in this module
     schedule_channels,
 )
 
@@ -246,16 +247,16 @@ class _Sim:
     ) -> None:
         """Relay n bits between the pools' branches; both pads count to category."""
         src, dst = ends[0].link_id, ends[1].link_id
-        k_src, _, record = relay_key(self.topology, src, dst, n, self.relay_rng, now=time)
+        fresh, key_id = relay_bits(self.topology, src, dst, n, self.relay_rng)
         self.consumed[category] += 2 * n
         self.report.relay_ledger.append(
             {
                 "time": time,
-                "branch_i": record.branch_i,
-                "branch_j": record.branch_j,
-                "bits": record.bits,
-                "key_id": record.key_id,
-                "key_fingerprint": hashlib.sha256(k_src.bits).hexdigest()[:16],
+                "branch_i": src,
+                "branch_j": dst,
+                "bits": n,
+                "key_id": key_id,
+                "key_fingerprint": hashlib.sha256(fresh).hexdigest()[:16],
                 "purpose": purpose,
             }
         )

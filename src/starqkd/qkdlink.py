@@ -182,7 +182,8 @@ def produce(state: LinkState, dt: float, now: float = 0.0) -> TickOutcome:
     """Run one post-processing round: pay auth, distill bits, charge CPU.
 
     The produced bits are returned exactly (as a Fraction) and not yet
-    deposited; callers release them, possibly throttled, via release().
+    deposited; callers deposit them, possibly throttled, through
+    LinkState.carry, as hub_cpu_step does, or unthrottled via release().
     Auth is paid from the reserved budget first and then from the link's
     own pool. If neither covers the round, the link halts for this
     interval and produces nothing. now is accepted for symmetry with the

@@ -45,6 +45,7 @@ from .policy import (
     validate_matrix,
 )
 from .qkdlink import LinkParams
+from .rng import MAX_SEED
 from .sharing import DEFAULT_FIELD_PRIME, ShareConfig
 
 SCENARIO_FORMAT_VERSION = 1
@@ -416,7 +417,7 @@ def whole_ticks(ratio: float) -> int | None:
 
 def _check_run(s: Scenario) -> None:
     """Check a run's seed, tick count, hub CPU demand and periodic firings."""
-    if _as_int(s.seed, "seed", 0) >= 2**64:
+    if _as_int(s.seed, "seed", 0) > MAX_SEED:
         raise ValidationError("seed", f"must fit in 64 bits, got {s.seed}")
     duration, tick = _as_float(s.duration_seconds, "duration_seconds"), s.tick_seconds
     if duration <= 0:

@@ -79,6 +79,9 @@ class StarTopology:
     owed * round.cpu_exact and yields owed * round.bits. backlog_cost is
     the exact running total of those costs. Only hub_cpu_step mutates
     either, and it keeps the two in step, so a step never re-sums it.
+
+    relay_count counts the relays made in this star, and the n-th
+    relay's key id is relay-{n:06d}.
     """
 
     hub: Node
@@ -163,21 +166,21 @@ def schedule_channels(topology: StarTopology, now: float = 0.0) -> list[str]:
     return [ids[i] for i in order[: topology.hub.channel_count]]
 
 
-def relay_key(
+def relay_bits(
     topology: StarTopology,
     branch_i: str,
     branch_j: str,
     n_bits: int,
     rng: random.Random,
-    now: float = 0.0,
-) -> tuple[KeyMaterial, KeyMaterial, RelayRecord]:
-    """Deliver one fresh shared key to two branches via the trusted hub.
+) -> tuple[bytes, str]:
+    """Relay one fresh n-bit key between two branches; return (bits, key id).
 
     The hub one-time-pads a fresh n-bit key down each spoke, spending
     the pads from the endpoint pools as ledger debits; each branch strips
-    its pad and holds the fresh key. Both deliveries carry identical
-    bits; total pool cost is exactly 2 * n_bits. Fails atomically: a
-    short pool on either side leaves both untouched.
+    its pad and holds the fresh key. Total pool cost is exactly
+    2 * n_bits. The key is one random_bits(rng, n_bits) draw and steps
+    relay_count by one. Fails atomically: a short pool on either side
+    leaves both pools, relay_count and rng untouched.
     """
     if branch_i == branch_j:
         raise ValueError(f"relay endpoints must differ, got {branch_i!r} twice")
@@ -193,23 +196,30 @@ def relay_key(
             )
     fresh = random_bits(rng, n_bits)
     topology.relay_count += 1
-    key_id = f"relay-{topology.relay_count:06d}"
-    delivered = []
-    for bid, link in ((branch_i, link_i), (branch_j, link_j)):
-        link.pool.spend(n_bits)  # the pad for this spoke
-        delivered.append(
-            KeyMaterial(
-                id=f"{key_id}/{bid}",
-                bits=fresh,
-                bit_length=n_bits,
-                provenance=Provenance.RELAYED,
-                created_at=now,
-            )
-        )
-    record = RelayRecord(
-        branch_i=branch_i, branch_j=branch_j, bits=n_bits, time=now, key_id=key_id
+    link_i.pool.spend(n_bits)  # the pad for each spoke
+    link_j.pool.spend(n_bits)
+    return fresh, f"relay-{topology.relay_count:06d}"
+
+
+def relay_key(
+    topology: StarTopology,
+    branch_i: str,
+    branch_j: str,
+    n_bits: int,
+    rng: random.Random,
+    now: float = 0.0,
+) -> tuple[KeyMaterial, KeyMaterial, RelayRecord]:
+    """Deliver one fresh shared key to two branches via the trusted hub.
+
+    This is relay_bits, with the errors it raises, plus each branch's
+    copy of the key as KeyMaterial and a RelayRecord, all stamped now.
+    """
+    fresh, key_id = relay_bits(topology, branch_i, branch_j, n_bits, rng)
+    k_i, k_j = (
+        KeyMaterial(f"{key_id}/{bid}", fresh, n_bits, Provenance.RELAYED, created_at=now)
+        for bid in (branch_i, branch_j)
     )
-    return delivered[0], delivered[1], record
+    return k_i, k_j, RelayRecord(branch_i, branch_j, n_bits, now, key_id)
 
 
 @dataclass(frozen=True)

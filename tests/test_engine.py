@@ -1,11 +1,13 @@
 """End-to-end simulation runs: determinism, conservation, scheduling."""
 
+import hashlib
 import math
 from fractions import Fraction
 
 import pytest
 
 from starqkd.engine import EventKind, run
+from starqkd.rng import StreamRegistry, random_bits
 from starqkd.scenario import DEFAULT_LINK, ingest_scenario, scenario_from_dict, with_overrides
 
 
@@ -439,6 +441,42 @@ def test_shipped_scenario_runs_clean():
     t = r.totals
     assert t["generated_bits"] == t["pool_available_bits"] + t["consumed_bits_total"]
     assert t["consumed_bits_total"] == categories_total(r)
+
+
+def test_relay_ledger_is_the_relay_stream_in_row_order():
+    # Row i is relay number i + 1, and its key is the next draw from relay/hub.
+    star10 = run(ingest_scenario("scenarios/star10.json"))
+    between_ticks = run(
+        scenario_from_dict(
+            small_scenario(
+                duration_seconds=30.0,
+                traffic=[
+                    {"src": "b1", "dst": "b2", "otp_bits_per_sec": 64.0},
+                    {"src": "b2", "dst": "b3", "relay_bits": 24, "relay_interval_seconds": 2.5},
+                ],
+                sharing=[
+                    {
+                        "id": "vault",
+                        "n_locations": 3,
+                        "threshold_k": 2,
+                        "refresh_period_seconds": 7.0,
+                        "custodians": ["b3", "b1"],
+                    }
+                ],
+            )
+        )
+    )
+    rows = between_ticks.relay_ledger
+    times = [row["time"] for row in rows if row["purpose"] == "relay_request"]
+    assert 2.5 in times and 27.5 in times
+    for report in (star10, between_ticks):
+        purposes = {row["purpose"] for row in report.relay_ledger}
+        assert purposes == {"otp_traffic", "relay_request", "refresh"}
+        stream = StreamRegistry(report.seed).stream("relay/hub")
+        for i, row in enumerate(report.relay_ledger):
+            assert row["key_id"] == f"relay-{i + 1:06d}"
+            fresh = random_bits(stream, row["bits"])
+            assert row["key_fingerprint"] == hashlib.sha256(fresh).hexdigest()[:16]
 
 
 def test_fractional_rate_carries_exactly():

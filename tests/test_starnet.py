@@ -13,9 +13,11 @@ from starqkd.starnet import (
     BranchSpec,
     Node,
     NodeKind,
+    RelayRecord,
     StarTopology,
     build_star,
     hub_cpu_step,
+    relay_bits,
     relay_key,
     schedule_channels,
 )
@@ -96,33 +98,75 @@ def pool_counters(topo: StarTopology, bid: str) -> tuple[int, int, int]:
     return pool.available_bits, pool.total_generated_bits, pool.total_consumed_bits
 
 
+# The engine relays through relay_bits and library callers through relay_key.
+RELAYS = (relay_bits, relay_key)
+
+
 def test_relay_fails_atomically():
-    topo = star()
-    topo.link("b1").pool.deposit(100)
-    topo.link("b2").pool.deposit(12852)
-    # Either side short: both pools keep every counter.
-    for src, dst in (("b1", "b2"), ("b2", "b1")):
-        with pytest.raises(InsufficientKey):
-            relay_key(topo, src, dst, 128, random.Random(7))
-        assert pool_counters(topo, "b1") == (100, 100, 0)
-        assert pool_counters(topo, "b2") == (12852, 12852, 0)
-    assert topo.relay_count == 0
-    # A successful relay debits exactly n from each side and makes no pad bits.
-    streams = [topo.link(bid).pool.rng.getstate() for bid in ("b1", "b2")]
-    relay_key(topo, "b1", "b2", 100, random.Random(7))
-    assert pool_counters(topo, "b1") == (0, 100, 100)
-    assert pool_counters(topo, "b2") == (12752, 12852, 100)
-    assert [topo.link(bid).pool.rng.getstate() for bid in ("b1", "b2")] == streams
-    assert topo.relay_count == 1
+    for relay in RELAYS:
+        topo = star()
+        topo.link("b1").pool.deposit(100)
+        topo.link("b2").pool.deposit(12852)
+        rng = random.Random(7)
+        state = rng.getstate()
+        # Either side short: both pools keep every counter, and no relay is
+        # counted or drawn.
+        for src, dst in (("b1", "b2"), ("b2", "b1")):
+            with pytest.raises(InsufficientKey):
+                relay(topo, src, dst, 128, rng)
+            assert pool_counters(topo, "b1") == (100, 100, 0)
+            assert pool_counters(topo, "b2") == (12852, 12852, 0)
+            assert topo.relay_count == 0
+            assert rng.getstate() == state
+        # A successful relay debits exactly n from each side and makes no pad bits.
+        streams = [topo.link(bid).pool.rng.getstate() for bid in ("b1", "b2")]
+        relay(topo, "b1", "b2", 100, rng)
+        assert pool_counters(topo, "b1") == (0, 100, 100)
+        assert pool_counters(topo, "b2") == (12752, 12852, 100)
+        assert [topo.link(bid).pool.rng.getstate() for bid in ("b1", "b2")] == streams
+        assert topo.relay_count == 1
 
 
 def test_relay_rejects_bad_endpoints():
-    topo = star()
-    topo.link("b1").pool.deposit(100)
-    with pytest.raises(ValueError):
-        relay_key(topo, "b1", "b1", 8, random.Random(0))
-    with pytest.raises(KeyError):
-        relay_key(topo, "b1", "nope", 8, random.Random(0))
+    for relay in RELAYS:
+        topo = star()
+        topo.link("b1").pool.deposit(100)
+        rng = random.Random(0)
+        state = rng.getstate()
+        with pytest.raises(ValueError):
+            relay(topo, "b1", "b1", 8, rng)
+        with pytest.raises(ValueError):
+            relay(topo, "b1", "b2", 0, rng)
+        with pytest.raises(KeyError):
+            relay(topo, "b1", "nope", 8, rng)
+        with pytest.raises(KeyError):
+            relay(topo, "nope", "b1", 8, rng)
+        assert pool_counters(topo, "b1") == (100, 100, 0)
+        assert topo.relay_count == 0
+        assert rng.getstate() == state
+
+
+def test_relay_key_wraps_relay_bits():
+    # From equal RNG states, relay_key's keys hold exactly relay_bits' draw and id.
+    core, wrapped = star(), star()
+    for topo in (core, wrapped):
+        for bid in topo.branch_ids():
+            topo.link(bid).pool.deposit(5000)
+    core_rng, wrapped_rng = random.Random(11), random.Random(11)
+    for n, i, j in ((1, "b1", "b2"), (64, "b3", "b1"), (100, "b2", "b3"), (4096, "b1", "b3")):
+        fresh, key_id = relay_bits(core, i, j, n, core_rng)
+        k_i, k_j, record = relay_key(wrapped, i, j, n, wrapped_rng, now=2.5)
+        assert key_id == f"relay-{core.relay_count:06d}"
+        assert k_i.bits == k_j.bits == fresh
+        assert k_i.bit_length == k_j.bit_length == n
+        assert (k_i.id, k_j.id) == (f"{key_id}/{i}", f"{key_id}/{j}")
+        assert k_i.created_at == k_j.created_at == 2.5
+        assert record == RelayRecord(branch_i=i, branch_j=j, bits=n, time=2.5, key_id=key_id)
+        assert wrapped.relay_count == core.relay_count
+        assert wrapped_rng.getstate() == core_rng.getstate()
+        for bid in core.branch_ids():
+            assert pool_counters(wrapped, bid) == pool_counters(core, bid)
+    assert core.relay_count == 4
 
 
 def test_relay_over_thousand_random_sizes():
