@@ -244,8 +244,10 @@ class _Sim:
 
     def relay(
         self, time: float, ends: tuple[KeyPool, KeyPool], n: int, purpose: str, category: str
-    ) -> None:
-        """Relay n bits between the pools' branches; both pads count to category."""
+    ) -> bool:
+        """Relay n bits between the pools' branches if both hold n; both pads count to category."""
+        if ends[0].available_bits < n or ends[1].available_bits < n:
+            return False
         src, dst = ends[0].link_id, ends[1].link_id
         fresh, key_id = relay_bits(self.topology, src, dst, n, self.relay_rng)
         self.consumed[category] += 2 * n
@@ -260,6 +262,7 @@ class _Sim:
                 "purpose": purpose,
             }
         )
+        return True
 
     def on_link_tick(self, time: float) -> None:
         active = schedule_channels(self.topology, now=time)
@@ -310,30 +313,24 @@ class _Sim:
             self.unmet(time, "otp_traffic", pair.name, ask - usable)
 
     def on_relay_request(self, time: float, pair: _Pair) -> None:
-        n = pair.relay_bits
-        pool_src, pool_dst = pair.pools
-        if pool_src.available_bits < n or pool_dst.available_bits < n:
-            self.unmet(time, "relay", pair.name, n)
-            return
-        self.relay(time, pair.pools, n, "relay_request", "relay")
+        if not self.relay(time, pair.pools, pair.relay_bits, "relay_request", "relay"):
+            self.unmet(time, "relay", pair.name, pair.relay_bits)
 
     def on_refresh(self, time: float, inst: _Sharing) -> None:
         cost = inst.config.refresh_cost_bits
-        pool_a, pool_b = inst.pools
         exposure = time - inst.last_refresh_time
         inst.max_exposure_seconds = max(inst.max_exposure_seconds, exposure)
-        if pool_a.available_bits < cost or pool_b.available_bits < cost:
-            inst.deferrals += 1
-            self.unmet(time, "refresh", inst.name, 2 * cost)
-            status, pool_bits = "deferred", 0
-        else:
-            # The delivered key is the refresh pad material.
-            self.relay(time, inst.pools, cost, "refresh", "refresh")
+        # The delivered key is the refresh pad material.
+        if self.relay(time, inst.pools, cost, "refresh", "refresh"):
             inst.budget.deposit(cost)
             inst.shares = refresh_shares(inst.shares, inst.config, inst.rng, inst.budget)
             inst.rounds_completed += 1
             inst.last_refresh_time = time
             status, pool_bits = "ok", 2 * cost
+        else:
+            inst.deferrals += 1
+            self.unmet(time, "refresh", inst.name, 2 * cost)
+            status, pool_bits = "deferred", 0
         self.report.refresh_ledger.append(
             {
                 "time": time,

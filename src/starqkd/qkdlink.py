@@ -10,7 +10,7 @@ and burns authentication key per round.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -178,16 +178,14 @@ class TickOutcome:
     halted: bool
 
 
-def produce(state: LinkState, dt: float, now: float = 0.0) -> TickOutcome:
-    """Run one post-processing round: pay auth, distill bits, charge CPU.
+def produce(state: LinkState, dt: float) -> int | None:
+    """Pay one round's auth and charge its CPU; return the auth bits taken from the pool.
 
-    The produced bits are returned exactly (as a Fraction) and not yet
-    deposited; callers deposit them, possibly throttled, through
-    LinkState.carry, as hub_cpu_step does, or unthrottled via release().
     Auth is paid from the reserved budget first and then from the link's
     own pool. If neither covers the round, the link halts for this
-    interval and produces nothing. now is accepted for symmetry with the
-    other stepping calls; pool debits carry no time.
+    interval, pays nothing and None is returned. The round's bits are not
+    deposited here: callers deposit state.round(dt).bits_scaled, whole or
+    in part, through LinkState.carry, as tick and hub_cpu_step do.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -198,21 +196,22 @@ def produce(state: LinkState, dt: float, now: float = 0.0) -> TickOutcome:
             state.pool.spend(shortfall)  # spent as authentication tags
         except InsufficientKey:
             state.halted_ticks += 1
-            return TickOutcome(Fraction(0), 0, 0.0, 0, 0, True)
+            return None
         state.auth.deposit(shortfall)
     state.auth.spend(rnd.auth_bits)
     state.cumulative_cpu_cost += rnd.cpu
-    return TickOutcome(rnd.bits, 0, rnd.cpu, rnd.auth_bits - shortfall, shortfall, False)
-
-
-def release(state: LinkState, bits: Fraction) -> int:
-    """Stage produced bits and deposit the whole part into the pool."""
-    if bits < 0:
-        raise ValueError(f"cannot release negative bits: {bits}")
-    return state.carry(scaled(bits))
+    return shortfall
 
 
 def tick(state: LinkState, dt: float, now: float = 0.0) -> TickOutcome:
-    """produce() then an unthrottled release(); a halted round releases nothing."""
-    out = produce(state, dt, now)
-    return replace(out, deposited_bits=release(state, out.produced_bits))
+    """One unthrottled round: produce(), then deposit all its bits through LinkState.carry.
+
+    A halted round deposits nothing. now is accepted for symmetry with
+    the other stepping calls; pool debits carry no time.
+    """
+    from_pool = produce(state, dt)
+    if from_pool is None:
+        return TickOutcome(Fraction(0), 0, 0.0, 0, 0, True)
+    rnd = state.round(dt)
+    deposited = state.carry(rnd.bits_scaled)
+    return TickOutcome(rnd.bits, deposited, rnd.cpu, rnd.auth_bits - from_pool, from_pool, False)

@@ -280,14 +280,15 @@ def hub_cpu_step(
     fresh: list[tuple[str, LinkState, Round]] = []
     demanded = 0.0
     for bid, link in zip(actives, active_links):
-        out = produce(link, dt, now)
-        if out.halted:
+        from_pool = produce(link, dt)
+        if from_pool is None:
             halted.append(bid)
             continue
-        auth_pool[bid] = out.auth_bits_from_pool
-        auth_budget[bid] = out.auth_bits_from_budget
-        demanded += out.cpu_cost
-        fresh.append((bid, link, link.round(dt)))
+        rnd = link.round(dt)
+        auth_pool[bid] = from_pool
+        auth_budget[bid] = rnd.auth_bits - from_pool
+        demanded += rnd.cpu
+        fresh.append((bid, link, rnd))
 
     # Every amount below is times 2**SCALE.
     budget = capacity = topology._scaled_capacity(dt)

@@ -54,6 +54,32 @@ def test_validate_bounds_periodic_firings(tmp_path, capsys, message):
     assert err == f"error: {message} periodic firings exceed the limit of 10000000\n"
 
 
+BAD_VALUES = {
+    "assets[0].data_state: expected one of ['at_rest', 'in_motion', 'in_use'], got 'frozen'": {
+        "assets": [{"id": "x", "sensitivity_index": 1, "time_index": 1, "data_state": "frozen"}],
+    },
+    "policy_matrix.cells[0].technique: expected one of "
+    "['classical_public_key', 'hybrid', 'post_quantum', 'qkd_otp'], got 'rot13'": {
+        "policy_matrix": {
+            "m_c": 2,
+            "k_t": 2,
+            "cells": [{"sensitivity": 1, "time": 1, "technique": "rot13"}],
+        },
+    },
+    "tick_seconds: must be positive, got 0.0": {"tick_seconds": 0},
+    "hub.cpu_capacity_per_sec: must be positive, got 0.0": {"hub": {"cpu_capacity_per_sec": 0}},
+}
+
+
+@pytest.mark.parametrize("message", BAD_VALUES, ids=["choice", "technique", "tick", "cpu"])
+def test_validate_names_a_bad_choice_or_non_positive_value(tmp_path, capsys, message):
+    p = tmp_path / "bad.json"
+    data = {"duration_seconds": 10, "branches": [{"id": "a"}], **BAD_VALUES[message]}
+    p.write_text(json.dumps(data))
+    assert main(["validate", str(p)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_validate_missing_file(capsys):
     assert main(["validate", "no/such/file.json"]) == 1
     assert "cannot read" in capsys.readouterr().err
@@ -98,6 +124,27 @@ def test_simulate_csv(tmp_path):
     assert main(["simulate", "scenarios/minimal.json", "--format", "csv", "--out", str(out)]) == 0
     for name in ("meta.csv", "pool_available.csv", "deposited_bits.csv", "hub.csv"):
         assert (out / name).exists()
+
+
+@pytest.mark.parametrize(
+    ("blocked", "fmt", "message"),
+    [
+        ("", "json", "cannot create output directory"),
+        ("report.json", "json", "cannot write report files under"),
+        ("hub.csv", "csv", "cannot write report files under"),
+    ],
+    ids=["out-is-a-file", "report-json-is-a-directory", "hub-csv-is-a-directory"],
+)
+def test_simulate_exits_two_when_output_cannot_be_written(tmp_path, capsys, blocked, fmt, message):
+    out = tmp_path / "run"
+    if blocked:
+        (out / blocked).mkdir(parents=True)
+    else:
+        out.write_text("")
+    argv = ["simulate", "scenarios/minimal.json", "--format", fmt, "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and "Traceback" not in err
 
 
 def test_simulate_rejects_bad_override(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Link rate model and the produce/release tick cycle."""
+"""Link rate model, the round that produce pays, and the deposits of LinkState.carry."""
 
 import math
 import random
@@ -17,7 +17,7 @@ from starqkd.qkdlink import (
     binary_entropy,
     produce,
     raw_rate,
-    release,
+    scaled,
     secret_fraction,
     secret_rate,
     tick,
@@ -129,9 +129,11 @@ def test_round_is_the_exact_rate_times_dt():
         assert rnd.cpu == p.cpu_cost_per_sec * dt == float(rnd.cpu_exact)
         assert rnd.auth_bits == 4 * 96
         assert st.round(dt) is rnd  # worked out once per dt
-        out = produce(st, dt)
-        assert (out.produced_bits, out.cpu_cost) == (rnd.bits, rnd.cpu)
-        assert (out.auth_bits_from_budget, out.auth_bits_from_pool) == (4 * 96, 0)
+        reserved, cpu = st.auth.reserved_bits, st.cumulative_cpu_cost
+        assert produce(st, dt) == 0  # the whole round's auth from the reserve
+        assert st.auth.reserved_bits == reserved - 4 * 96
+        assert st.cumulative_cpu_cost == cpu + rnd.cpu
+        assert st.pool.total_generated_bits == 0  # produce deposits nothing
 
 
 def test_a_link_stepped_at_changing_dt_deposits_each_round():
@@ -213,12 +215,10 @@ def test_param_validation():
         params(qber=0.6)
     with pytest.raises(ValueError):
         tick(make_state(params()), 0.0)
-    with pytest.raises(ValueError, match=r"^cannot release negative bits: -1/3$"):
-        release(make_state(params()), Fraction(-1, 3))
 
 
 # A round of each dt, a share of a round (b odd, so not dyadic unless a
-# cancels it), or a round released in two shares whose sum is dyadic again.
+# cancels it), or a round deposited in two shares whose sum is dyadic again.
 CARRY_STEPS = st.one_of(
     st.tuples(st.just("round"), st.sampled_from([1.0, 0.5, 0.1, 0.3, 2.0**-40, 1e-7])),
     st.tuples(
@@ -235,7 +235,7 @@ CARRY_STEPS = st.one_of(
 def test_carry_matches_a_plain_fraction_model(rate, steps):
     p = LinkParams(0.0, rate, 1.0, 0.0, sifting_factor=1.0)
     state = make_state(p)
-    pending = Fraction(0)  # the model: the exact sum, floored at each release
+    pending = Fraction(0)  # the model: the exact sum, floored at each deposit
     total = 0
 
     def check(bits: Fraction, deposited: int) -> None:
@@ -257,9 +257,9 @@ def test_carry_matches_a_plain_fraction_model(rate, steps):
             continue
         a, b = share
         part = bits * Fraction(min(a, b), b)
-        check(part, release(state, part))
+        check(part, state.carry(scaled(part)))
         if kind == "split":
-            check(bits - part, release(state, bits - part))
+            check(bits - part, state.carry(scaled(bits - part)))
 
 
 def test_carry_at_a_scale_past_two_to_the_thousand():
@@ -277,7 +277,7 @@ def test_carry_at_a_scale_past_two_to_the_thousand():
         assert state.pending_bits == produced - math.floor(produced)
 
     # Two tiny rounds short of a whole bit, then one round onto it exactly.
-    check(1 - 2 * tiny, release(state, 1 - 2 * tiny))
+    check(1 - 2 * tiny, state.carry(scaled(1 - 2 * tiny)))
     check(tiny, tick(state, 1e-300).deposited_bits)
     assert state.pool.total_generated_bits == 0
     check(tiny, tick(state, 1e-300).deposited_bits)
@@ -285,6 +285,6 @@ def test_carry_at_a_scale_past_two_to_the_thousand():
     for dt in (1.0, 1e-300, 0.1, 1e-300, 1.0):
         check(state.round(dt).bits, tick(state, dt).deposited_bits)
         third = state.round(dt).bits / 3
-        check(third, release(state, third))
-        check(2 * third, release(state, 2 * third))
+        check(third, state.carry(scaled(third)))
+        check(2 * third, state.carry(scaled(2 * third)))
     assert state.pool.total_generated_bits > 1000

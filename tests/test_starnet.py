@@ -43,16 +43,17 @@ def flat_link(rate=1000.0, qber=0.0, **kw) -> LinkParams:
     )
 
 
-def star(n=3, channels=2, capacity=1e9, rate=1000.0, target=1000) -> StarTopology:
+def star(n=3, channels=2, capacity=1e9, rate=1000.0, target=1000, reserves=None) -> StarTopology:
+    """n branches b1.., each with an auth reserve of 10**9 bits unless reserves gives them."""
     specs = [
         BranchSpec(
             node=branch(f"b{i}"),
             link=flat_link(rate=rate),
             pool_target_bits=target,
             pool_rng=random.Random(1000 + i),
-            auth_reserved_bits=10**9,
+            auth_reserved_bits=reserve,
         )
-        for i in range(1, n + 1)
+        for i, reserve in enumerate(reserves or [10**9] * n, 1)
     ]
     return build_star(hub(channels, capacity), specs)
 
@@ -237,18 +238,34 @@ def test_schedule_respects_channel_count():
     assert set(schedule_channels(wide)) == {"b1", "b2", "b3"}
 
 
+def link_counters(topo: StarTopology, bid: str) -> tuple:
+    link = topo.link(bid)
+    return (*pool_counters(topo, bid), link.auth.reserved_bits, link.halted_ticks,
+            link.cumulative_cpu_cost)
+
+
 def test_hub_step_unconstrained_matches_standalone_ticks():
-    topo = star(n=3, capacity=1e9, rate=999.7)
-    reference = star(n=3, capacity=1e9, rate=999.7)
+    # A 512-bit round: b1 halts on every tick, b2 pays from its pool once
+    # its reserve is spent, b3 splits one round between reserve and pool.
+    reserves = [0, 512, 700, 10**9]
+    topo = star(capacity=1e9, rate=999.7, reserves=reserves)
+    reference = star(capacity=1e9, rate=999.7, reserves=reserves)
     for end in range(1, 11):
-        hub_cpu_step(topo, 1.0, now=float(end))
-        for bid in reference.branch_ids():
-            tick(reference.link(bid), 1.0, now=float(end))
+        rep = hub_cpu_step(topo, 1.0, now=float(end))
+        outs = {bid: tick(reference.link(bid), 1.0, now=float(end)) for bid in reference.links}
+        ran = {bid: out for bid, out in outs.items() if not out.halted}
+        assert rep.halted == tuple(bid for bid in outs if bid not in ran) == ("b1",)
+        assert rep.deposited == {bid: out.deposited_bits for bid, out in ran.items()}
+        assert rep.auth_bits_from_pool == {bid: out.auth_bits_from_pool for bid, out in ran.items()}
+        assert rep.auth_bits_from_budget == {
+            bid: out.auth_bits_from_budget for bid, out in ran.items()
+        }
+        assert rep.cpu_demanded == sum(out.cpu_cost for out in ran.values())
+        if end == 2:
+            assert rep.auth_bits_from_pool == {"b2": 512, "b3": 324, "b4": 0}
+            assert rep.auth_bits_from_budget == {"b2": 0, "b3": 188, "b4": 512}
     for bid in topo.branch_ids():
-        assert (
-            topo.link(bid).pool.available_bits
-            == reference.link(bid).pool.available_bits
-        )
+        assert link_counters(topo, bid) == link_counters(reference, bid)
     assert topo.backlog == []
 
 
