@@ -101,16 +101,14 @@ def scaled(x: Fraction) -> int | Fraction:
 
 @dataclass(frozen=True)
 class Round:
-    """A link's round of dt seconds: its auth cost, and each rate times dt, exact or float.
+    """A link's round of dt seconds: its auth cost, its CPU cost as a float, and exact amounts.
 
-    bits_scaled and cpu_scaled are bits and cpu_exact times 2**SCALE.
+    bits_scaled and cpu_scaled are secret_rate and cpu_cost_per_sec times dt * 2**SCALE.
     """
 
     dt: float
     auth_bits: int
-    bits: Fraction
     cpu: float
-    cpu_exact: Fraction
     bits_scaled: int | Fraction
     cpu_scaled: int | Fraction
 
@@ -139,19 +137,17 @@ class LinkState:
         return Fraction(self._carry, ONE)
 
     def round(self, dt: float) -> Round:
-        """The round of dt seconds, redone only for a new dt (params and tag cost are fixed)."""
+        """The round of dt > 0 seconds, redone only for a new dt: params and tag cost are fixed."""
         if self._round is None or self._round.dt != dt:
+            if dt <= 0:
+                raise ValueError(f"dt must be positive, got {dt}")
             exact_dt = Fraction(dt)
-            bits = Fraction(secret_rate(self.params)) * exact_dt
-            cpu_exact = Fraction(self.params.cpu_cost_per_sec) * exact_dt
             self._round = Round(
                 dt=dt,
                 auth_bits=self.params.post_processing_messages_per_round * self.auth.tag_cost_bits,
-                bits=bits,
                 cpu=self.params.cpu_cost_per_sec * dt,
-                cpu_exact=cpu_exact,
-                bits_scaled=scaled(bits),
-                cpu_scaled=scaled(cpu_exact),
+                bits_scaled=scaled(Fraction(secret_rate(self.params)) * exact_dt),
+                cpu_scaled=scaled(Fraction(self.params.cpu_cost_per_sec) * exact_dt),
             )
         return self._round
 
@@ -178,18 +174,15 @@ class TickOutcome:
     halted: bool
 
 
-def produce(state: LinkState, dt: float) -> int | None:
-    """Pay one round's auth and charge its CPU; return the auth bits taken from the pool.
+def produce(state: LinkState, rnd: Round) -> int | None:
+    """Pay the round's auth and charge its CPU; return the auth bits taken from the pool.
 
     Auth is paid from the reserved budget first and then from the link's
     own pool. If neither covers the round, the link halts for this
     interval, pays nothing and None is returned. The round's bits are not
-    deposited here: callers deposit state.round(dt).bits_scaled, whole or
-    in part, through LinkState.carry, as tick and hub_cpu_step do.
+    deposited here: callers deposit rnd.bits_scaled, whole or in part,
+    through LinkState.carry, as tick and hub_cpu_step do.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    rnd = state.round(dt)
     shortfall = max(0, rnd.auth_bits - state.auth.reserved_bits)
     if shortfall > 0:
         try:
@@ -209,9 +202,10 @@ def tick(state: LinkState, dt: float, now: float = 0.0) -> TickOutcome:
     A halted round deposits nothing. now is accepted for symmetry with
     the other stepping calls; pool debits carry no time.
     """
-    from_pool = produce(state, dt)
+    rnd = state.round(dt)
+    from_pool = produce(state, rnd)
     if from_pool is None:
         return TickOutcome(Fraction(0), 0, 0.0, 0, 0, True)
-    rnd = state.round(dt)
+    produced = Fraction(rnd.bits_scaled, ONE)
     deposited = state.carry(rnd.bits_scaled)
-    return TickOutcome(rnd.bits, deposited, rnd.cpu, rnd.auth_bits - from_pool, from_pool, False)
+    return TickOutcome(produced, deposited, rnd.cpu, rnd.auth_bits - from_pool, from_pool, False)

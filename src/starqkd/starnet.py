@@ -76,9 +76,10 @@ class StarTopology:
 
     backlog is the hub's FIFO of deferred post-processing work: an entry
     (branch id, Round, owed) owes that share of the round, so it costs
-    owed * round.cpu_exact and yields owed * round.bits. backlog_cost is
-    the exact running total of those costs. Only hub_cpu_step mutates
-    either, and it keeps the two in step, so a step never re-sums it.
+    owed * round.cpu_scaled and yields owed * round.bits_scaled, each
+    over 2**SCALE. backlog_cost is the exact running total of those
+    costs. Only hub_cpu_step mutates either, and it keeps the two in
+    step, so a step never re-sums it.
 
     relay_count counts the relays made in this star, and the n-th
     relay's key id is relay-{n:06d}.
@@ -97,13 +98,15 @@ class StarTopology:
         return [b.id for b in self.branches]
 
     def _scaled_capacity(self, dt: float) -> int | Fraction:
-        """capacity(dt) * 2**SCALE, redone only for a new dt."""
+        """capacity(dt) * 2**SCALE, redone only for a new dt; a dt that is not positive raises."""
         if self._budget is None or self._budget[0] != dt:
+            if dt <= 0:
+                raise ValueError(f"dt must be positive, got {dt}")
             self._budget = (dt, scaled(Fraction(self.hub.cpu_capacity_per_sec) * Fraction(dt)))
         return self._budget[1]
 
     def capacity(self, dt: float) -> Fraction:
-        """The hub's exact CPU budget for dt seconds."""
+        """The hub's exact CPU budget for dt > 0 seconds."""
         return Fraction(self._scaled_capacity(dt), ONE)
 
     def link(self, branch_id: str) -> LinkState:
@@ -248,7 +251,8 @@ def hub_cpu_step(
 
     active_ids (default: every branch) must name distinct branches of
     this star; an unknown id raises KeyError and a repeated one
-    ValueError, before anything changes.
+    ValueError, and then a dt that is not positive ValueError, before
+    anything changes.
 
     Backlogged work from earlier intervals drains first, FIFO. If this
     interval's fresh work then overruns what is left of the budget,
@@ -267,8 +271,6 @@ def hub_cpu_step(
     used and plus the cost it defers, so a step costs time in the work
     it touches and not in the length of the backlog.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
     actives = topology.branch_ids() if active_ids is None else list(active_ids)
     active_links = [topology.link(bid) for bid in actives]
     if len(set(actives)) != len(actives):
@@ -280,11 +282,11 @@ def hub_cpu_step(
     fresh: list[tuple[str, LinkState, Round]] = []
     demanded = 0.0
     for bid, link in zip(actives, active_links):
-        from_pool = produce(link, dt)
+        rnd = link.round(dt)
+        from_pool = produce(link, rnd)
         if from_pool is None:
             halted.append(bid)
             continue
-        rnd = link.round(dt)
         auth_pool[bid] = from_pool
         auth_budget[bid] = rnd.auth_bits - from_pool
         demanded += rnd.cpu

@@ -91,6 +91,17 @@ def test_missing_keys_rejected():
         encrypt_hybrid(st, b"x")
     with pytest.raises(MissingKey):
         estimate_t_sq(st, QUANTUM_GHZ, 1.0)
+    st.master = None
+    with pytest.raises(MissingKey):
+        rotate_master(st, key(32, 9, "q1"), now=1.0)
+    with pytest.raises(ValueError):
+        HybridCipherState(None, None, rotation_frequency_hz=-1)
+    with pytest.raises(ValueError):
+        estimate_t_s(0, QUANTUM_GHZ)
+    with pytest.raises(ValueError):
+        horizon_for(128, -1.0, QUANTUM_GHZ, 1.0)
+    with pytest.raises(ValueError):
+        horizon_for(128, 1.0, QUANTUM_GHZ, -1.0)
 
 
 def test_rotate_with_zero_material_keeps_bits_but_advances_epoch():

@@ -187,6 +187,17 @@ def test_pool_rejects_zero_quantities():
         with pytest.raises(ValueError):
             debit(pool, -1)
     assert counters(pool) == (8, 8, 0)
+    with pytest.raises(ValueError):
+        KeyPool(link_id="a", target_bits=0)
+    with pytest.raises(ValueError):
+        AuthBudget(reserved_bits=-1)
+    with pytest.raises(ValueError):
+        AuthBudget(0, tag_cost_bits=0)
+    with pytest.raises(ValueError):
+        AuthBudget(10).consume(0)
+    pool.available_bits = 5  # set by hand, past the ledger
+    with pytest.raises(AssertionError, match="leaked bits"):
+        pool.assert_conservation()
 
 
 def test_pool_draws_are_deterministic_per_seed():

@@ -203,4 +203,11 @@ def test_technique_validation():
     with pytest.raises(ValueError):
         HybridParams(session_bits=0)
     with pytest.raises(ValueError):
+        HybridParams(rotation_frequency_hz=-1)
+    with pytest.raises(ValueError):
+        InfoAsset("a", 1, 1, size_bytes=-1, lifetime_seconds=1.0, data_state=DataState.AT_REST)
+    with pytest.raises(ValueError):
+        asset(1, 1, lifetime=-1.0)
+    assert validate_matrix(PolicyMatrix(1, 2, {})) == ["dimensions 1x2 below 2x2"]
+    with pytest.raises(ValueError):
         asset(0, 1)

@@ -123,14 +123,14 @@ def test_round_is_the_exact_rate_times_dt():
     st = make_state(p, tag=96)
     for dt in (1.0, 0.7, 0.3, 0.1):
         rnd = st.round(dt)
-        assert rnd.bits == Fraction(secret_rate(p)) * Fraction(dt)
-        assert rnd.cpu_exact == Fraction(p.cpu_cost_per_sec) * Fraction(dt)
+        assert Fraction(rnd.bits_scaled, ONE) == Fraction(secret_rate(p)) * Fraction(dt)
+        assert Fraction(rnd.cpu_scaled, ONE) == Fraction(p.cpu_cost_per_sec) * Fraction(dt)
         # The float cost is the exact one correctly rounded.
-        assert rnd.cpu == p.cpu_cost_per_sec * dt == float(rnd.cpu_exact)
+        assert rnd.cpu == p.cpu_cost_per_sec * dt == float(Fraction(rnd.cpu_scaled, ONE))
         assert rnd.auth_bits == 4 * 96
         assert st.round(dt) is rnd  # worked out once per dt
         reserved, cpu = st.auth.reserved_bits, st.cumulative_cpu_cost
-        assert produce(st, dt) == 0  # the whole round's auth from the reserve
+        assert produce(st, rnd) == 0  # the whole round's auth from the reserve
         assert st.auth.reserved_bits == reserved - 4 * 96
         assert st.cumulative_cpu_cost == cpu + rnd.cpu
         assert st.pool.total_generated_bits == 0  # produce deposits nothing
@@ -207,14 +207,27 @@ def test_defaults():
 
 
 def test_param_validation():
-    with pytest.raises(ValueError):
-        params(d=-1.0)
-    with pytest.raises(ValueError):
-        params(eta=1.5)
-    with pytest.raises(ValueError):
-        params(qber=0.6)
-    with pytest.raises(ValueError):
-        tick(make_state(params()), 0.0)
+    for bad in (
+        {"d": -1.0},
+        {"eta": 1.5},
+        {"qber": 0.6},
+        {"rate": -1},
+        {"sifting_factor": 1.5},
+        {"attenuation_db_per_km": -0.1},
+        {"cpu_cost_per_raw_bit": -1},
+        {"post_processing_messages_per_round": -1},
+    ):
+        with pytest.raises(ValueError):
+            params(**bad)
+    state = make_state(params())
+    for dt in (0.0, -1.0):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            state.round(dt)
+        with pytest.raises(ValueError, match="dt must be positive"):
+            tick(state, dt)
+    # A rejected dt changes nothing.
+    assert state.halted_ticks == 0 and state.cumulative_cpu_cost == 0.0
+    assert state.auth.reserved_bits == 10**9 and state.pool.total_generated_bits == 0
 
 
 # A round of each dt, a share of a round (b odd, so not dyadic unless a
@@ -251,7 +264,7 @@ def test_carry_matches_a_plain_fraction_model(rate, steps):
         assert isinstance(state._carry, int) == ((pending * ONE).denominator == 1)
 
     for kind, dt, *share in steps:
-        bits = state.round(dt).bits
+        bits = Fraction(state.round(dt).bits_scaled, ONE)
         if kind == "round":
             check(bits, tick(state, dt).deposited_bits)
             continue
@@ -264,7 +277,7 @@ def test_carry_matches_a_plain_fraction_model(rate, steps):
 
 def test_carry_at_a_scale_past_two_to_the_thousand():
     state = make_state(LinkParams(0.0, 999.7, 1.0, 0.0, sifting_factor=1.0))
-    tiny = state.round(1e-300).bits
+    tiny = Fraction(state.round(1e-300).bits_scaled, ONE)
     assert 0 < tiny < 1 and tiny.denominator > 2**1000
     produced = Fraction(0)
 
@@ -283,8 +296,8 @@ def test_carry_at_a_scale_past_two_to_the_thousand():
     check(tiny, tick(state, 1e-300).deposited_bits)
     assert state.pool.total_generated_bits == 1
     for dt in (1.0, 1e-300, 0.1, 1e-300, 1.0):
-        check(state.round(dt).bits, tick(state, dt).deposited_bits)
-        third = state.round(dt).bits / 3
+        check(Fraction(state.round(dt).bits_scaled, ONE), tick(state, dt).deposited_bits)
+        third = Fraction(state.round(dt).bits_scaled, ONE) / 3
         check(third, state.carry(scaled(third)))
         check(2 * third, state.carry(scaled(2 * third)))
     assert state.pool.total_generated_bits > 1000

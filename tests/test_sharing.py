@@ -85,6 +85,10 @@ def test_reconstruct_preconditions():
         reconstruct(bumped + [shares[2]], cfg)
     with pytest.raises(ValueError):
         split(13, cfg, random.Random(0))
+    with pytest.raises(ValueError, match="outside 1..4"):
+        reconstruct([Share(0, 1)] + shares[1:3], cfg)
+    with pytest.raises(ValueError, match="outside the field"):
+        reconstruct([Share(1, 13)] + shares[1:3], cfg)
 
 
 def test_refresh_known_zero_polynomial():
@@ -94,6 +98,19 @@ def test_refresh_known_zero_polynomial():
     new = refresh(shares, cfg, FixedRng([3]), budget(cfg.refresh_cost_bits))
     assert [(s.x, s.y, s.round) for s in new] == [(1, 1, 1), (2, 6, 1)]
     assert reconstruct(new, cfg) == 3
+
+
+def test_refresh_rejects_anything_but_one_share_per_location():
+    cfg = ShareConfig(n_locations=3, threshold_k=2, field_prime=13)
+    s1, s2, _ = split(5, cfg, random.Random(2))
+    pool = budget(cfg.refresh_cost_bits)
+    with pytest.raises(DuplicateX):
+        refresh([s1, s2, s2], cfg, random.Random(0), pool)
+    with pytest.raises(ValueError, match="outside 1..3"):
+        refresh([s1, s2, Share(4, 1)], cfg, random.Random(0), pool)
+    with pytest.raises(MissingShares, match="refresh needs all 3 shares"):
+        refresh([s1, s2], cfg, random.Random(0), pool)
+    assert pool.total_consumed_bits == 0  # nothing spent on a rejected refresh
 
 
 def test_refresh_preserves_secret_across_rounds():
@@ -195,6 +212,8 @@ def test_bad_fields_rejected():
         ShareConfig(n_locations=6, threshold_k=2, field_prime=5)
     with pytest.raises(BadField):
         ShareConfig(n_locations=2, threshold_k=2, field_prime=9)
+    with pytest.raises(BadField, match="not prime"):
+        ShareConfig(2, 1, field_prime=1763)  # 41 * 43: no trial witness divides it
     with pytest.raises(ValueError):
         ShareConfig(n_locations=3, threshold_k=4, field_prime=13)
     with pytest.raises(ValueError):

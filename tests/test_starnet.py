@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from starqkd.errors import DuplicateId, InsufficientKey, NoBranches
 from starqkd.keycore import Provenance
-from starqkd.qkdlink import LinkParams, raw_rate, tick
+from starqkd.qkdlink import ONE, LinkParams, raw_rate, tick
 from starqkd.starnet import (
     BranchSpec,
     Node,
@@ -78,6 +78,12 @@ def test_build_star_rejects_bad_input():
         build_star(branch("nothub"), [spec])
     with pytest.raises(ValueError):
         Node(id="h", kind=NodeKind.HUB, channel_count=0, cpu_capacity_per_sec=1.0)
+    with pytest.raises(ValueError):
+        Node(id="h", kind=NodeKind.HUB, channel_count=1, cpu_capacity_per_sec=0)
+    with pytest.raises(ValueError):
+        Node(id="", kind=NodeKind.BRANCH)
+    with pytest.raises(ValueError, match="is not a branch"):
+        build_star(hub(), [BranchSpec(node=hub(), link=flat_link())])
 
 
 def test_relay_delivers_identical_keys_and_charges_both_pools():
@@ -280,6 +286,25 @@ def test_hub_step_rejects_unknown_or_repeated_ids():
     assert topo.link("b1").auth.total_consumed_bits == 0
 
 
+def test_hub_step_rejects_a_non_positive_dt_before_anything_changes():
+    topo = star(n=2, capacity=500.0)
+    hub_cpu_step(topo, 1.0)  # 2000 cost units of work against 500 leaves a backlog
+    assert topo.backlog
+
+    def snapshot():
+        return ([link_counters(topo, bid) for bid in topo.branch_ids()],
+                list(topo.backlog), topo.backlog_cost)
+
+    before = snapshot()
+    with pytest.raises(ValueError, match="dt must be positive"):
+        hub_cpu_step(topo, 0.0)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        hub_cpu_step(topo, -1.0, active_ids=[])  # only the drain would use dt
+    assert snapshot() == before
+    with pytest.raises(ValueError, match="dt must be positive"):
+        star(capacity=5.0).capacity(-1.0)
+
+
 def test_hub_step_proportional_deferral():
     # three flat links producing 30/30/60 cost units against capacity 60
     specs = [
@@ -294,7 +319,7 @@ def test_hub_step_proportional_deferral():
     topo = build_star(hub(channels=3, capacity=60.0), specs)
     rep = hub_cpu_step(topo, 1.0)
     assert rep.deposited == {"a": 15, "b": 15, "c": 30}
-    assert [(bid, owed * rnd.cpu_exact) for bid, rnd, owed in topo.backlog] == [
+    assert [(bid, owed * Fraction(rnd.cpu_scaled, ONE)) for bid, rnd, owed in topo.backlog] == [
         ("a", Fraction(15)),
         ("b", Fraction(15)),
         ("c", Fraction(30)),
@@ -335,7 +360,7 @@ def test_hub_step_floats_are_the_exact_amounts_rounded():
     ]
     topo = build_star(hub(channels=3, capacity=350.9), specs)
     dt = 0.1
-    cost = {bid: topo.link(bid).round(dt).cpu_exact for bid in topo.branch_ids()}
+    cost = {bid: Fraction(topo.link(bid).round(dt).cpu_scaled, ONE) for bid in topo.branch_ids()}
     capacity = Fraction(350.9) * Fraction(dt)
     # (active, then whether the step found a backlog, deferred work, left a backlog)
     steps = (
@@ -420,7 +445,8 @@ def test_hub_step_backlog_cost_is_the_exact_backlog_sum(
 
     def step(active):
         rep = hub_cpu_step(topo, dt, active)
-        owed = sum((owed * rnd.cpu_exact for _, rnd, owed in topo.backlog), Fraction(0))
+        owed = sum((owed * Fraction(rnd.cpu_scaled, ONE) for _, rnd, owed in topo.backlog),
+                   Fraction(0))
         assert topo.backlog_cost == owed
         assert rep.backlog_cost_after == float(topo.backlog_cost)
         for bid in set(rep.active_ids) - set(rep.halted):
@@ -434,7 +460,7 @@ def test_hub_step_backlog_cost_is_the_exact_backlog_sum(
     for bid in ids:  # every bit of every round run has landed or is pending
         link = topo.link(bid)
         landed = link.pool.total_generated_bits + link.pending_bits
-        assert landed == rounds_run[bid] * link.round(dt).bits
+        assert landed == rounds_run[bid] * Fraction(link.round(dt).bits_scaled, ONE)
 
 
 def test_hub_step_skips_halted_links():
