@@ -43,7 +43,7 @@ from .hybrid import mosca_at_risk
 from .keycore import KeyPool
 from .policy import default_matrix, recommend
 from .qkdlink import ONE, SCALE, LinkState, raw_rate, scaled, secret_rate
-from .report import MetricsReport
+from .report import MetricsReport, RelayLedger
 from .rng import StreamRegistry
 from .scenario import Scenario, policy_grid, technique_to_jsonable, whole_ticks
 from .sharing import ShareConfig, reconstruct, refresh as refresh_shares, split
@@ -91,12 +91,15 @@ class _Pair:
 
     bits_per_tick is the exact OTP rate times the tick length, and
     pending the pad demand not yet asked for, each times 2**SCALE.
+    otp_route and relay_route are its relay ledger route codes.
     """
 
     name: str  # "src->dst"
     pools: tuple[KeyPool, KeyPool]  # src, dst; a branch pool's link_id is its branch
     bits_per_tick: int | Fraction
     relay_bits: int
+    otp_route: int
+    relay_route: int
     pending: int | Fraction = 0
     served_bits: int = 0
     unmet_bits: int = 0
@@ -108,6 +111,7 @@ class _Sharing:
 
     name: str
     pools: tuple[KeyPool, KeyPool]  # the two custodians'
+    route: int  # of its refresh relays in the relay ledger
     config: ShareConfig
     rng: random.Random
     secret: int
@@ -156,7 +160,10 @@ class _Sim:
         # Periodic sources are (kind, period, handler, target). A source's
         # index is its order, so same-slot firings of one kind run in
         # declaration order. A handler that returns True is still owed
-        # and is retried on the next tick.
+        # and is retried on the next tick. Relays log each row under a route
+        # code, an index into routes, the relay ledger's table of
+        # (branch_i, branch_j, purpose), resolved here once.
+        routes: list[tuple[str, str, str]] = []
         self.sources: list[tuple[EventKind, float, Callable[[float, Any], bool | None], Any]] = []
         self.branches: list[_Branch] = []
         for b in scenario.branches:
@@ -173,7 +180,10 @@ class _Sim:
                 pools=(by_name[t.src].link.pool, by_name[t.dst].link.pool),
                 bits_per_tick=scaled(Fraction(t.otp_bits_per_sec) * Fraction(self.dt)),
                 relay_bits=t.relay_bits,
+                otp_route=len(routes),
+                relay_route=len(routes) + 1,
             )
+            routes += [(t.src, t.dst, "otp_traffic"), (t.src, t.dst, "relay_request")]
             if t.otp_bits_per_sec > 0:
                 self.flows.append(pair)
                 by_name[t.src].flows_out.append(pair)
@@ -188,6 +198,7 @@ class _Sim:
             sharing = _Sharing(
                 name=inst.id,
                 pools=tuple(by_name[c].link.pool for c in inst.custodians),
+                route=len(routes),
                 config=config,
                 rng=rng,
                 secret=secret,
@@ -199,6 +210,7 @@ class _Sim:
                 ),
             )
             self.sharings.append(sharing)
+            routes.append((*inst.custodians, "refresh"))
             period = inst.refresh_period_seconds
             self.sources.append((EventKind.REFRESH, period, self.on_refresh, sharing))
         # The next firing of each source: (slot, kind, order, m).
@@ -223,6 +235,8 @@ class _Sim:
             duration_seconds=scenario.duration_seconds,
             tick_seconds=scenario.tick_seconds,
         )
+        if routes:  # a run that cannot relay keeps the empty list
+            self.report.relay_ledger = RelayLedger(routes)
         self.hub_series = {"backlog_cost": [], "processed_cost": [], "active_link_count": []}
         # Per-tick columns, bound once: (branch name, pool, and the append
         # of its pool_available, deposited_bits and active series).
@@ -243,25 +257,16 @@ class _Sim:
         )
 
     def relay(
-        self, time: float, ends: tuple[KeyPool, KeyPool], n: int, purpose: str, category: str
+        self, time: float, ends: tuple[KeyPool, KeyPool], n: int, route: int, category: str
     ) -> bool:
-        """Relay n bits between the pools' branches if both hold n; both pads count to category."""
+        """Relay n bits between the pools' branches if both hold n; both pads
+        count to category, and the ledger row to route.
+        """
         if ends[0].available_bits < n or ends[1].available_bits < n:
             return False
-        src, dst = ends[0].link_id, ends[1].link_id
-        fresh, key_id = relay_bits(self.topology, src, dst, n, self.relay_rng)
+        fresh, _ = relay_bits(self.topology, ends[0].link_id, ends[1].link_id, n, self.relay_rng)
         self.consumed[category] += 2 * n
-        self.report.relay_ledger.append(
-            {
-                "time": time,
-                "branch_i": src,
-                "branch_j": dst,
-                "bits": n,
-                "key_id": key_id,
-                "key_fingerprint": hashlib.sha256(fresh).hexdigest()[:16],
-                "purpose": purpose,
-            }
-        )
+        self.report.relay_ledger.append(time, route, n, hashlib.sha256(fresh).digest())
         return True
 
     def on_link_tick(self, time: float) -> None:
@@ -306,14 +311,14 @@ class _Sim:
         usable = min(ask, pool_src.available_bits, pool_dst.available_bits)
         usable -= usable % 8
         if usable > 0:
-            self.relay(time, pair.pools, usable, "otp_traffic", "otp_traffic")
+            self.relay(time, pair.pools, usable, pair.otp_route, "otp_traffic")
             pair.served_bits += usable
         if usable < ask:
             pair.unmet_bits += ask - usable
             self.unmet(time, "otp_traffic", pair.name, ask - usable)
 
     def on_relay_request(self, time: float, pair: _Pair) -> None:
-        if not self.relay(time, pair.pools, pair.relay_bits, "relay_request", "relay"):
+        if not self.relay(time, pair.pools, pair.relay_bits, pair.relay_route, "relay"):
             self.unmet(time, "relay", pair.name, pair.relay_bits)
 
     def on_refresh(self, time: float, inst: _Sharing) -> None:
@@ -321,7 +326,7 @@ class _Sim:
         exposure = time - inst.last_refresh_time
         inst.max_exposure_seconds = max(inst.max_exposure_seconds, exposure)
         # The delivered key is the refresh pad material.
-        if self.relay(time, inst.pools, cost, "refresh", "refresh"):
+        if self.relay(time, inst.pools, cost, inst.route, "refresh"):
             inst.budget.deposit(cost)
             inst.shares = refresh_shares(inst.shares, inst.config, inst.rng, inst.budget)
             inst.rounds_completed += 1
@@ -441,6 +446,9 @@ class _Sim:
             raise AssertionError(
                 f"consumption categories do not close: {consumed} != {by_category}"
             )
+        rows, relays = len(report.relay_ledger), self.topology.relay_count
+        if rows != relays:
+            raise AssertionError(f"relay ledger has {rows} rows for {relays} relays")
         return report
 
     def slot(self, kind: EventKind, m: int, period: float) -> int | Fraction:

@@ -12,16 +12,25 @@ the last, keys sorted and followed by ``": "``, ``[]`` and ``{}`` for
 empty lists and objects, strings and keys ASCII-escaped, and ``NaN``,
 ``Infinity`` and ``-Infinity`` for the non-finite floats. ``iterencode``
 writes them in few, large strings.
+
+The relay ledger, one row per relayed key and the largest part of a
+report, is held as columns in a ``RelayLedger``: each row's time, a code
+for its (branch_i, branch_j, purpose) route, its bits and the first 8
+bytes of its key's sha256. A row's key_id is not stored; it is
+``relay-{i + 1:06d}`` for row i. The ledger reads as the list of 7-key
+dicts the JSON report holds, and ``iterencode`` prints it from one
+template per row without building them.
 """
 
 from __future__ import annotations
 
 import csv
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, fields
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any
 
 from .errors import IoError
 
@@ -31,6 +40,87 @@ FORMAT_VERSION = 1
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 # Exact types whose JSON text is one call; other scalars go through _scalar.
 _EXACT = {str: _quote, int: int.__repr__}
+
+# A relay ledger row's key_id, from its row index i as KEY_ID % (i + 1),
+# and how many bytes of its key's sha256 it keeps.
+KEY_ID = "relay-%06d"
+FINGERPRINT_BYTES = 8
+# The keys of a ledger row, sorted, and how many rows one emitted chunk holds.
+_LEDGER_KEYS = ("bits", "branch_i", "branch_j", "key_fingerprint", "key_id", "purpose", "time")
+_LEDGER_ROWS_PER_CHUNK = 256
+
+
+class RelayLedger(Sequence):
+    """The relay ledger as columns, one row per relayed key, in relay order.
+
+    Row i is relay number i + 1. Its route ``routes[route[i]]`` is a
+    (branch_i, branch_j, purpose) triple; its time is ``time[i]``, its key
+    length ``bits[i]``, and ``fingerprints[8 * i:8 * i + 8]`` holds the
+    first bytes of the key's sha256, which print as the 16 hex characters
+    of ``hexdigest()[:16]``. key_id is ``KEY_ID % (i + 1)``. Indexing,
+    slicing, iteration, ``len`` and ``==`` read rows as the 7-key dicts of
+    the JSON report.
+    """
+
+    def __init__(self, routes: Iterable[tuple[str, str, str]]) -> None:
+        # Imported here, not with the module: a run that cannot relay builds
+        # no ledger and does not load the extension.
+        from array import array
+
+        self.routes = tuple(routes)
+        self.time = array("d")
+        self.route: list[int] = []
+        self.bits: list[int] = []
+        self.fingerprints = bytearray()
+
+    def append(self, time: float, route: int, bits: int, digest: bytes) -> None:
+        """Add a row: its time, route code, key length and the key's sha256 digest."""
+        self.time.append(time)
+        self.route.append(route)
+        self.bits.append(bits)
+        self.fingerprints += digest[:FINGERPRINT_BYTES]
+
+    def _columns(self, start: int, stop: int, names: Sequence[tuple[str, str, str]]) -> list:
+        """Rows start to stop - 1 as columns in key order: bits, branch_i,
+        branch_j, fingerprint, row number, purpose and time, with each
+        route's names taken from names.
+        """
+        stop = min(stop, len(self))
+        codes = self.route[start:stop]
+        branch_i, branch_j, purpose = ([route[k] for route in names] for k in range(3))
+        hexes = self.fingerprints[FINGERPRINT_BYTES * start : FINGERPRINT_BYTES * stop].hex()
+        width = 2 * FINGERPRINT_BYTES
+        return [
+            self.bits[start:stop],
+            map(branch_i.__getitem__, codes),
+            map(branch_j.__getitem__, codes),
+            [hexes[at : at + width] for at in range(0, len(hexes), width)],
+            range(start + 1, stop + 1),
+            map(purpose.__getitem__, codes),
+            self.time[start:stop],
+        ]
+
+    def _rows(self, start: int, stop: int) -> Iterator[dict[str, Any]]:
+        columns = self._columns(start, stop, self.routes)
+        columns[4] = map(KEY_ID.__mod__, columns[4])
+        return (dict(zip(_LEDGER_KEYS, row)) for row in zip(*columns))
+
+    def __len__(self) -> int:
+        return len(self.route)
+
+    def __getitem__(self, index: int | slice) -> Any:
+        rows = range(len(self))[index]  # list index rules, IndexError included
+        if isinstance(rows, range):
+            return [next(self._rows(i, i + 1)) for i in rows]
+        return next(self._rows(rows, rows + 1))
+
+    def __iter__(self) -> Iterator[dict[str, Any]]:
+        return self._rows(0, len(self))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (RelayLedger, list)):
+            return list(self) == list(other)
+        return NotImplemented
 
 
 def iterencode(obj: Any) -> Iterator[str]:
@@ -50,9 +140,13 @@ def iterencode(obj: Any) -> Iterator[str]:
 
 
 def _chunks(obj: Any, indent: str) -> Iterator[str]:
-    """Yield the JSON text of a list, tuple or dict that _flat does not
-    take, an item at a time; indent is a newline and obj's indentation.
+    """Yield the JSON text of a list, tuple, dict or relay ledger that
+    _flat does not take, an item at a time (a ledger some hundred rows at
+    a time); indent is a newline and obj's indentation.
     """
+    if isinstance(obj, RelayLedger):
+        yield from _ledger_chunks(obj, indent)
+        return
     inner = indent + "  "
     if isinstance(obj, dict):
         brackets = "{}"
@@ -72,9 +166,31 @@ def _chunks(obj: Any, indent: str) -> Iterator[str]:
     yield indent + brackets[1]
 
 
+def _ledger_chunks(ledger: RelayLedger, indent: str) -> Iterator[str]:
+    """Yield the JSON text of a non-empty relay ledger, a join of rows at a
+    time, each row from one template; indent is as for _chunks.
+    """
+    inner = indent + "  "
+    key = inner + "  "
+    # Each key's value, in _LEDGER_KEYS order; names come quoted.
+    values = ("%d", "%s", "%s", '"%s"', '"' + KEY_ID + '"', "%s", "%s")
+    pairs = (f'"{name}": {value}' for name, value in zip(_LEDGER_KEYS, values))
+    template = "{" + key + ("," + key).join(pairs) + inner + "}"
+    quoted = [tuple(map(_quote, names)) for names in ledger.routes]
+    lead, sep = "[" + inner, "," + inner
+    for start in range(0, len(ledger), _LEDGER_ROWS_PER_CHUNK):
+        columns = ledger._columns(start, start + _LEDGER_ROWS_PER_CHUNK, quoted)
+        times = list(map(float.__repr__, columns[6]))
+        columns[6] = map(_NON_FINITE.get, times, times)
+        yield lead + sep.join(map(template.__mod__, zip(*columns)))
+        lead = sep
+    yield indent + "]"
+
+
 def _flat(obj: Any, indent: str) -> str | None:
-    """The JSON text of a scalar, an empty list or dict, a dict of scalars,
-    or a list of only ints or only finite floats; None for anything else.
+    """The JSON text of a scalar, an empty list, dict or relay ledger, a
+    dict of scalars, or a list of only ints or only finite floats; None
+    for anything else.
     """
     if isinstance(obj, dict):
         if not obj:
@@ -102,6 +218,8 @@ def _flat(obj: Any, indent: str) -> str | None:
             if "n" not in text:
                 return "[" + inner + text + indent + "]"
         return None
+    if isinstance(obj, RelayLedger):
+        return None if obj else "[]"
     return _scalar(obj)
 
 
@@ -149,7 +267,8 @@ class MetricsReport:
     times: list[float] = field(default_factory=list)
     links: dict[str, dict[str, Any]] = field(default_factory=dict)
     hub: dict[str, Any] = field(default_factory=dict)
-    relay_ledger: list[dict[str, Any]] = field(default_factory=list)
+    # A run that can relay holds a RelayLedger; one that cannot, an empty list.
+    relay_ledger: RelayLedger | list[dict[str, Any]] = field(default_factory=list)
     refresh_ledger: list[dict[str, Any]] = field(default_factory=list)
     rotations: dict[str, dict[str, Any]] = field(default_factory=dict)
     unmet_demand: list[dict[str, Any]] = field(default_factory=list)
@@ -160,10 +279,19 @@ class MetricsReport:
     # Execution trace for tests; not part of the serialized report.
     event_trace: list[tuple[float, int, str, str]] | None = None
 
-    def to_dict(self) -> dict[str, Any]:
+    def _document(self) -> dict[str, Any]:
         """Every field but event_trace, by reference, after the format version."""
         out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "event_trace"}
         return {"format_version": FORMAT_VERSION, **out}
+
+    def to_dict(self) -> dict[str, Any]:
+        """The report as plain JSON data: every field but event_trace, by
+        reference, after the format version, except the relay ledger, which
+        is built here as a new list of dicts.
+        """
+        doc = self._document()
+        doc["relay_ledger"] = list(self.relay_ledger)
+        return doc
 
     def to_json(self) -> str:
         """The report.json text: the chunks ``emit_report`` writes, joined.
@@ -171,7 +299,7 @@ class MetricsReport:
         Byte for byte ``json.dumps(self.to_dict(), sort_keys=True,
         indent=2) + "\\n"``; see the module docstring for the format.
         """
-        return "".join(iterencode(self.to_dict()))
+        return "".join(iterencode(self._document()))
 
 
 def emit_report(report: MetricsReport, fmt: str, out_dir: str | Path) -> list[Path]:
@@ -196,7 +324,7 @@ def emit_report(report: MetricsReport, fmt: str, out_dir: str | Path) -> list[Pa
             # holding the whole document in memory.
             path = out / "report.json"
             with path.open("w", encoding="utf-8") as fh:
-                fh.writelines(iterencode(report.to_dict()))
+                fh.writelines(iterencode(report._document()))
             written.append(path)
             return written
 

@@ -1,10 +1,13 @@
 """Command-line interface: subcommands, output files, exit codes."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from starqkd import cli
 from starqkd.cli import main
+from starqkd.keycore import Provenance
 from starqkd.qkdlink import raw_rate
 from starqkd.scenario import DEFAULT_LINK
 
@@ -397,6 +400,28 @@ def test_relay_demo(capsys):
 def test_relay_demo_largest_star(capsys):
     assert main(["relay-demo", "--branches", "1000", "--seed", str(2**64 - 1)]) == 0
     assert "star of 1000 branches" in capsys.readouterr().out
+
+
+def _flip_first_bit(k_src, k_dst):
+    return k_src, replace(k_dst, bits=bytes([k_dst.bits[0] ^ 1]) + k_dst.bits[1:])
+
+
+def _not_relayed(k_src, k_dst):
+    return replace(k_src, provenance=Provenance.QUANTUM), k_dst
+
+
+@pytest.mark.parametrize("fault", [_flip_first_bit, _not_relayed])
+def test_relay_demo_exits_two_when_keys_do_not_match(monkeypatch, capsys, fault):
+    relay_key = cli.relay_key
+
+    def faulty_relay_key(*args):
+        k_src, k_dst, record = relay_key(*args)
+        return (*fault(k_src, k_dst), record)
+
+    monkeypatch.setattr("starqkd.cli.relay_key", faulty_relay_key)
+    assert main(["relay-demo", "--branches", "3", "--bits", "128", "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: relay produced mismatched keys\n"
 
 
 def test_relay_demo_deterministic(capsys):

@@ -1,12 +1,15 @@
 """End-to-end simulation runs: determinism, conservation, scheduling."""
 
 import hashlib
+import json
 import math
 from fractions import Fraction
 
 import pytest
 
+from starqkd import engine
 from starqkd.engine import EventKind, run
+from starqkd.report import emit_report
 from starqkd.rng import StreamRegistry, random_bits
 from starqkd.scenario import DEFAULT_LINK, ingest_scenario, scenario_from_dict, with_overrides
 
@@ -443,8 +446,9 @@ def test_shipped_scenario_runs_clean():
     assert t["consumed_bits_total"] == categories_total(r)
 
 
-def test_relay_ledger_is_the_relay_stream_in_row_order():
-    # Row i is relay number i + 1, and its key is the next draw from relay/hub.
+@pytest.fixture(scope="module")
+def relay_reports():
+    """Shipped star10, and OTP, 2.5 s relays and 7 s refreshes on 1 s ticks."""
     star10 = run(ingest_scenario("scenarios/star10.json"))
     between_ticks = run(
         scenario_from_dict(
@@ -466,6 +470,12 @@ def test_relay_ledger_is_the_relay_stream_in_row_order():
             )
         )
     )
+    return star10, between_ticks
+
+
+def test_relay_ledger_is_the_relay_stream_in_row_order(relay_reports):
+    # Row i is relay number i + 1, and its key is the next draw from relay/hub.
+    star10, between_ticks = relay_reports
     rows = between_ticks.relay_ledger
     times = [row["time"] for row in rows if row["purpose"] == "relay_request"]
     assert 2.5 in times and 27.5 in times
@@ -477,6 +487,56 @@ def test_relay_ledger_is_the_relay_stream_in_row_order():
             assert row["key_id"] == f"relay-{i + 1:06d}"
             fresh = random_bits(stream, row["bits"])
             assert row["key_fingerprint"] == hashlib.sha256(fresh).hexdigest()[:16]
+
+
+def test_report_json_is_json_dumps_of_to_dict(relay_reports, tmp_path):
+    # README "Reports": the bytes are json.dumps(report.to_dict(),
+    # sort_keys=True, indent=2) followed by a newline.
+    for name, report in zip(("star10", "between_ticks"), relay_reports):
+        data = report.to_dict()
+        assert isinstance(data["relay_ledger"], list) and data["relay_ledger"]
+        text = json.dumps(data, sort_keys=True, indent=2) + "\n"
+        assert report.to_json() == text
+        (path,) = emit_report(report, "json", tmp_path / name)
+        assert path.read_text(encoding="utf-8") == text
+
+
+def _extra_generated_bit(sim):
+    sim.branches[0].link.pool.total_generated_bits += 1
+
+
+def _uncategorized_debit(sim):
+    sim.consumed["relay"] -= 2
+
+
+def _unlogged_relay(sim):
+    sim.topology.relay_count += 1
+
+
+@pytest.mark.parametrize(
+    ("fault", "message"),
+    [
+        (_extra_generated_bit, r"conservation broken: generated \d+ != \d+ available \+ \d+"),
+        (_uncategorized_debit, r"consumption categories do not close: \d+ != \{'auth': "),
+        (_unlogged_relay, r"relay ledger has (\d+) rows for (\d+) relays"),
+    ],
+)
+def test_finish_names_a_broken_invariant(monkeypatch, fault, message):
+    scenario = scenario_from_dict(
+        small_scenario(traffic=[{"src": "b1", "dst": "b2", "otp_bits_per_sec": 64.0}])
+    )
+    rows = len(run(scenario).relay_ledger)
+    finish = engine._Sim.finish
+
+    def faulty_finish(sim):
+        fault(sim)
+        return finish(sim)
+
+    monkeypatch.setattr(engine._Sim, "finish", faulty_finish)
+    with pytest.raises(AssertionError, match=message) as caught:
+        run(scenario)
+    if fault is _unlogged_relay:
+        assert str(caught.value) == f"relay ledger has {rows} rows for {rows + 1} relays"
 
 
 def test_fractional_rate_carries_exactly():

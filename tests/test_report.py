@@ -1,6 +1,8 @@
 """Report serialization and file emission."""
 
 import csv
+import gc
+import hashlib
 import json
 import math
 import tracemalloc
@@ -12,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from starqkd.engine import run
 from starqkd.errors import IoError
-from starqkd.report import FORMAT_VERSION, emit_report, iterencode
+from starqkd.report import FORMAT_VERSION, RelayLedger, emit_report, iterencode
 from starqkd.scenario import ingest_scenario, scenario_from_dict, with_overrides
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -136,8 +138,50 @@ _FLAT_LISTS = (
     | st.lists(st.integers() | st.booleans(), max_size=8)
     | st.lists(st.integers() | st.floats(), max_size=8)
 )
+
+
+def _ledger(routes, rows):
+    """A RelayLedger of rows (time, route index, bits, digest); route indices wrap."""
+    ledger = RelayLedger(routes)
+    for time, route, bits, digest in rows:
+        ledger.append(time, route % len(routes), bits, digest)
+    return ledger
+
+
+# Relay ledgers, empty ones included: names as _TEXT writes them, every
+# purpose, bits from 1 to past 2**64 and times whole, fractional or not finite.
+_LEDGERS = st.builds(
+    _ledger,
+    st.lists(
+        st.tuples(_TEXT, _TEXT, st.sampled_from(("otp_traffic", "relay_request", "refresh"))),
+        min_size=1,
+        max_size=3,
+    ),
+    st.lists(
+        st.tuples(
+            st.floats() | st.integers(0, 10**6).map(lambda k: k / 8),
+            st.integers(0, 2),
+            st.integers(1, 2**20) | st.integers(2**64 - 2, 2**80),
+            st.binary(min_size=32, max_size=32),
+        ),
+        max_size=6,
+    ),
+)
+# A ledger of three chunks: the encoder joins a few hundred rows at a time.
+_LONG_LEDGER = _ledger(
+    [("b1", "b2", "otp_traffic"), ("b2", "b3", "relay_request"), ("b3", "b1", "refresh")],
+    [(k * 0.1, k, 8 * k + 8, hashlib.sha256(k.to_bytes(4, "big")).digest()) for k in range(700)],
+)
+_ODD_LEDGER = _ledger(
+    [('q"uo\\te\n', "\u00e9\x1f\U0001f600", "refresh"), ("b1", "", "otp_traffic")],
+    [
+        (2.5, 0, 1, bytes(32)),
+        (_NAN, 1, 2**64 + 1, bytes(range(32))),
+        (-_INF, 0, 2**64, b"\xff" * 32),
+    ],
+)
 _TREES = st.recursive(
-    _SCALARS | _FLAT_LISTS,
+    _SCALARS | _FLAT_LISTS | _LEDGERS,
     lambda children: st.lists(children, max_size=4)
     | st.lists(children, max_size=4).map(tuple)
     | st.dictionaries(_TEXT, children, max_size=4)
@@ -160,8 +204,47 @@ _TREES = st.recursive(
 @example({"": {}, "a": [], "b": [[], {}], "c": [{}], "d": {"e": {"f": []}}})
 @example({'q"uo\\te\n\x00': "\u00e9\u2028\U0001f600\x1f", "\u00e9": ['"', "\\"]})
 @example([{2: "b", 1: "a", -1.5: None, _NAN: 0, _Level.HIGH: 1}, {True: [1]}, {None: {}}])
+@example(_LONG_LEDGER)
+@example({"relay_ledger": _ODD_LEDGER, "a": [_LONG_LEDGER, _ledger([("a", "b", "refresh")], [])]})
+@example([_ODD_LEDGER, {"x": [_ODD_LEDGER]}])
 def test_iterencode_matches_json_dumps(obj):
-    assert "".join(iterencode(obj)) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    # json.dumps prints a RelayLedger as its list of row dicts.
+    expected = json.dumps(obj, sort_keys=True, indent=2, default=list) + "\n"
+    assert "".join(iterencode(obj)) == expected
+
+
+def test_relay_ledger_reads_as_its_list_of_row_dicts():
+    routes = [("b1", "b2", "otp_traffic"), ("b2", "b3", "relay_request"), ("b3", "b1", "refresh")]
+    appended, rows = [], []
+    for i in range(5):
+        key = bytes([i]) * 6
+        src, dst, purpose = routes[i % 3]
+        appended.append((0.5 * i + 0.25, i % 3, 48 + i, hashlib.sha256(key).digest()))
+        rows.append(
+            {
+                "time": 0.5 * i + 0.25,
+                "branch_i": src,
+                "branch_j": dst,
+                "bits": 48 + i,
+                "key_id": f"relay-{i + 1:06d}",
+                "key_fingerprint": hashlib.sha256(key).hexdigest()[:16],
+                "purpose": purpose,
+            }
+        )
+    ledger = _ledger(routes, appended)
+    assert len(ledger) == 5
+    for i in range(-5, 5):
+        assert ledger[i] == rows[i]
+    for i in (5, -6, 10**6, -(10**6)):
+        with pytest.raises(IndexError):
+            ledger[i]
+    for part in (slice(None), slice(1, 3), slice(-2, None), slice(None, None, -2), slice(3, 1)):
+        assert ledger[part] == rows[part]
+    assert [row for row in ledger] == rows
+    assert ledger == rows and rows == ledger and ledger == _ledger(routes, appended)
+    assert ledger != rows[:-1] and ledger != rows[::-1] and ledger != tuple(rows)
+    assert ledger != _ledger(routes, appended[:-1])
+    assert RelayLedger(routes) == [] and not RelayLedger(routes)
 
 
 @pytest.mark.parametrize(
@@ -189,3 +272,22 @@ def test_emit_json_streams_without_a_second_copy(tmp_path):
     size = path.stat().st_size
     assert size > 2_000_000
     assert peak < size / 4, (peak, size)
+
+
+def test_relay_ledger_holds_under_100_bytes_a_row():
+    # The ledger is the report's largest part: dropping it frees what its
+    # rows hold, which must stay under 100 B a row (a 7-key dict is ~430 B).
+    scenario = with_overrides(ingest_scenario(SCENARIOS / "star10.json"), duration_seconds=2000.0)
+    tracemalloc.start()
+    try:
+        report = run(scenario)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        rows = len(report.relay_ledger)
+        report.relay_ledger = []
+        gc.collect()
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert rows > 5000
+    assert freed / rows < 100, (freed, rows)
