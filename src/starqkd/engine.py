@@ -43,7 +43,7 @@ from .hybrid import mosca_at_risk
 from .keycore import KeyPool
 from .policy import default_matrix, recommend
 from .qkdlink import ONE, SCALE, LinkState, raw_rate, scaled, secret_rate
-from .report import MetricsReport, RelayLedger
+from .report import MetricsReport
 from .rng import StreamRegistry
 from .scenario import Scenario, policy_grid, technique_to_jsonable, whole_ticks
 from .sharing import ShareConfig, reconstruct, refresh as refresh_shares, split
@@ -153,6 +153,12 @@ class _Sim:
         self.n_ticks = scenario.tick_count
 
         self.topology = build_topology(scenario, streams)
+        self.report = MetricsReport(
+            seed=scenario.seed,
+            duration_seconds=scenario.duration_seconds,
+            tick_seconds=scenario.tick_seconds,
+        )
+        ledger = self.report.relay_ledger
 
         # One runtime object per branch, traffic pair and sharing
         # instance; handlers get the object, never a name to look up. An
@@ -160,10 +166,9 @@ class _Sim:
         # Periodic sources are (kind, period, handler, target). A source's
         # index is its order, so same-slot firings of one kind run in
         # declaration order. A handler that returns True is still owed
-        # and is retried on the next tick. Relays log each row under a route
-        # code, an index into routes, the relay ledger's table of
-        # (branch_i, branch_j, purpose), resolved here once.
-        routes: list[tuple[str, str, str]] = []
+        # and is retried on the next tick. Relays log each row under the
+        # code the relay ledger hands out here for its (branch_i, branch_j,
+        # purpose) route.
         self.sources: list[tuple[EventKind, float, Callable[[float, Any], bool | None], Any]] = []
         self.branches: list[_Branch] = []
         for b in scenario.branches:
@@ -180,10 +185,9 @@ class _Sim:
                 pools=(by_name[t.src].link.pool, by_name[t.dst].link.pool),
                 bits_per_tick=scaled(Fraction(t.otp_bits_per_sec) * Fraction(self.dt)),
                 relay_bits=t.relay_bits,
-                otp_route=len(routes),
-                relay_route=len(routes) + 1,
+                otp_route=ledger.route(t.src, t.dst, "otp_traffic"),
+                relay_route=ledger.route(t.src, t.dst, "relay_request"),
             )
-            routes += [(t.src, t.dst, "otp_traffic"), (t.src, t.dst, "relay_request")]
             if t.otp_bits_per_sec > 0:
                 self.flows.append(pair)
                 by_name[t.src].flows_out.append(pair)
@@ -198,7 +202,7 @@ class _Sim:
             sharing = _Sharing(
                 name=inst.id,
                 pools=tuple(by_name[c].link.pool for c in inst.custodians),
-                route=len(routes),
+                route=ledger.route(*inst.custodians, "refresh"),
                 config=config,
                 rng=rng,
                 secret=secret,
@@ -210,7 +214,6 @@ class _Sim:
                 ),
             )
             self.sharings.append(sharing)
-            routes.append((*inst.custodians, "refresh"))
             period = inst.refresh_period_seconds
             self.sources.append((EventKind.REFRESH, period, self.on_refresh, sharing))
         # The next firing of each source: (slot, kind, order, m).
@@ -230,13 +233,6 @@ class _Sim:
             "refresh": 0,
         }
 
-        self.report = MetricsReport(
-            seed=scenario.seed,
-            duration_seconds=scenario.duration_seconds,
-            tick_seconds=scenario.tick_seconds,
-        )
-        if routes:  # a run that cannot relay keeps the empty list
-            self.report.relay_ledger = RelayLedger(routes)
         self.hub_series = {"backlog_cost": [], "processed_cost": [], "active_link_count": []}
         # Per-tick columns, bound once: (branch name, pool, and the append
         # of its pool_available, deposited_bits and active series).
@@ -264,7 +260,7 @@ class _Sim:
         """
         if ends[0].available_bits < n or ends[1].available_bits < n:
             return False
-        fresh, _ = relay_bits(self.topology, ends[0].link_id, ends[1].link_id, n, self.relay_rng)
+        fresh = relay_bits(self.topology, ends[0].link_id, ends[1].link_id, n, self.relay_rng)
         self.consumed[category] += 2 * n
         self.report.relay_ledger.append(time, route, n, hashlib.sha256(fresh).digest())
         return True

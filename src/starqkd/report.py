@@ -11,21 +11,22 @@ item per line at a two-space indent, a comma ending every item line but
 the last, keys sorted and followed by ``": "``, ``[]`` and ``{}`` for
 empty lists and objects, strings and keys ASCII-escaped, and ``NaN``,
 ``Infinity`` and ``-Infinity`` for the non-finite floats. ``iterencode``
-writes them in few, large strings.
+writes them in one recursive pass, in few, large strings.
 
 The relay ledger, one row per relayed key and the largest part of a
-report, is held as columns in a ``RelayLedger``: each row's time, a code
-for its (branch_i, branch_j, purpose) route, its bits and the first 8
-bytes of its key's sha256. A row's key_id is not stored; it is
-``relay-{i + 1:06d}`` for row i. The ledger reads as the list of 7-key
-dicts the JSON report holds, and ``iterencode`` prints it from one
-template per row without building them.
+report, is always a ``RelayLedger``, held as columns: each row's time,
+the code the ledger handed out for its (branch_i, branch_j, purpose)
+route, its bits and the first 8 bytes of its key's sha256. Row i's
+key_id is ``KEY_ID % (i + 1)``, not stored. The ledger reads as the
+list of 7-key dicts the JSON report holds, and ``iterencode`` prints it
+from one template per row without building them.
 """
 
 from __future__ import annotations
 
 import csv
-from collections.abc import Iterable, Iterator, Sequence
+from array import array
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, fields
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
@@ -38,11 +39,9 @@ FORMAT_VERSION = 1
 
 # float.__repr__ of the non-finite floats, and their JSON names.
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-# Exact types whose JSON text is one call; other scalars go through _scalar.
-_EXACT = {str: _quote, int: int.__repr__}
 
-# A relay ledger row's key_id, from its row index i as KEY_ID % (i + 1),
-# and how many bytes of its key's sha256 it keeps.
+# The n-th relay's key id, KEY_ID % n, so row i's is KEY_ID % (i + 1),
+# and how many bytes of its key's sha256 a ledger row keeps.
 KEY_ID = "relay-%06d"
 FINGERPRINT_BYTES = 8
 # The keys of a ledger row, sorted, and how many rows one emitted chunk holds.
@@ -53,30 +52,31 @@ _LEDGER_ROWS_PER_CHUNK = 256
 class RelayLedger(Sequence):
     """The relay ledger as columns, one row per relayed key, in relay order.
 
-    Row i is relay number i + 1. Its route ``routes[route[i]]`` is a
-    (branch_i, branch_j, purpose) triple; its time is ``time[i]``, its key
-    length ``bits[i]``, and ``fingerprints[8 * i:8 * i + 8]`` holds the
-    first bytes of the key's sha256, which print as the 16 hex characters
-    of ``hexdigest()[:16]``. key_id is ``KEY_ID % (i + 1)``. Indexing,
-    slicing, iteration, ``len`` and ``==`` read rows as the 7-key dicts of
-    the JSON report.
+    Row i is relay number i + 1. Its route, coded by ``route``, is the
+    (branch_i, branch_j, purpose) triple ``routes[codes[i]]``; its time is
+    ``time[i]``, its key length ``bits[i]``, and the 8 bytes at ``8 * i``
+    in ``fingerprints`` start the key's sha256, which print as the 16 hex
+    characters of ``hexdigest()[:16]``. key_id is ``KEY_ID % (i + 1)``.
+    Indexing, slicing, iteration, ``len`` and ``==`` read rows as the
+    7-key dicts of the JSON report.
     """
 
-    def __init__(self, routes: Iterable[tuple[str, str, str]]) -> None:
-        # Imported here, not with the module: a run that cannot relay builds
-        # no ledger and does not load the extension.
-        from array import array
-
-        self.routes = tuple(routes)
+    def __init__(self) -> None:
+        self.routes: list[tuple[str, str, str]] = []
         self.time = array("d")
-        self.route: list[int] = []
+        self.codes: list[int] = []
         self.bits: list[int] = []
         self.fingerprints = bytearray()
+
+    def route(self, branch_i: str, branch_j: str, purpose: str) -> int:
+        """A new route's code, for the rows appended under it."""
+        self.routes.append((branch_i, branch_j, purpose))
+        return len(self.routes) - 1
 
     def append(self, time: float, route: int, bits: int, digest: bytes) -> None:
         """Add a row: its time, route code, key length and the key's sha256 digest."""
         self.time.append(time)
-        self.route.append(route)
+        self.codes.append(route)
         self.bits.append(bits)
         self.fingerprints += digest[:FINGERPRINT_BYTES]
 
@@ -86,7 +86,7 @@ class RelayLedger(Sequence):
         route's names taken from names.
         """
         stop = min(stop, len(self))
-        codes = self.route[start:stop]
+        codes = self.codes[start:stop]
         branch_i, branch_j, purpose = ([route[k] for route in names] for k in range(3))
         hexes = self.fingerprints[FINGERPRINT_BYTES * start : FINGERPRINT_BYTES * stop].hex()
         width = 2 * FINGERPRINT_BYTES
@@ -106,7 +106,7 @@ class RelayLedger(Sequence):
         return (dict(zip(_LEDGER_KEYS, row)) for row in zip(*columns))
 
     def __len__(self) -> int:
-        return len(self.route)
+        return len(self.codes)
 
     def __getitem__(self, index: int | slice) -> Any:
         rows = range(len(self))[index]  # list index rules, IndexError included
@@ -128,40 +128,48 @@ def iterencode(obj: Any) -> Iterator[str]:
 
     The chunks join to ``json.dumps(obj, sort_keys=True, indent=2) +
     "\\n"``, and an object json cannot encode raises the same
-    ``TypeError``. A dict of scalars is one chunk, and so is a list of
-    only ints or only finite floats, where json yields a few per item.
+    ``TypeError``. A list of only ints or only finite floats is one
+    chunk, where json yields a few per item, and a relay ledger is one
+    chunk per few hundred rows.
     """
-    text = _flat(obj, "\n")
-    if text is None:
-        yield from _chunks(obj, "\n")
-    else:
-        yield text
+    yield from _chunks(obj, "\n")
     yield "\n"
 
 
 def _chunks(obj: Any, indent: str) -> Iterator[str]:
-    """Yield the JSON text of a list, tuple, dict or relay ledger that
-    _flat does not take, an item at a time (a ledger some hundred rows at
-    a time); indent is a newline and obj's indentation.
+    """Yield the JSON text of obj; indent is a newline and obj's indentation.
+    A list or tuple of only ints or only finite floats is one join, a relay
+    ledger a join of rows at a time, and any other list or dict item by item.
     """
+    if isinstance(obj, dict):
+        brackets = "{}"
+    elif isinstance(obj, (list, tuple, RelayLedger)):
+        brackets = "[]"
+    else:
+        yield _scalar(obj)
+        return
+    if not obj:
+        yield brackets
+        return
     if isinstance(obj, RelayLedger):
         yield from _ledger_chunks(obj, indent)
         return
     inner = indent + "  "
     if isinstance(obj, dict):
-        brackets = "{}"
         items = [(_key(key), value) for key, value in sorted(obj.items())]
     else:
-        brackets = "[]"
+        kinds = set(map(type, obj))
+        if len(kinds) == 1 and (kind := kinds.pop()) in (int, float):
+            text = ("," + inner).join(map(kind.__repr__, obj))
+            # A finite float's repr has no "n"; nan and inf do.
+            if "n" not in text:
+                yield "[" + inner + text + indent + "]"
+                return
         items = zip(repeat(""), obj)
     lead = brackets[0] + inner
     for prefix, value in items:
-        text = _flat(value, inner)
-        if text is None:
-            yield lead + prefix
-            yield from _chunks(value, inner)
-        else:
-            yield lead + prefix + text
+        yield lead + prefix
+        yield from _chunks(value, inner)
         lead = "," + inner
     yield indent + brackets[1]
 
@@ -185,42 +193,6 @@ def _ledger_chunks(ledger: RelayLedger, indent: str) -> Iterator[str]:
         yield lead + sep.join(map(template.__mod__, zip(*columns)))
         lead = sep
     yield indent + "]"
-
-
-def _flat(obj: Any, indent: str) -> str | None:
-    """The JSON text of a scalar, an empty list, dict or relay ledger, a
-    dict of scalars, or a list of only ints or only finite floats; None
-    for anything else.
-    """
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = indent + "  "
-        try:
-            pairs = [
-                _quote(key) + ": " + _EXACT.get(value.__class__, _scalar)(value)
-                for key, value in sorted(obj.items())
-            ]
-        except TypeError:
-            # A list or dict value, a key that is not a string, or an
-            # object json cannot encode: _chunks takes the items one by
-            # one and encodes or rejects each as json does.
-            return None
-        return "{" + inner + ("," + inner).join(pairs) + indent + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = indent + "  "
-        kinds = set(map(type, obj))
-        if len(kinds) == 1 and (kind := kinds.pop()) in (int, float):
-            text = ("," + inner).join(map(kind.__repr__, obj))
-            # A finite float's repr has no "n"; nan and inf do.
-            if "n" not in text:
-                return "[" + inner + text + indent + "]"
-        return None
-    if isinstance(obj, RelayLedger):
-        return None if obj else "[]"
-    return _scalar(obj)
 
 
 def _scalar(obj: Any) -> str:
@@ -267,8 +239,7 @@ class MetricsReport:
     times: list[float] = field(default_factory=list)
     links: dict[str, dict[str, Any]] = field(default_factory=dict)
     hub: dict[str, Any] = field(default_factory=dict)
-    # A run that can relay holds a RelayLedger; one that cannot, an empty list.
-    relay_ledger: RelayLedger | list[dict[str, Any]] = field(default_factory=list)
+    relay_ledger: RelayLedger = field(default_factory=RelayLedger)
     refresh_ledger: list[dict[str, Any]] = field(default_factory=list)
     rotations: dict[str, dict[str, Any]] = field(default_factory=dict)
     unmet_demand: list[dict[str, Any]] = field(default_factory=list)

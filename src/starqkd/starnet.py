@@ -18,6 +18,7 @@ from .errors import DuplicateId, InsufficientKey, NoBranches
 from .keycore import DEFAULT_AUTH_RESERVED_BITS, DEFAULT_POOL_TARGET_BITS, DEFAULT_TAG_COST_BITS
 from .keycore import AuthBudget, KeyMaterial, KeyPool, Provenance
 from .qkdlink import ONE, SCALE, LinkParams, LinkState, Round, produce, scaled
+from .report import KEY_ID
 from .rng import random_bits
 
 
@@ -82,7 +83,7 @@ class StarTopology:
     step, so a step never re-sums it.
 
     relay_count counts the relays made in this star, and the n-th
-    relay's key id is relay-{n:06d}.
+    relay's key id is ``report.KEY_ID % n``.
     """
 
     hub: Node
@@ -175,8 +176,8 @@ def relay_bits(
     branch_j: str,
     n_bits: int,
     rng: random.Random,
-) -> tuple[bytes, str]:
-    """Relay one fresh n-bit key between two branches; return (bits, key id).
+) -> bytes:
+    """Relay one fresh n-bit key between two branches; return its bits.
 
     The hub one-time-pads a fresh n-bit key down each spoke, spending
     the pads from the endpoint pools as ledger debits; each branch strips
@@ -201,7 +202,7 @@ def relay_bits(
     topology.relay_count += 1
     link_i.pool.spend(n_bits)  # the pad for each spoke
     link_j.pool.spend(n_bits)
-    return fresh, f"relay-{topology.relay_count:06d}"
+    return fresh
 
 
 def relay_key(
@@ -217,7 +218,8 @@ def relay_key(
     This is relay_bits, with the errors it raises, plus each branch's
     copy of the key as KeyMaterial and a RelayRecord, all stamped now.
     """
-    fresh, key_id = relay_bits(topology, branch_i, branch_j, n_bits, rng)
+    fresh = relay_bits(topology, branch_i, branch_j, n_bits, rng)
+    key_id = KEY_ID % topology.relay_count
     k_i, k_j = (
         KeyMaterial(f"{key_id}/{bid}", fresh, n_bits, Provenance.RELAYED, created_at=now)
         for bid in (branch_i, branch_j)

@@ -4,12 +4,13 @@ import hashlib
 import json
 import math
 from fractions import Fraction
+from heapq import heappush
 
 import pytest
 
 from starqkd import engine
 from starqkd.engine import EventKind, run
-from starqkd.report import emit_report
+from starqkd.report import RelayLedger, emit_report
 from starqkd.rng import StreamRegistry, random_bits
 from starqkd.scenario import DEFAULT_LINK, ingest_scenario, scenario_from_dict, with_overrides
 
@@ -97,6 +98,10 @@ def test_idle_network_pool_growth_closed_form():
     assert r.links["solo"]["pool"]["available_bits"] == expected
     assert r.links["solo"]["pool"]["generated_bits"] == expected
     assert r.totals["consumed_bits_total"] == 0
+    # A run that cannot relay still holds a ledger, an empty one.
+    assert isinstance(r.relay_ledger, RelayLedger) and len(r.relay_ledger) == 0
+    assert '\n  "relay_ledger": [],\n' in r.to_json()
+    assert r.to_dict()["relay_ledger"] == []
 
 
 def test_channel_cap_and_round_robin_fairness():
@@ -537,6 +542,20 @@ def test_finish_names_a_broken_invariant(monkeypatch, fault, message):
         run(scenario)
     if fault is _unlogged_relay:
         assert str(caught.value) == f"relay ledger has {rows} rows for {rows + 1} relays"
+
+
+def test_fire_rejects_a_slot_before_the_last_one():
+    # The schedule only moves forward: an entry sorting before the slot
+    # just fired is a scheduling fault, and fire names both slots.
+    sim = engine._Sim(
+        scenario_from_dict(small_scenario(branches=[{"id": "b1", "rotation_frequency_hz": 0.5}])),
+        False,
+    )
+    sim.fire((3, EventKind.LINK_TICK))  # the rotation on tick 2
+    assert sim.last_slot == 2
+    heappush(sim.due, (1, EventKind.ROTATION, 0, 1))
+    with pytest.raises(AssertionError, match=r"^slot 1 follows slot 2$"):
+        sim.fire((3, EventKind.LINK_TICK))
 
 
 def test_fractional_rate_carries_exactly():

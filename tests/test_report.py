@@ -142,9 +142,10 @@ _FLAT_LISTS = (
 
 def _ledger(routes, rows):
     """A RelayLedger of rows (time, route index, bits, digest); route indices wrap."""
-    ledger = RelayLedger(routes)
+    ledger = RelayLedger()
+    codes = [ledger.route(*route) for route in routes]
     for time, route, bits, digest in rows:
-        ledger.append(time, route % len(routes), bits, digest)
+        ledger.append(time, codes[route % len(codes)], bits, digest)
     return ledger
 
 
@@ -244,7 +245,8 @@ def test_relay_ledger_reads_as_its_list_of_row_dicts():
     assert ledger == rows and rows == ledger and ledger == _ledger(routes, appended)
     assert ledger != rows[:-1] and ledger != rows[::-1] and ledger != tuple(rows)
     assert ledger != _ledger(routes, appended[:-1])
-    assert RelayLedger(routes) == [] and not RelayLedger(routes)
+    assert _ledger(routes, []) == [] and not _ledger(routes, [])
+    assert RelayLedger() == [] and not RelayLedger()
 
 
 @pytest.mark.parametrize(
@@ -284,7 +286,7 @@ def test_relay_ledger_holds_under_100_bytes_a_row():
         gc.collect()
         held = tracemalloc.get_traced_memory()[0]
         rows = len(report.relay_ledger)
-        report.relay_ledger = []
+        report.relay_ledger = RelayLedger()
         gc.collect()
         freed = held - tracemalloc.get_traced_memory()[0]
     finally:

@@ -18,6 +18,7 @@ from starqkd.sharing import (
     DEFAULT_FIELD_PRIME,
     Share,
     ShareConfig,
+    _is_prime,
     reconstruct,
     refresh,
     secrecy_oracle,
@@ -218,3 +219,9 @@ def test_bad_fields_rejected():
         ShareConfig(n_locations=3, threshold_k=4, field_prime=13)
     with pytest.raises(ValueError):
         ShareConfig(n_locations=1, threshold_k=1, field_prime=13)
+
+
+def test_is_prime_below_two():
+    # ShareConfig never asks below 3, since field_prime must exceed
+    # n_locations >= 2. Without its n < 2 check, _is_prime(1) loops on d = 0.
+    assert [_is_prime(n) for n in (-7, 0, 1, 2, 3)] == [False, False, False, True, True]

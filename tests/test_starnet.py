@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from starqkd.errors import DuplicateId, InsufficientKey, NoBranches
 from starqkd.keycore import Provenance
 from starqkd.qkdlink import ONE, LinkParams, raw_rate, tick
+from starqkd.report import KEY_ID
 from starqkd.starnet import (
     BranchSpec,
     Node,
@@ -154,16 +155,18 @@ def test_relay_rejects_bad_endpoints():
 
 
 def test_relay_key_wraps_relay_bits():
-    # From equal RNG states, relay_key's keys hold exactly relay_bits' draw and id.
+    # From equal RNG states, relay_key's keys hold exactly relay_bits' draw,
+    # under the id KEY_ID % relay_count.
     core, wrapped = star(), star()
     for topo in (core, wrapped):
         for bid in topo.branch_ids():
             topo.link(bid).pool.deposit(5000)
     core_rng, wrapped_rng = random.Random(11), random.Random(11)
     for n, i, j in ((1, "b1", "b2"), (64, "b3", "b1"), (100, "b2", "b3"), (4096, "b1", "b3")):
-        fresh, key_id = relay_bits(core, i, j, n, core_rng)
+        fresh = relay_bits(core, i, j, n, core_rng)
         k_i, k_j, record = relay_key(wrapped, i, j, n, wrapped_rng, now=2.5)
-        assert key_id == f"relay-{core.relay_count:06d}"
+        key_id = KEY_ID % core.relay_count
+        assert isinstance(fresh, bytes)
         assert k_i.bits == k_j.bits == fresh
         assert k_i.bit_length == k_j.bit_length == n
         assert (k_i.id, k_j.id) == (f"{key_id}/{i}", f"{key_id}/{j}")
