@@ -6,7 +6,7 @@ flow, in declaration order. Master-key rotations, relay requests and
 share refreshes are periodic sources. Each keeps its next firing in a
 small heap keyed by (slot, kind, order, m), where the slot is the
 firing's time in ticks as an exact number: the integer k when
-m * period / dt is a whole number of ticks by `scenario.whole_ticks`,
+m * period / dt is a whole number of ticks by `hybrid.whole_ticks`,
 otherwise the exact ratio of the two floats. A rotation needs fresh key,
 which arrives on ticks, so it runs on the first tick at or after its
 time, between that tick's production and its traffic, and is stamped
@@ -39,13 +39,13 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from typing import Any, Callable
 
-from .hybrid import mosca_at_risk
+from .hybrid import EPOCH_ID, mosca_at_risk, whole_ticks
 from .keycore import KeyPool
 from .policy import default_matrix, recommend
 from .qkdlink import ONE, SCALE, LinkState, raw_rate, scaled, secret_rate
 from .report import MetricsReport
 from .rng import StreamRegistry
-from .scenario import Scenario, policy_grid, technique_to_jsonable, whole_ticks
+from .scenario import Scenario, policy_grid, technique_to_jsonable
 from .sharing import ShareConfig, reconstruct, refresh as refresh_shares, split
 from .starnet import (
     BranchSpec,
@@ -293,7 +293,7 @@ class _Sim:
         pool.spend(need)
         self.consumed["rotation"] += need
         epochs = branch.epochs
-        epochs.append([time, f"{branch.name}/master@e{len(epochs) + 1}"])
+        epochs.append([time, EPOCH_ID % (branch.name + "/master", len(epochs) + 1)])
         return False
 
     def on_traffic(self, time: float, pair: _Pair) -> None:

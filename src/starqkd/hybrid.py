@@ -22,6 +22,8 @@ YEAR_SECONDS = 31_557_600.0  # Julian year
 # nothing meaningful to say past 1e15 years.
 PRACTICALLY_INFINITE_SECONDS = 1e15 * YEAR_SECONDS
 HORIZON_MODEL_ID = "additive-coverage-v1"
+EPOCH_ID = "%s@e%d"  # epoch n's master key id is EPOCH_ID % (base id, n)
+_TOLERANCE = 1e-9  # `whole_ticks`: one part in 1e9
 
 _KEYSTREAM_DOMAIN = b"starqkd/keystream/v1"
 
@@ -82,9 +84,9 @@ class HybridCipherState:
     epoch_log: list[tuple[float, str]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if self.rotation_frequency_hz < 0:
+        if not 0 <= self.rotation_frequency_hz < math.inf:
             raise ValueError(
-                f"rotation_frequency_hz must be >= 0, got {self.rotation_frequency_hz}"
+                f"rotation_frequency_hz must be finite and >= 0, got {self.rotation_frequency_hz}"
             )
 
 
@@ -125,22 +127,40 @@ def decrypt_hybrid(state: HybridCipherState, ciphertext: bytes) -> bytes:
     return encrypt_hybrid(state, ciphertext)
 
 
-def due_rotations(state: HybridCipherState, now: float) -> int:
-    """How many rotations the schedule owes between the last one and now.
+def whole_ticks(ratio: float) -> int | None:
+    """The integer nearest ratio if within one part in 1e9 of it, else None.
 
-    Floors (now - last) * f with a one-part-in-1e12 upward nudge so that
-    boundaries meant to be exact (a 7-day gap at one rotation per day)
-    are not lost to float rounding.
+    A duration must be a whole number of ticks by this rule, and the engine
+    and `due_rotations` count a periodic time as on a tick by it.
     """
+    k = round(ratio)
+    return k if abs(ratio - k) <= _TOLERANCE * max(1.0, abs(ratio)) else None
+
+
+def _check_clock(state: HybridCipherState, now: float) -> None:
+    if not math.isfinite(now):
+        raise ValueError(f"now must be finite, got {now}")
     if now < state.last_rotation_time:
-        raise ClockRegression(
-            f"now={now} precedes last rotation at {state.last_rotation_time}"
-        )
+        raise ClockRegression(f"now={now} precedes last rotation at {state.last_rotation_time}")
+
+
+def due_rotations(state: HybridCipherState, now: float) -> int:
+    """How many rotations the schedule owes at time now, never below 0.
+
+    The engine's rule: rotation m >= 1 falls at m * (1 / f), from time 0,
+    and is due when its time is at or before now or now / time is 1 by
+    `whole_ticks`. The count due less `rotation_count` is owed.
+    """
+    _check_clock(state, now)
     f = state.rotation_frequency_hz
-    if f <= 0:
-        return 0
-    raw = (now - state.last_rotation_time) * f
-    return int(math.floor(raw + raw * 1e-12))
+    period = 1.0 / f if f > 0 else math.inf
+    # Times up to now / (1 - _TOLERANCE) are due; below 2**53 of them the floor is one off at most.
+    m = math.floor(now / period / (1.0 - _TOLERANCE)) + 1
+    for _ in range(2):
+        if m <= 0 or m * period <= now or whole_ticks(now / (m * period)) == 1:
+            break
+        m -= 1
+    return max(0, m - state.rotation_count)
 
 
 def rotate_master(state: HybridCipherState, k_q: KeyMaterial, now: float) -> HybridCipherState:
@@ -151,14 +171,9 @@ def rotate_master(state: HybridCipherState, k_q: KeyMaterial, now: float) -> Hyb
     """
     if state.master is None:
         raise MissingKey("cannot rotate a state with no master key")
-    if now < state.last_rotation_time:
-        raise ClockRegression(
-            f"now={now} precedes last rotation at {state.last_rotation_time}"
-        )
-    base = state.master.id.split("@", 1)[0]
-    new_master = mix_keys(
-        state.master, k_q, new_id=f"{base}@e{state.rotation_count + 1}", created_at=now
-    )
+    _check_clock(state, now)
+    new_id = EPOCH_ID % (state.master.id.split("@", 1)[0], state.rotation_count + 1)
+    new_master = mix_keys(state.master, k_q, new_id=new_id, created_at=now)
     state.master = new_master
     state.rotation_count += 1
     state.last_rotation_time = now

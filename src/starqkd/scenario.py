@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from .errors import BadField, ParseError, ValidationError
-from .hybrid import AttackerModel, MigrationTimeline
+from .hybrid import AttackerModel, MigrationTimeline, whole_ticks
 from .keycore import DEFAULT_AUTH_RESERVED_BITS, DEFAULT_POOL_TARGET_BITS, DEFAULT_TAG_COST_BITS
 from .policy import (
     DataState,
@@ -403,16 +403,6 @@ def _dump(obj: Any, table: dict[str, _Field]) -> dict[str, Any]:
 
 # ---------------------------------------------------------------------------
 # rules across sections, each decided in one place
-
-
-def whole_ticks(ratio: float) -> int | None:
-    """The integer nearest ratio if within one part in 1e9 of it, else None.
-
-    A duration must be a whole number of ticks by this rule, and the
-    engine runs a periodic event on a tick when its time is one by it.
-    """
-    k = round(ratio)
-    return k if abs(ratio - k) <= 1e-9 * max(1.0, abs(ratio)) else None
 
 
 def _check_run(s: Scenario) -> None:

@@ -14,10 +14,13 @@ digests moved and why. Each run is also checked for closure, a round
 trip, CSV series equal to the report's, and each rotating branch's
 count against the rotations due by the last tick. `starqkd simulate`
 runs each scenario file again in process: it must exit 0 and write the
-same `report.json` bytes, which is also the repeat check.
+same `report.json` bytes, which is also the repeat check. The library's
+`due_rotations` and `rotate_master`, stepped through each rotating
+branch's ticks, must give the engine's epochs.
 
 Regenerate the digests with `PYTHONPATH=src python tests/test_corpus.py`,
-which prints the indices whose digest moved.
+which prints the indices whose digest moved. With `--check` it writes
+nothing, and exits 1 if a digest moved.
 """
 
 import csv
@@ -25,11 +28,14 @@ import hashlib
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 from starqkd.cli import main
 from starqkd.engine import run
+from starqkd.hybrid import HybridCipherState, due_rotations, rotate_master
+from starqkd.keycore import KeyMaterial, Provenance
 from starqkd.report import emit_report
 from starqkd.scenario import (
     ingest_scenario,
@@ -218,6 +224,34 @@ def test_corpus_scenarios_close_repeat_round_trip_and_keep_their_digests(tmp_pat
     assert moved == []
 
 
+def test_library_rotation_rule_gives_the_engine_epochs():
+    """At each tick the engine runs the rotations `due_rotations` owes.
+
+    A tick where the branch was short of key for one runs fewer. The
+    library state rotates as often as the engine did, so its epoch log,
+    times and ids, is the engine's.
+    """
+    for index in range(CORPUS_SIZE):
+        scenario = scenario_from_dict(corpus_scenario(index))
+        report = run(scenario)
+        starved = {(u["entity"], u["time"]) for u in report.unmet_demand if u["kind"] == "rotation"}
+        for b in scenario.branches:
+            if b.rotation_frequency_hz == 0:
+                continue
+            master = KeyMaterial(f"{b.id}/master", bytes(1), 8, Provenance.MASTER)
+            state = HybridCipherState(master, None, b.rotation_frequency_hz)
+            epochs = report.rotations[b.id]["epochs"]
+            ran = Counter(time for time, _ in epochs)
+            for k in range(1, scenario.tick_count + 1):
+                now = k * scenario.tick_seconds
+                due = due_rotations(state, now)
+                where = (index, b.id, k, ran[now], due)
+                assert ran[now] < due if (b.id, now) in starved else ran[now] == due, where
+                for _ in range(ran[now]):
+                    rotate_master(state, KeyMaterial("k_q", bytes(1), 8, Provenance.QUANTUM), now)
+            assert list(map(list, state.epoch_log)) == epochs, index
+
+
 def seed_invariant_view(report) -> dict:
     return {
         "totals": report.totals,
@@ -253,16 +287,22 @@ def test_unthrottled_generation_matches_secret_rate_closed_form():
 
 
 if __name__ == "__main__":
+    import argparse
     import sys
     import tempfile
 
+    parser = argparse.ArgumentParser(description="Regenerate or check the corpus digests.")
+    parser.add_argument("--check", action="store_true", help="write nothing; exit 1 if any moved")
+    check = parser.parse_args().check
     before = golden() if GOLDEN_PATH.exists() else {}
     pinned = {}
     with tempfile.TemporaryDirectory() as tmp:
         for i in range(CORPUS_SIZE):
             scenario = scenario_from_dict(corpus_scenario(i))
             pinned[str(i)] = hashlib.sha256(report_bytes(run(scenario), Path(tmp))).hexdigest()
-    GOLDEN_PATH.write_text(json.dumps({"report_sha256": pinned}, indent=1) + "\n")
     moved = [i for i in range(CORPUS_SIZE) if before.get(i) != pinned[str(i)]]
-    print(f"wrote {len(pinned)} digests to {GOLDEN_PATH}", file=sys.stderr)
+    if not check:
+        GOLDEN_PATH.write_text(json.dumps({"report_sha256": pinned}, indent=1) + "\n")
+        print(f"wrote {len(pinned)} digests to {GOLDEN_PATH}", file=sys.stderr)
     print(f"{len(moved)} moved: {', '.join(map(str, moved)) or 'none'}", file=sys.stderr)
+    sys.exit(1 if check and moved else 0)

@@ -1,5 +1,6 @@
 """Hybrid cipher state, rotation bookkeeping, and horizon estimates."""
 
+import math
 import random
 
 import pytest
@@ -144,14 +145,47 @@ def test_rotation_log_and_consumption():
 def test_due_rotations():
     st = make_state(freq=0.0)
     assert due_rotations(st, 1e9) == 0
+    # 1 / 5e-324 overflows to an infinite period, as in the engine
+    assert due_rotations(make_state(freq=5e-324), 1e300) == 0
     st = make_state(freq=1.0)
     assert due_rotations(st, 2.5) == 2
     st = make_state(freq=1.0 / 86400.0)
     assert due_rotations(st, 7 * 86400.0) == 7
     assert due_rotations(st, 7 * 86400.0 - 1.0) == 6
+    st.last_rotation_time = 10.0
     with pytest.raises(ClockRegression):
-        st.last_rotation_time = 10.0
         due_rotations(st, 9.0)
+    # The engine's schedule: at 0.3 Hz, stepped at 1 s, rotation m runs on
+    # the first tick at or after m / 0.3 s, and 3 / 0.3 is tick 10 by
+    # whole_ticks; a caller who jumps to 10 s owes the same three at once.
+    st = make_state(freq=0.3)
+    for now in range(1, 31):
+        for _ in range(due_rotations(st, float(now))):
+            rotate_master(st, key(32, now, f"q{now}"), now=float(now))
+    assert [t for t, _ in st.epoch_log] == [4.0, 7.0, 10.0, 14.0, 17.0, 20.0, 24.0, 27.0, 30.0]
+    assert st.master.id == "m@e9"
+    assert due_rotations(make_state(freq=0.3), 10.0) == 3
+
+
+@pytest.mark.parametrize("freq", [math.nan, math.inf, -math.inf])
+def test_non_finite_rotation_frequency_is_rejected(freq):
+    with pytest.raises(ValueError, match="rotation_frequency_hz"):
+        make_state(freq=freq)
+
+
+@pytest.mark.parametrize("now", [math.nan, math.inf, -math.inf])
+def test_non_finite_now_is_rejected_before_any_change(now):
+    st = make_state(freq=1.0)
+    kq = key(32, 9, "q1")
+    with pytest.raises(ValueError, match="finite"):
+        due_rotations(st, now)
+    with pytest.raises(ValueError, match="finite"):
+        rotate_master(st, kq, now=now)
+    assert (st.master.id, st.rotation_count, st.last_rotation_time, st.epoch_log) == ("m", 0, 0.0, [])
+    assert not kq.consumed
+    rotate_master(st, kq, now=5.0)
+    with pytest.raises(ClockRegression):
+        rotate_master(st, key(32, 10, "q2"), now=-5.0)
 
 
 def test_estimate_t_s_anchor_values():
