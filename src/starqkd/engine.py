@@ -45,7 +45,7 @@ from .policy import default_matrix, recommend
 from .qkdlink import ONE, SCALE, LinkState, raw_rate, scaled, secret_rate
 from .report import MetricsReport
 from .rng import StreamRegistry
-from .scenario import Scenario, policy_grid, technique_to_jsonable
+from .scenario import Scenario, periodic_sources, policy_grid, technique_to_jsonable
 from .sharing import ShareConfig, reconstruct, refresh as refresh_shares, split
 from .starnet import (
     BranchSpec,
@@ -163,21 +163,13 @@ class _Sim:
         # One runtime object per branch, traffic pair and sharing
         # instance; handlers get the object, never a name to look up. An
         # object's name is the entity its ledger rows and trace entries carry.
-        # Periodic sources are (kind, period, handler, target). A source's
-        # index is its order, so same-slot firings of one kind run in
-        # declaration order. A handler that returns True is still owed
-        # and is retried on the next tick. Relays log each row under the
-        # code the relay ledger hands out here for its (branch_i, branch_j,
-        # purpose) route.
-        self.sources: list[tuple[EventKind, float, Callable[[float, Any], bool | None], Any]] = []
-        self.branches: list[_Branch] = []
-        for b in scenario.branches:
-            branch = _Branch(b.id, self.topology.link(b.id), b.master_bits)
-            self.branches.append(branch)
-            if b.rotation_frequency_hz > 0:
-                period = 1.0 / b.rotation_frequency_hz
-                self.sources.append((EventKind.ROTATION, period, self.on_rotation, branch))
+        # Relays log each row under the code the relay ledger hands out here
+        # for its (branch_i, branch_j, purpose) route.
+        self.branches = [
+            _Branch(b.id, self.topology.link(b.id), b.master_bits) for b in scenario.branches
+        ]
         by_name = {branch.name: branch for branch in self.branches}
+        pairs = []
         self.flows: list[_Pair] = []
         for t in scenario.traffic:
             pair = _Pair(
@@ -188,12 +180,10 @@ class _Sim:
                 otp_route=ledger.route(t.src, t.dst, "otp_traffic"),
                 relay_route=ledger.route(t.src, t.dst, "relay_request"),
             )
+            pairs.append(pair)
             if t.otp_bits_per_sec > 0:
                 self.flows.append(pair)
                 by_name[t.src].flows_out.append(pair)
-            if t.relay_bits > 0:
-                period = t.relay_interval_seconds
-                self.sources.append((EventKind.RELAY_REQUEST, period, self.on_relay_request, pair))
         self.sharings: list[_Sharing] = []
         for inst in scenario.sharing:
             rng = streams.stream(f"sharing/{inst.id}")
@@ -214,8 +204,19 @@ class _Sim:
                 ),
             )
             self.sharings.append(sharing)
-            period = inst.refresh_period_seconds
-            self.sources.append((EventKind.REFRESH, period, self.on_refresh, sharing))
+        # Periodic sources are (kind, period, handler, target), in the order of
+        # `scenario.periodic_sources`. A source's index is its order, so same-slot
+        # firings of one kind run in declaration order. A handler that returns
+        # True is still owed and is retried on the next tick.
+        by_section = {
+            "branches": (EventKind.ROTATION, self.on_rotation, self.branches),
+            "traffic": (EventKind.RELAY_REQUEST, self.on_relay_request, pairs),
+            "sharing": (EventKind.REFRESH, self.on_refresh, self.sharings),
+        }
+        self.sources: list[tuple[EventKind, float, Callable[[float, Any], bool | None], Any]] = []
+        for section, i, _, _, period in periodic_sources(scenario):
+            kind, handler, targets = by_section[section]
+            self.sources.append((kind, period, handler, targets[i]))
         # The next firing of each source: (slot, kind, order, m).
         self.due: list[tuple[int | Fraction, EventKind, int, int]] = []
         for order, (kind, period, _, _) in enumerate(self.sources):

@@ -1,11 +1,15 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and its one range rule.
 
 Everything raised on purpose derives from StarQkdError so callers can
-catch one base. ValueError is still used for plain precondition slips
-(negative counts, malformed constructor arguments).
+catch one base. Every numeric field of the library's types is checked by
+`check_range`, whose RangeError is a ValueError naming the field; NaN
+and +-infinity fail it. Other precondition slips raise ValueError.
 """
 
 from __future__ import annotations
+
+import math
+from typing import Any
 
 
 class StarQkdError(Exception):
@@ -34,6 +38,38 @@ class InsufficientAuthKey(StarQkdError):
 
 class DomainError(StarQkdError, ValueError):
     """Numeric argument outside the function's domain."""
+
+
+class RangeError(DomainError):
+    """A numeric field is not finite or lies outside its bound; field names it."""
+
+    def __init__(self, field: str, message: str) -> None:
+        self.field = field
+        self.message = message
+        super().__init__(f"{field}: {message}")
+
+
+def check_range(
+    field: str, value: Any, low: float = 0, high: float = math.inf, positive: bool = False
+) -> None:
+    """Raise RangeError unless value is a finite number in [low, high], or > 0 if positive.
+
+    NaN fails every comparison; an int of any size compares exactly.
+    """
+    try:
+        finite = -math.inf < value < math.inf
+    except TypeError:  # None, or not a number
+        finite = False
+    if finite and (0 < value if positive else low <= value <= high):
+        return
+    if not finite:
+        message = f"must be a finite number, got {value!r}"
+    elif positive:
+        message = f"must be positive, got {value}"
+    else:
+        bound = f">= {low}" if value < low else f"<= {high}"
+        message = f"must be {bound}, got {value}"
+    raise RangeError(field, message)
 
 
 class MissingKey(StarQkdError):

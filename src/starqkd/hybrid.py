@@ -14,7 +14,7 @@ import math
 import struct
 from dataclasses import dataclass, field
 
-from .errors import ClockRegression, MissingKey
+from .errors import ClockRegression, MissingKey, RangeError, check_range
 from .keycore import KeyMaterial, mix_keys, xor_bytes
 
 YEAR_SECONDS = 31_557_600.0  # Julian year
@@ -37,10 +37,7 @@ class AttackerModel:
     records_traffic: bool = False
 
     def __post_init__(self) -> None:
-        if self.classical_ops_per_sec <= 0:
-            raise ValueError(
-                f"classical_ops_per_sec must be positive, got {self.classical_ops_per_sec}"
-            )
+        check_range("classical_ops_per_sec", self.classical_ops_per_sec, positive=True)
 
 
 @dataclass(frozen=True)
@@ -53,8 +50,7 @@ class MigrationTimeline:
 
     def __post_init__(self) -> None:
         for name in ("x_years", "y_years", "z_years"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            check_range(name, getattr(self, name), 0.0)
 
 
 @dataclass(frozen=True)
@@ -66,10 +62,8 @@ class SecurityHorizon:
     model_id: str = HORIZON_MODEL_ID
 
     def __post_init__(self) -> None:
-        if self.t_s_seconds < 0 or self.t_sq_seconds < self.t_s_seconds:
-            raise ValueError(
-                f"horizon needs 0 <= t_s <= t_sq, got ({self.t_s_seconds}, {self.t_sq_seconds})"
-            )
+        check_range("t_s_seconds", self.t_s_seconds, 0.0)
+        check_range("t_sq_seconds", self.t_sq_seconds, self.t_s_seconds)
 
 
 @dataclass
@@ -84,10 +78,7 @@ class HybridCipherState:
     epoch_log: list[tuple[float, str]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if not 0 <= self.rotation_frequency_hz < math.inf:
-            raise ValueError(
-                f"rotation_frequency_hz must be finite and >= 0, got {self.rotation_frequency_hz}"
-            )
+        check_range("rotation_frequency_hz", self.rotation_frequency_hz, 0.0)
 
 
 def _keystream(master: bytes, session: bytes, epoch: int, length: int) -> bytes:
@@ -138,8 +129,7 @@ def whole_ticks(ratio: float) -> int | None:
 
 
 def _check_clock(state: HybridCipherState, now: float) -> None:
-    if not math.isfinite(now):
-        raise ValueError(f"now must be finite, got {now}")
+    check_range("now", now, -math.inf)
     if now < state.last_rotation_time:
         raise ClockRegression(f"now={now} precedes last rotation at {state.last_rotation_time}")
 
@@ -149,13 +139,17 @@ def due_rotations(state: HybridCipherState, now: float) -> int:
 
     The engine's rule: rotation m >= 1 falls at m * (1 / f), from time 0,
     and is due when its time is at or before now or now / time is 1 by
-    `whole_ticks`. The count due less `rotation_count` is owed.
+    `whole_ticks`. The count due less `rotation_count` is owed. It is not
+    exact from 2**53 periods on, so such a now is a RangeError.
     """
     _check_clock(state, now)
     f = state.rotation_frequency_hz
     period = 1.0 / f if f > 0 else math.inf
-    # Times up to now / (1 - _TOLERANCE) are due; below 2**53 of them the floor is one off at most.
-    m = math.floor(now / period / (1.0 - _TOLERANCE)) + 1
+    periods = now / period
+    if not periods < 2**53:
+        raise RangeError("now", f"must be under 2**53 rotation periods, got {now} at {f} Hz")
+    # Times up to now / (1 - _TOLERANCE) are due; the floor is one off at most.
+    m = math.floor(periods / (1.0 - _TOLERANCE)) + 1
     for _ in range(2):
         if m <= 0 or m * period <= now or whole_ticks(now / (m * period)) == 1:
             break
@@ -187,8 +181,7 @@ def estimate_t_s(session_key_bits: int, attacker: AttackerModel) -> float:
     A quantum attacker gets the Grover square-root speedup (effective
     bits halve). Saturates at the practically-infinite sentinel.
     """
-    if session_key_bits <= 0:
-        raise ValueError(f"session_key_bits must be positive, got {session_key_bits}")
+    check_range("session_key_bits", session_key_bits, 1)
     effective = session_key_bits / 2.0 if attacker.has_quantum else float(session_key_bits)
     try:
         t = 2.0**effective / attacker.classical_ops_per_sec
@@ -218,10 +211,8 @@ def horizon_for(
     asset_lifetime_seconds: float,
 ) -> SecurityHorizon:
     """Security horizon for a keying discipline, not a whole state."""
-    if rotation_frequency_hz < 0:
-        raise ValueError(f"rotation_frequency_hz must be >= 0, got {rotation_frequency_hz}")
-    if asset_lifetime_seconds < 0:
-        raise ValueError(f"asset_lifetime_seconds must be >= 0, got {asset_lifetime_seconds}")
+    check_range("rotation_frequency_hz", rotation_frequency_hz, 0.0)
+    check_range("asset_lifetime_seconds", asset_lifetime_seconds, 0.0)
     t_s = estimate_t_s(session_key_bits, attacker)
     cover = min(
         asset_lifetime_seconds,

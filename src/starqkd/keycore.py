@@ -20,6 +20,7 @@ from .errors import (
     KeyAlreadyConsumed,
     LengthMismatch,
     WrongProvenance,
+    check_range,
 )
 from .rng import derive_seed, random_bits
 
@@ -65,8 +66,7 @@ class KeyMaterial:
     consumed: bool = False
 
     def __post_init__(self) -> None:
-        if self.bit_length <= 0:
-            raise ValueError(f"bit_length must be positive, got {self.bit_length}")
+        check_range("bit_length", self.bit_length, 1)
         if len(self.bits) != bytes_for_bits(self.bit_length):
             raise ValueError(
                 f"key {self.id}: {len(self.bits)} bytes cannot hold exactly "
@@ -153,8 +153,7 @@ class KeyPool:
     _draw_count: int = field(default=0, repr=False)
 
     def __post_init__(self) -> None:
-        if self.target_bits <= 0:
-            raise ValueError(f"target_bits must be positive, got {self.target_bits}")
+        check_range("target_bits", self.target_bits, 1)
         if self.rng is None:
             self.rng = random.Random(derive_seed(0, f"pool/{self.link_id}"))
         self.assert_conservation()
@@ -220,10 +219,8 @@ class AuthBudget:
     total_consumed_bits: int = 0
 
     def __post_init__(self) -> None:
-        if self.reserved_bits < 0:
-            raise ValueError(f"reserved_bits must be >= 0, got {self.reserved_bits}")
-        if self.tag_cost_bits <= 0:
-            raise ValueError(f"tag_cost_bits must be positive, got {self.tag_cost_bits}")
+        check_range("reserved_bits", self.reserved_bits, 0)
+        check_range("tag_cost_bits", self.tag_cost_bits, 1)
 
     def consume(self, n_messages: int) -> int:
         """Pay for n_messages tags; returns the bits spent."""

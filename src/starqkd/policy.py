@@ -15,7 +15,7 @@ from enum import Enum, IntEnum
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import BadDimensions, IndexOutOfBounds
+from .errors import BadDimensions, IndexOutOfBounds, check_range
 from .hybrid import (
     PRACTICALLY_INFINITE_SECONDS,
     AttackerModel,
@@ -72,10 +72,8 @@ class HybridParams:
 
     def __post_init__(self) -> None:
         for name in ("master_bits", "session_bits", "quantum_bits"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.rotation_frequency_hz < 0:
-            raise ValueError("rotation_frequency_hz must be >= 0")
+            check_range(name, getattr(self, name), 1)
+        check_range("rotation_frequency_hz", self.rotation_frequency_hz, 0.0)
 
 
 @dataclass(frozen=True)
@@ -105,12 +103,10 @@ class InfoAsset:
     data_state: DataState
 
     def __post_init__(self) -> None:
-        if self.sensitivity_index < 1 or self.time_index < 1:
-            raise ValueError("class indices start at 1")
-        if self.size_bytes < 0:
-            raise ValueError("size_bytes must be >= 0")
-        if self.lifetime_seconds < 0:
-            raise ValueError("lifetime_seconds must be >= 0")
+        check_range("sensitivity_index", self.sensitivity_index, 1)
+        check_range("time_index", self.time_index, 1)
+        check_range("size_bytes", self.size_bytes, 0)
+        check_range("lifetime_seconds", self.lifetime_seconds, 0.0)
 
 
 @dataclass

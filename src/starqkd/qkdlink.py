@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import DomainError, InsufficientKey
+from .errors import DomainError, InsufficientKey, check_range
 from .keycore import AuthBudget, KeyPool
 
 
@@ -32,25 +32,15 @@ class LinkParams:
     post_processing_messages_per_round: int = 4
 
     def __post_init__(self) -> None:
-        if self.distance_km < 0:
-            raise ValueError(f"distance_km must be >= 0, got {self.distance_km}")
-        if self.source_rate_hz < 0:
-            raise ValueError(f"source_rate_hz must be >= 0, got {self.source_rate_hz}")
-        if not 0 <= self.detector_efficiency <= 1:
-            raise ValueError(f"detector_efficiency outside [0, 1]: {self.detector_efficiency}")
-        if not 0 <= self.sifting_factor <= 1:
-            raise ValueError(f"sifting_factor outside [0, 1]: {self.sifting_factor}")
-        if not 0 <= self.qber <= 0.5:
-            raise ValueError(f"qber outside [0, 0.5]: {self.qber}")
-        if self.attenuation_db_per_km < 0:
-            raise ValueError(f"attenuation_db_per_km must be >= 0, got {self.attenuation_db_per_km}")
-        if self.cpu_cost_per_raw_bit < 0:
-            raise ValueError(f"cpu_cost_per_raw_bit must be >= 0, got {self.cpu_cost_per_raw_bit}")
-        if self.post_processing_messages_per_round < 0:
-            raise ValueError(
-                f"post_processing_messages_per_round must be >= 0, "
-                f"got {self.post_processing_messages_per_round}"
-            )
+        check_range("distance_km", self.distance_km, 0.0)
+        check_range("source_rate_hz", self.source_rate_hz, 0.0)
+        check_range("detector_efficiency", self.detector_efficiency, 0.0, 1.0)
+        check_range("sifting_factor", self.sifting_factor, 0.0, 1.0)
+        check_range("qber", self.qber, 0.0, 0.5)
+        check_range("attenuation_db_per_km", self.attenuation_db_per_km, 0.0)
+        check_range("cpu_cost_per_raw_bit", self.cpu_cost_per_raw_bit, 0.0)
+        messages = self.post_processing_messages_per_round
+        check_range("post_processing_messages_per_round", messages, 0)
 
     @cached_property
     def cpu_cost_per_sec(self) -> float:

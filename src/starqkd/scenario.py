@@ -5,14 +5,16 @@ branch links), the demands placed on it (pairwise traffic, relay
 requests, sharing instances), the assets to plan for, and the attacker.
 
 Each JSON object has one field table mapping its keys to a `_Field`:
-the reader for the kind (int, float, str, bool, array, or unchecked,
-with any `>= minimum` or positive bound) and the default or `_REQUIRED`.
-`_read` checks an object against its table (unknown and required keys,
-types, finiteness, bounds; each error names its dotted path) and returns
-the values with defaults applied; `_build` makes the library dataclass
-and reports its precondition errors at the same path; `scenario_to_dict`
-dumps through the same tables. Hand-written checks remain only for rules
-across fields. Strict mode rejects unknown fields; lax mode warns and
+the reader for the kind (int, float, str, bool, array, or unchecked)
+and the default or `_REQUIRED`; only fields that scenario types alone
+hold carry a bound too. `_read` checks an object against its table
+(unknown and required keys, kinds, finiteness; each error names its
+dotted path) and returns the values with defaults applied. The types
+check the values: `_build` makes a library dataclass and reports its
+`errors.RangeError` at `path.field`, any other precondition error at
+`path`, and a `Scenario` checks its own rules across sections and its
+run, whether parsed or built by hand. `scenario_to_dict` dumps through
+the same tables. Strict mode rejects unknown fields; lax mode warns and
 drops them. `null` means the default only where the default is null.
 A run may have at most MAX_TICKS ticks, at most MAX_TICKS periodic
 firings (rotations, relay requests and share refreshes together) and a
@@ -31,7 +33,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Any, Callable
 
-from .errors import BadField, ParseError, ValidationError
+from .errors import BadField, ParseError, RangeError, ValidationError
 from .hybrid import AttackerModel, MigrationTimeline, whole_ticks
 from .keycore import DEFAULT_AUTH_RESERVED_BITS, DEFAULT_POOL_TARGET_BITS, DEFAULT_TAG_COST_BITS
 from .policy import (
@@ -139,6 +141,33 @@ class Scenario:
     policy_matrix: PolicyMatrix | None = None
     attacker: AttackerModel = DEFAULT_ATTACKER
     migration: MigrationTimeline | None = None
+
+    def __post_init__(self) -> None:
+        """Check the rules across sections, in this order, and then the run."""
+        if not self.branches:
+            raise ValidationError("branches", "at least one branch is required")
+        _check_unique(self.branches, "branches", taken=(self.hub.id,))
+        known = {b.id for b in self.branches}
+        first_index: dict[tuple[str, str], int] = {}
+        for i, demand in enumerate(self.traffic):
+            for end, value in (("src", demand.src), ("dst", demand.dst)):
+                if value not in known:
+                    raise ValidationError(f"traffic[{i}].{end}", f"unknown branch {value!r}")
+            earlier = first_index.setdefault((demand.src, demand.dst), i)
+            if earlier != i:
+                pair = f"{demand.src}->{demand.dst}"
+                raise ValidationError(
+                    f"traffic[{i}]", f"duplicate pair {pair}, already given at traffic[{earlier}]"
+                )
+        _check_unique(self.sharing, "sharing")
+        for i, inst in enumerate(self.sharing):
+            for j, custodian in enumerate(inst.custodians):
+                if custodian not in known:
+                    raise ValidationError(
+                        f"sharing[{i}].custodians[{j}]", f"unknown branch {custodian!r}"
+                    )
+        policy_grid(self.assets, self.classes, self.policy_matrix)
+        _check_run(self)
 
     @property
     def channel_count(self) -> int:
@@ -302,10 +331,10 @@ _STATE_BY_NAME = {state.value: state for state in DataState}
 
 _ASSET = dict(
     id=_str(),
-    sensitivity_index=_int(minimum=1),
-    time_index=_int(minimum=1),
-    size_bytes=_int(0, minimum=0),
-    lifetime_seconds=_float(0.0, minimum=0.0),
+    sensitivity_index=_int(),
+    time_index=_int(),
+    size_bytes=_int(0),
+    lifetime_seconds=_float(0.0),
     data_state=_str(DataState.AT_REST, choices=_STATE_BY_NAME),
 )
 
@@ -313,10 +342,10 @@ _KIND_BY_LABEL = {kind.label: kind for kind in TechniqueKind}
 _HYBRID_BASE = HybridParams()
 
 _HYBRID = dict(
-    master_bits=_int(_HYBRID_BASE.master_bits, minimum=1),
-    session_bits=_int(_HYBRID_BASE.session_bits, minimum=1),
-    quantum_bits=_int(_HYBRID_BASE.quantum_bits, minimum=1),
-    rotation_frequency_hz=_float(_HYBRID_BASE.rotation_frequency_hz, minimum=0.0),
+    master_bits=_int(_HYBRID_BASE.master_bits),
+    session_bits=_int(_HYBRID_BASE.session_bits),
+    quantum_bits=_int(_HYBRID_BASE.quantum_bits),
+    rotation_frequency_hz=_float(_HYBRID_BASE.rotation_frequency_hz),
 )
 
 # The object form of a technique; only hybrid takes the sizing fields.
@@ -329,16 +358,12 @@ _MATRIX = dict(**_CLASSES, cells=_array())
 _CELL = dict(sensitivity=_int(), time=_int(), technique=_any())
 
 _ATTACKER = dict(
-    classical_ops_per_sec=_float(DEFAULT_ATTACKER.classical_ops_per_sec, positive=True),
+    classical_ops_per_sec=_float(DEFAULT_ATTACKER.classical_ops_per_sec),
     has_quantum=_bool(DEFAULT_ATTACKER.has_quantum),
     records_traffic=_bool(DEFAULT_ATTACKER.records_traffic),
 )
 
-_MIGRATION = dict(
-    x_years=_float(minimum=0.0),
-    y_years=_float(minimum=0.0),
-    z_years=_float(minimum=0.0),
-)
+_MIGRATION = dict(x_years=_float(), y_years=_float(), z_years=_float())
 
 _SCENARIO = dict(
     format_version=_any(SCENARIO_FORMAT_VERSION),
@@ -384,9 +409,11 @@ def _read(obj: Any, path: str, table: dict[str, _Field], strict: bool) -> dict[s
 
 
 def _build(make: Callable[..., Any], path: str, values: dict[str, Any]) -> Any:
-    """make(**values), with the library's precondition errors reported at path."""
+    """make(**values); a RangeError is reported at path.field, other precondition errors at path."""
     try:
         return make(**values)
+    except RangeError as exc:
+        raise ValidationError(f"{path}.{exc.field}", exc.message) from exc
     except (BadField, ValueError) as exc:
         raise ValidationError(path, str(exc)) from exc
 
@@ -405,11 +432,30 @@ def _dump(obj: Any, table: dict[str, _Field]) -> dict[str, Any]:
 # rules across sections, each decided in one place
 
 
+def periodic_sources(s: Scenario) -> list[tuple[str, int, str, float, float]]:
+    """The run's periodic sources in the engine's order: (section, index, key, value, period).
+
+    value, field key of s.<section>[index], sets period: rotations every 1.0 / f for a branch
+    whose rotation_frequency_hz f is not 0 (a NaN f too, so its check fails), relay requests
+    every relay_interval_seconds for traffic with relay_bits > 0, then every sharing instance's
+    refreshes. `_check_run` bounds these and the engine schedules them.
+    """
+    rotations = [(i, b.rotation_frequency_hz) for i, b in enumerate(s.branches)]
+    relays = [(i, t.relay_interval_seconds) for i, t in enumerate(s.traffic) if t.relay_bits > 0]
+    refreshes = [(i, inst.refresh_period_seconds) for i, inst in enumerate(s.sharing)]
+    return [
+        *(("branches", i, "rotation_frequency_hz", f, 1.0 / f) for i, f in rotations if f != 0),
+        *(("traffic", i, "relay_interval_seconds", t, t) for i, t in relays),
+        *(("sharing", i, "refresh_period_seconds", t, t) for i, t in refreshes),
+    ]
+
+
 def _check_run(s: Scenario) -> None:
-    """Check a run's seed, tick count, hub CPU demand and periodic firings."""
+    """Check a run's seed, tick, tick count, hub CPU demand and periodic sources."""
     if _as_int(s.seed, "seed", 0) > MAX_SEED:
         raise ValidationError("seed", f"must fit in 64 bits, got {s.seed}")
-    duration, tick = _as_float(s.duration_seconds, "duration_seconds"), s.tick_seconds
+    duration = _as_float(s.duration_seconds, "duration_seconds")
+    tick = _as_float(s.tick_seconds, "tick_seconds", _POSITIVE)
     if duration <= 0:
         raise ValidationError("duration_seconds", f"must be positive, got {duration}")
     ratio = duration / tick
@@ -430,20 +476,11 @@ def _check_run(s: Scenario) -> None:
         )
     # Each periodic firing logs a ledger or unmet entry, so a run may have
     # at most MAX_TICKS of them. (firings over the run, path) per source:
-    firings = [
-        (duration * b.rotation_frequency_hz, f"branches[{i}].rotation_frequency_hz")
-        for i, b in enumerate(s.branches)
-        if b.rotation_frequency_hz > 0
-    ]
-    firings += [
-        (duration / t.relay_interval_seconds, f"traffic[{i}].relay_interval_seconds")
-        for i, t in enumerate(s.traffic)
-        if t.relay_interval_seconds > 0
-    ]
-    firings += [
-        (duration / inst.refresh_period_seconds, f"sharing[{i}].refresh_period_seconds")
-        for i, inst in enumerate(s.sharing)
-    ]
+    firings = []
+    for section, i, key, value, period in periodic_sources(s):
+        path = f"{section}[{i}].{key}"
+        _as_float(value, path, _POSITIVE)
+        firings.append((duration / period, path))
     total = sum(count for count, _ in firings)
     if total > MAX_TICKS:
         _, path = max(firings, key=lambda firing: firing[0])  # the first of the largest
@@ -599,65 +636,24 @@ def scenario_from_dict(data: Any, strict: bool = True) -> Scenario:
             "format_version", f"expected {SCENARIO_FORMAT_VERSION}, got {version!r}"
         )
 
-    branches = tuple(
-        _parse_branch(obj, f"branches[{i}]", strict) for i, obj in enumerate(values["branches"])
-    )
-    if not branches:
-        raise ValidationError("branches", "at least one branch is required")
-    hub = _build(HubScenario, "hub", _read(values["hub"], "hub", _HUB, strict))
-    _check_unique(branches, "branches", taken=(hub.id,))
+    def each(name: str, parse: Callable[[Any, str, bool], Any]) -> tuple:
+        return tuple(parse(obj, f"{name}[{i}]", strict) for i, obj in enumerate(values[name]))
 
-    known = {b.id for b in branches}
-    traffic = tuple(
-        _parse_traffic(obj, f"traffic[{i}]", strict) for i, obj in enumerate(values["traffic"])
-    )
-    first_index: dict[tuple[str, str], int] = {}
-    for i, demand in enumerate(traffic):
-        for end, value in (("src", demand.src), ("dst", demand.dst)):
-            if value not in known:
-                raise ValidationError(f"traffic[{i}].{end}", f"unknown branch {value!r}")
-        earlier = first_index.setdefault((demand.src, demand.dst), i)
-        if earlier != i:
-            raise ValidationError(
-                f"traffic[{i}]",
-                f"duplicate pair {demand.src}->{demand.dst}, already given at traffic[{earlier}]",
-            )
-
-    sharing = tuple(
-        _parse_sharing(obj, f"sharing[{i}]", strict) for i, obj in enumerate(values["sharing"])
-    )
-    _check_unique(sharing, "sharing")
-    for i, inst in enumerate(sharing):
-        for j, custodian in enumerate(inst.custodians):
-            if custodian not in known:
-                raise ValidationError(
-                    f"sharing[{i}].custodians[{j}]", f"unknown branch {custodian!r}"
-                )
-
-    assets = _parse_assets(values["assets"], strict)
-    classes = _parse_classes(values["classes"], strict)
-    matrix = None
-    if values["policy_matrix"] is not None:
-        matrix = _parse_matrix(values["policy_matrix"], "policy_matrix", strict)
-    policy_grid(assets, classes, matrix)
-
-    attacker = _build(
-        AttackerModel, "attacker", _read(values["attacker"], "attacker", _ATTACKER, strict)
-    )
+    matrix = values["policy_matrix"]
     values.update(
-        branches=branches,
-        hub=hub,
-        traffic=traffic,
-        sharing=sharing,
-        assets=assets,
-        classes=classes,
-        policy_matrix=matrix,
-        attacker=attacker,
+        branches=each("branches", _parse_branch),
+        hub=_build(HubScenario, "hub", _read(values["hub"], "hub", _HUB, strict)),
+        traffic=each("traffic", _parse_traffic),
+        sharing=each("sharing", _parse_sharing),
+        assets=_parse_assets(values["assets"], strict),
+        classes=_parse_classes(values["classes"], strict),
+        policy_matrix=None if matrix is None else _parse_matrix(matrix, "policy_matrix", strict),
+        attacker=_build(
+            AttackerModel, "attacker", _read(values["attacker"], "attacker", _ATTACKER, strict)
+        ),
         migration=_parse_migration(values["migration"], strict),
     )
-    scenario = Scenario(**values)
-    _check_run(scenario)
-    return scenario
+    return Scenario(**values)  # which checks the rules across sections and the run
 
 
 def _load_json(path: str | Path) -> Any:
@@ -731,11 +727,9 @@ def scenario_to_dict(s: Scenario) -> dict[str, Any]:
 def with_overrides(
     s: Scenario, seed: int | None = None, duration_seconds: float | None = None
 ) -> Scenario:
-    """Apply CLI-style overrides and check the run they give."""
-    out = replace(
+    """Apply CLI-style overrides; the new Scenario checks the run they give."""
+    return replace(
         s,
         seed=s.seed if seed is None else seed,
         duration_seconds=s.duration_seconds if duration_seconds is None else duration_seconds,
     )
-    _check_run(out)
-    return out

@@ -17,6 +17,7 @@ from typing import Sequence
 
 from .errors import (
     BadField,
+    check_range,
     DuplicateX,
     FieldTooLarge,
     MissingShares,
@@ -68,12 +69,8 @@ class ShareConfig:
     field_prime: int = DEFAULT_FIELD_PRIME
 
     def __post_init__(self) -> None:
-        if self.n_locations < 2:
-            raise ValueError(f"n_locations must be >= 2, got {self.n_locations}")
-        if not 1 <= self.threshold_k <= self.n_locations:
-            raise ValueError(
-                f"threshold_k must be in [1, {self.n_locations}], got {self.threshold_k}"
-            )
+        check_range("n_locations", self.n_locations, 2)
+        check_range("threshold_k", self.threshold_k, 1, self.n_locations)
         if self.field_prime <= self.n_locations:
             raise BadField(
                 f"field_prime {self.field_prime} must exceed n_locations {self.n_locations}"

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from .errors import DuplicateId, InsufficientKey, NoBranches
+from .errors import DuplicateId, InsufficientKey, NoBranches, check_range
 from .keycore import DEFAULT_AUTH_RESERVED_BITS, DEFAULT_POOL_TARGET_BITS, DEFAULT_TAG_COST_BITS
 from .keycore import AuthBudget, KeyMaterial, KeyPool, Provenance
 from .qkdlink import ONE, SCALE, LinkParams, LinkState, Round, produce, scaled
@@ -40,12 +40,8 @@ class Node:
         if not self.id:
             raise ValueError("node id must be non-empty")
         if self.kind is NodeKind.HUB:
-            if self.channel_count is None or self.channel_count < 1:
-                raise ValueError(f"hub needs channel_count >= 1, got {self.channel_count}")
-            if self.cpu_capacity_per_sec is None or self.cpu_capacity_per_sec <= 0:
-                raise ValueError(
-                    f"hub needs positive cpu_capacity_per_sec, got {self.cpu_capacity_per_sec}"
-                )
+            check_range("channel_count", self.channel_count, 1)
+            check_range("cpu_capacity_per_sec", self.cpu_capacity_per_sec, positive=True)
 
 
 @dataclass

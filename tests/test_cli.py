@@ -71,10 +71,31 @@ BAD_VALUES = {
     },
     "tick_seconds: must be positive, got 0.0": {"tick_seconds": 0},
     "hub.cpu_capacity_per_sec: must be positive, got 0.0": {"hub": {"cpu_capacity_per_sec": 0}},
+    # A library type's range error is reported at its field's dotted path.
+    "branches[0].qber: must be <= 0.5, got 0.7": {"branches": [{"id": "a", "qber": 0.7}]},
+    "sharing[0].n_locations: must be >= 2, got 1": {
+        "branches": [{"id": "a"}, {"id": "b"}],
+        "sharing": [
+            {
+                "id": "s",
+                "n_locations": 1,
+                "threshold_k": 1,
+                "refresh_period_seconds": 5.0,
+                "custodians": ["a", "b"],
+            }
+        ],
+    },
+    "migration.x_years: must be >= 0.0, got -1.0": {
+        "migration": {"x_years": -1, "y_years": 1, "z_years": 1},
+    },
 }
 
 
-@pytest.mark.parametrize("message", BAD_VALUES, ids=["choice", "technique", "tick", "cpu"])
+@pytest.mark.parametrize(
+    "message",
+    BAD_VALUES,
+    ids=["choice", "technique", "tick", "cpu", "qber", "n_locations", "x_years"],
+)
 def test_validate_names_a_bad_choice_or_non_positive_value(tmp_path, capsys, message):
     p = tmp_path / "bad.json"
     data = {"duration_seconds": 10, "branches": [{"id": "a"}], **BAD_VALUES[message]}

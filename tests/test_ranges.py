@@ -1,0 +1,196 @@
+"""The one range rule: every numeric field of the library's types, row by row.
+
+Each row is (type, field, bound kind, bound, make), where make(value)
+builds the type with only that field set to value. NaN, +-infinity and
+the first value past the bound must raise the rule's RangeError, a
+ValueError naming the field; the bound itself must construct.
+"""
+
+import math
+
+import pytest
+
+from starqkd.errors import RangeError, StarQkdError
+from starqkd.hybrid import (
+    AttackerModel,
+    HybridCipherState,
+    MigrationTimeline,
+    SecurityHorizon,
+    due_rotations,
+    estimate_t_s,
+    horizon_for,
+)
+from starqkd.keycore import AuthBudget, KeyMaterial, KeyPool, Provenance
+from starqkd.policy import DataState, HybridParams, InfoAsset
+from starqkd.qkdlink import LinkParams
+from starqkd.sharing import ShareConfig
+from starqkd.starnet import Node, NodeKind
+
+ATTACKER = AttackerModel(classical_ops_per_sec=1e9, has_quantum=True)
+LINK = dict(distance_km=10.0, source_rate_hz=1e6, detector_efficiency=0.2, qber=0.02)
+ASSET = dict(
+    id="a",
+    sensitivity_index=1,
+    time_index=1,
+    size_bytes=0,
+    lifetime_seconds=0.0,
+    data_state=DataState.AT_REST,
+)
+
+
+def hub(**fields):
+    return Node(
+        **{"id": "hub", "kind": NodeKind.HUB, "channel_count": 1, "cpu_capacity_per_sec": 1.0}
+        | fields
+    )
+
+
+def key(bit_length):
+    # One byte holds the bound's one bit; a value past the bound fails before the length check.
+    return KeyMaterial(id="k", bits=b"\x00", bit_length=bit_length, provenance=Provenance.QUANTUM)
+
+
+# (type, field, ">=" / "<=" / ">0", bound, make)
+ROWS = [
+    *(
+        ("LinkParams", name, ">=", 0.0, lambda v, name=name: LinkParams(**LINK | {name: v}))
+        for name in (
+            "distance_km",
+            "source_rate_hz",
+            "detector_efficiency",
+            "sifting_factor",
+            "qber",
+            "attenuation_db_per_km",
+            "cpu_cost_per_raw_bit",
+        )
+    ),
+    *(
+        ("LinkParams", name, "<=", high, lambda v, name=name: LinkParams(**LINK | {name: v}))
+        for name, high in (("detector_efficiency", 1.0), ("sifting_factor", 1.0), ("qber", 0.5))
+    ),
+    (
+        "LinkParams",
+        "post_processing_messages_per_round",
+        ">=",
+        0,
+        lambda v: LinkParams(**LINK, post_processing_messages_per_round=v),
+    ),
+    ("Node", "channel_count", ">=", 1, lambda v: hub(channel_count=v)),
+    ("Node", "cpu_capacity_per_sec", ">0", 0.0, lambda v: hub(cpu_capacity_per_sec=v)),
+    ("KeyPool", "target_bits", ">=", 1, lambda v: KeyPool("p", target_bits=v)),
+    ("AuthBudget", "reserved_bits", ">=", 0, lambda v: AuthBudget(reserved_bits=v)),
+    ("AuthBudget", "tag_cost_bits", ">=", 1, lambda v: AuthBudget(0, tag_cost_bits=v)),
+    ("KeyMaterial", "bit_length", ">=", 1, key),
+    ("AttackerModel", "classical_ops_per_sec", ">0", 0.0, lambda v: AttackerModel(v)),
+    ("MigrationTimeline", "x_years", ">=", 0.0, lambda v: MigrationTimeline(v, 1.0, 1.0)),
+    ("MigrationTimeline", "y_years", ">=", 0.0, lambda v: MigrationTimeline(1.0, v, 1.0)),
+    ("MigrationTimeline", "z_years", ">=", 0.0, lambda v: MigrationTimeline(1.0, 1.0, v)),
+    ("SecurityHorizon", "t_s_seconds", ">=", 0.0, lambda v: SecurityHorizon(v, 10.0)),
+    ("SecurityHorizon", "t_sq_seconds", ">=", 5.0, lambda v: SecurityHorizon(5.0, v)),
+    (
+        "HybridCipherState",
+        "rotation_frequency_hz",
+        ">=",
+        0.0,
+        lambda v: HybridCipherState(None, None, rotation_frequency_hz=v),
+    ),
+    *(
+        ("HybridParams", name, ">=", 1, lambda v, name=name: HybridParams(**{name: v}))
+        for name in ("master_bits", "session_bits", "quantum_bits")
+    ),
+    (
+        "HybridParams",
+        "rotation_frequency_hz",
+        ">=",
+        0.0,
+        lambda v: HybridParams(rotation_frequency_hz=v),
+    ),
+    *(
+        ("InfoAsset", name, ">=", low, lambda v, name=name: InfoAsset(**ASSET | {name: v}))
+        for name, low in (
+            ("sensitivity_index", 1),
+            ("time_index", 1),
+            ("size_bytes", 0),
+            ("lifetime_seconds", 0.0),
+        )
+    ),
+    ("ShareConfig", "n_locations", ">=", 2, lambda v: ShareConfig(v, 1)),
+    ("ShareConfig", "threshold_k", ">=", 1, lambda v: ShareConfig(3, v)),
+    ("ShareConfig", "threshold_k", "<=", 3, lambda v: ShareConfig(3, v)),
+    (
+        "horizon_for",
+        "rotation_frequency_hz",
+        ">=",
+        0.0,
+        lambda v: horizon_for(40, v, ATTACKER, 3.15e7),
+    ),
+    (
+        "horizon_for",
+        "asset_lifetime_seconds",
+        ">=",
+        0.0,
+        lambda v: horizon_for(40, 1.0, ATTACKER, v),
+    ),
+    ("estimate_t_s", "session_key_bits", ">=", 1, lambda v: estimate_t_s(v, ATTACKER)),
+]
+
+
+def past(kind, bound):
+    """The first value outside the bound: the next float, or the next int."""
+    if kind == ">0":
+        return 0.0
+    step = -1 if kind == ">=" else 1
+    return bound + step if isinstance(bound, int) else math.nextafter(bound, step * math.inf)
+
+
+@pytest.mark.parametrize(
+    ("owner", "field", "kind", "bound", "make"),
+    ROWS,
+    ids=[f"{owner}.{field}{kind}" for owner, field, kind, *_ in ROWS],
+)
+def test_each_numeric_field_takes_its_bound_and_rejects_nan_infinity_and_past_it(
+    owner, field, kind, bound, make
+):
+    for value in (math.nan, math.inf, -math.inf, past(kind, bound)):
+        with pytest.raises(ValueError) as caught:
+            make(value)
+        exc = caught.value
+        assert isinstance(exc, RangeError) and isinstance(exc, StarQkdError), (value, exc)
+        assert exc.field == field and str(exc) == f"{field}: {exc.message}", value
+    make(math.nextafter(0.0, 1.0) if kind == ">0" else bound)
+
+
+def test_range_rule_messages():
+    expected = {
+        "qber: must be <= 0.5, got 0.7": lambda: LinkParams(**LINK | {"qber": 0.7}),
+        "distance_km: must be >= 0.0, got -1.0": lambda: LinkParams(**LINK | {"distance_km": -1.0}),
+        "classical_ops_per_sec: must be positive, got 0.0": lambda: AttackerModel(0.0),
+        "x_years: must be a finite number, got nan": lambda: MigrationTimeline(math.nan, 1, 1),
+        "channel_count: must be a finite number, got None": lambda: hub(channel_count=None),
+        "threshold_k: must be <= 3, got 4": lambda: ShareConfig(3, 4),
+    }
+    for message, make in expected.items():
+        with pytest.raises(RangeError) as caught:
+            make()
+        assert str(caught.value) == message
+
+
+def test_nan_no_longer_passes_the_horizon_or_the_migration_rule():
+    # A NaN frequency used to credit the whole lifetime, a NaN lifetime to
+    # give a NaN t_sq, and a NaN shelf life to read "on schedule".
+    for args in ((40, math.nan, ATTACKER, 3.15e7), (40, 1.0, ATTACKER, math.nan)):
+        with pytest.raises(RangeError):
+            horizon_for(*args)
+    with pytest.raises(RangeError, match="x_years"):
+        MigrationTimeline(math.nan, 1, 1)
+
+
+def test_due_rotations_bounds_now_at_2_to_the_53_periods():
+    state = HybridCipherState(None, None, rotation_frequency_hz=1.0)
+    assert due_rotations(state, math.nextafter(2.0**53, 0.0)) >= 2**53 - 1
+    for now, f in ((2.0**53, 1.0), (1e10, 1e300)):
+        state = HybridCipherState(None, None, rotation_frequency_hz=f)
+        with pytest.raises(RangeError) as caught:
+            due_rotations(state, now)
+        assert caught.value.field == "now"
+        assert (state.rotation_count, state.last_rotation_time, state.epoch_log) == (0, 0.0, [])

@@ -3,13 +3,14 @@
 import json
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from starqkd import scenario as scenario_module
 
-from starqkd.engine import run
+from starqkd.engine import EventKind, _Sim, run
 from starqkd.errors import ParseError, ValidationError
 from starqkd.policy import TechniqueKind
 from starqkd.qkdlink import raw_rate
@@ -18,9 +19,14 @@ from starqkd.scenario import (
     MAX_CPU_DEMAND,
     MAX_TICKS,
     SCENARIO_FORMAT_VERSION,
+    BranchScenario,
+    Scenario,
+    SharingScenario,
+    TrafficDemand,
     ingest_matrix,
     ingest_plan_inputs,
     ingest_scenario,
+    periodic_sources,
     scenario_from_dict,
     scenario_to_dict,
     with_overrides,
@@ -564,3 +570,73 @@ def test_readme_lists_every_field_table_key():
             ):
                 missing.append(full)
     assert missing == []
+
+
+def hand_built(**fields) -> Scenario:
+    """A two-branch Scenario built without the parser, with fields replaced."""
+    return Scenario(
+        **{"duration_seconds": 10.0, "branches": (BranchScenario("a"), BranchScenario("b"))}
+        | fields
+    )
+
+
+# (fields of a hand-built Scenario, the ValidationError it gives). Unchecked,
+# each would hang run(), fail it part way or run the wrong schedule, so the
+# tests only construct them.
+HAND_BUILT = {
+    "zero-relay-interval": (
+        {"traffic": (TrafficDemand("a", "b", relay_bits=8, relay_interval_seconds=0.0),)},
+        "traffic[0].relay_interval_seconds: must be positive, got 0.0",
+    ),
+    "zero-refresh-period": (
+        {"sharing": (SharingScenario("s", 3, 2, 0.0, ("a", "b")),)},
+        "sharing[0].refresh_period_seconds: must be positive, got 0.0",
+    ),
+    "zero-tick": ({"tick_seconds": 0.0}, "tick_seconds: must be positive, got 0.0"),
+    "fractional-ticks": (
+        {"duration_seconds": 10.5},
+        "duration_seconds: must be a whole number of ticks, got 10.5 ticks",
+    ),
+    "unknown-endpoint": (
+        {"traffic": (TrafficDemand("a", "ghost", otp_bits_per_sec=8.0),)},
+        "traffic[0].dst: unknown branch 'ghost'",
+    ),
+    "nan-rotation": (
+        {"branches": (BranchScenario("a"), BranchScenario("b", rotation_frequency_hz=math.nan))},
+        "branches[1].rotation_frequency_hz: must be a finite number, got nan",
+    ),
+    "infinite-rotation": (
+        {"branches": (BranchScenario("a", rotation_frequency_hz=math.inf), BranchScenario("b"))},
+        "branches[0].rotation_frequency_hz: must be a finite number, got inf",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", HAND_BUILT)
+def test_a_hand_built_scenario_checks_itself(case):
+    fields, message = HAND_BUILT[case]
+    with pytest.raises(ValidationError) as caught:
+        hand_built(**fields)
+    assert str(caught.value) == message
+    # replace, as with_overrides does, builds through the same checks.
+    with pytest.raises(ValidationError) as again:
+        replace(hand_built(), **fields)
+    assert str(again.value) == message
+
+
+def test_a_hand_built_scenario_equals_the_parsed_one():
+    parsed = scenario_from_dict({"duration_seconds": 10.0, "branches": [{"id": "a"}, {"id": "b"}]})
+    assert hand_built() == parsed
+
+
+def test_the_engine_schedules_the_sources_the_scenario_bounds():
+    s = ingest_scenario("scenarios/star10.json")
+    kinds = {
+        "branches": EventKind.ROTATION,
+        "traffic": EventKind.RELAY_REQUEST,
+        "sharing": EventKind.REFRESH,
+    }
+    expected = [(kinds[section], period) for section, *_, period in periodic_sources(s)]
+    assert {kind for kind, _ in expected} == set(kinds.values())
+    scheduled = [(kind, period) for kind, period, _, _ in _Sim(s, collect_trace=False).sources]
+    assert scheduled == expected
