@@ -42,7 +42,7 @@ from typing import Any, Callable
 from .hybrid import EPOCH_ID, mosca_at_risk, whole_ticks
 from .keycore import KeyPool
 from .policy import default_matrix, recommend
-from .qkdlink import ONE, SCALE, LinkState, raw_rate, scaled, secret_rate
+from .qkdlink import ONE, SCALE, LinkState, raw_rate, scaled, secret_rate, unscaled
 from .report import MetricsReport
 from .rng import StreamRegistry
 from .scenario import Scenario, periodic_sources, policy_grid, technique_to_jsonable
@@ -53,7 +53,7 @@ from .starnet import (
     NodeKind,
     StarTopology,
     build_star,
-    hub_cpu_step,
+    hub_step,
     relay_bits,
     relay_key,  # unused here; bench/tracing.py looks the name up in this module
     schedule_channels,
@@ -166,7 +166,8 @@ class _Sim:
         # Relays log each row under the code the relay ledger hands out here
         # for its (branch_i, branch_j, purpose) route.
         self.branches = [
-            _Branch(b.id, self.topology.link(b.id), b.master_bits) for b in scenario.branches
+            _Branch(b.id, link, b.master_bits)
+            for b, link in zip(scenario.branches, self.topology.link_at)
         ]
         by_name = {branch.name: branch for branch in self.branches}
         pairs = []
@@ -235,10 +236,10 @@ class _Sim:
         }
 
         self.hub_series = {"backlog_cost": [], "processed_cost": [], "active_link_count": []}
-        # Per-tick columns, bound once: (branch name, pool, and the append
-        # of its pool_available, deposited_bits and active series).
+        # Per-tick columns, bound once and in link index order: (pool, and
+        # the append of its pool_available, deposited_bits and active series).
         self.columns = [
-            (b.name, b.link.pool, *(column.append for column in b.series.values()))
+            (b.link.pool, *(column.append for column in b.series.values()))
             for b in self.branches
         ]
         self.hub_columns = tuple(column.append for column in self.hub_series.values())
@@ -267,21 +268,29 @@ class _Sim:
         return True
 
     def on_link_tick(self, time: float) -> None:
-        active = schedule_channels(self.topology, now=time)
-        step = hub_cpu_step(self.topology, self.dt, active, now=time)
-        self.consumed["auth"] += sum(step.auth_bits_from_pool.values())
-        for bid in step.halted:
-            self.unmet(time, "auth", bid, self.topology.link(bid).round(self.dt).auth_bits)
+        topology = self.topology
+        index = topology.index
+        # not pick_channels: bench/tracing.py wraps this name to count and time ticks
+        active = [index[bid] for bid in schedule_channels(topology, now=time)]
+        deposited = [0] * len(self.branches)
+        fresh, halted, processed, _ = hub_step(topology, self.dt, active, deposited)
+        self.consumed["auth"] += sum(from_pool for _, _, from_pool in fresh)
+        for i in halted:
+            branch = self.branches[i]
+            self.unmet(time, "auth", branch.name, branch.link.round(self.dt).auth_bits)
         self.report.times.append(time)
-        active_set = set(active)
-        deposited = step.deposited
-        for bid, pool, pool_available, deposited_bits, is_active in self.columns:
+        flags = bytearray(len(deposited))
+        for i in active:
+            flags[i] = 1
+        for (pool, pool_available, deposited_bits, is_active), bits, flag in zip(
+            self.columns, deposited, flags
+        ):
             pool_available(pool.available_bits)
-            deposited_bits(deposited.get(bid, 0))
-            is_active(1 if bid in active_set else 0)
+            deposited_bits(bits)
+            is_active(flag)
         backlog_cost, processed_cost, active_link_count = self.hub_columns
-        backlog_cost(step.backlog_cost_after)
-        processed_cost(step.cpu_processed)
+        backlog_cost(float(topology.backlog_cost))
+        processed_cost(unscaled(processed))
         active_link_count(len(active))
 
     def on_rotation(self, time: float, branch: _Branch) -> bool:

@@ -89,6 +89,11 @@ def scaled(x: Fraction) -> int | Fraction:
     return y.numerator if y.denominator == 1 else y
 
 
+def unscaled(y: int | Fraction) -> float:
+    """y / 2**SCALE correctly rounded, as float() of the exact amount is."""
+    return y.numerator / (y.denominator << SCALE)
+
+
 @dataclass(frozen=True)
 class Round:
     """A link's round of dt seconds: its auth cost, its CPU cost as a float, and exact amounts.
@@ -171,7 +176,7 @@ def produce(state: LinkState, rnd: Round) -> int | None:
     own pool. If neither covers the round, the link halts for this
     interval, pays nothing and None is returned. The round's bits are not
     deposited here: callers deposit rnd.bits_scaled, whole or in part,
-    through LinkState.carry, as tick and hub_cpu_step do.
+    through LinkState.carry, as tick and starnet.hub_step do.
     """
     shortfall = max(0, rnd.auth_bits - state.auth.reserved_bits)
     if shortfall > 0:

@@ -10,6 +10,7 @@ resources; scheduling and throttling live here.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -17,7 +18,7 @@ from fractions import Fraction
 from .errors import DuplicateId, InsufficientKey, NoBranches, check_range
 from .keycore import DEFAULT_AUTH_RESERVED_BITS, DEFAULT_POOL_TARGET_BITS, DEFAULT_TAG_COST_BITS
 from .keycore import AuthBudget, KeyMaterial, KeyPool, Provenance
-from .qkdlink import ONE, SCALE, LinkParams, LinkState, Round, produce, scaled
+from .qkdlink import ONE, LinkParams, LinkState, Round, produce, scaled, unscaled
 from .report import KEY_ID
 from .rng import random_bits
 
@@ -71,12 +72,15 @@ class RelayRecord:
 class StarTopology:
     """One hub, its branches, and the per-branch link states.
 
+    link_at lists the links in branch order and index maps a branch id
+    to its position there, so the tick core works by link index.
+
     backlog is the hub's FIFO of deferred post-processing work: an entry
-    (branch id, Round, owed) owes that share of the round, so it costs
-    owed * round.cpu_scaled and yields owed * round.bits_scaled, each
-    over 2**SCALE. backlog_cost is the exact running total of those
-    costs. Only hub_cpu_step mutates either, and it keeps the two in
-    step, so a step never re-sums it.
+    (index, Round, owed) owes that share of the round of link_at[index],
+    so it costs owed * round.cpu_scaled and yields owed *
+    round.bits_scaled, each over 2**SCALE. backlog_cost is the exact
+    running total of those costs. Only the core hub_step mutates either,
+    and it keeps the two in step, so a step never re-sums it.
 
     relay_count counts the relays made in this star, and the n-th
     relay's key id is ``report.KEY_ID % n``.
@@ -85,11 +89,17 @@ class StarTopology:
     hub: Node
     branches: list[Node]
     links: dict[str, LinkState]
-    backlog: list[tuple[str, Round, Fraction]] = field(default_factory=list)
+    backlog: list[tuple[int, Round, int | Fraction]] = field(default_factory=list)
     backlog_cost: Fraction = Fraction(0)
     relay_count: int = 0
     _rr_offset: int = field(default=0, repr=False)
     _budget: tuple[float, int | Fraction] | None = field(default=None, init=False, repr=False)
+    link_at: list[LinkState] = field(init=False, repr=False, compare=False)
+    index: dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.link_at = [self.links[b.id] for b in self.branches]
+        self.index = {b.id: i for i, b in enumerate(self.branches)}
 
     def branch_ids(self) -> list[str]:
         return [b.id for b in self.branches]
@@ -106,11 +116,14 @@ class StarTopology:
         """The hub's exact CPU budget for dt > 0 seconds."""
         return Fraction(self._scaled_capacity(dt), ONE)
 
-    def link(self, branch_id: str) -> LinkState:
-        got = self.links.get(branch_id)
+    def link_index(self, branch_id: str) -> int:
+        got = self.index.get(branch_id)
         if got is None:
             raise KeyError(f"no branch {branch_id!r} in this star")
         return got
+
+    def link(self, branch_id: str) -> LinkState:
+        return self.link_at[self.link_index(branch_id)]
 
 
 def build_star(hub: Node, branch_specs: list[BranchSpec]) -> StarTopology:
@@ -145,25 +158,34 @@ def build_star(hub: Node, branch_specs: list[BranchSpec]) -> StarTopology:
     return StarTopology(hub=hub, branches=branches, links=links)
 
 
-def schedule_channels(topology: StarTopology, now: float = 0.0) -> list[str]:
-    """Pick which links get the hub's receiver channels this interval.
+def pick_channels(topology: StarTopology) -> list[int]:
+    """The tick core's channel pick: which links get the hub's receiver channels.
 
     Lowest fill ratio (available_bits / target_bits) first; ties rotate
-    round-robin so equally needy branches take strict turns. Advances the
-    rotation pointer once per call. now is accepted for symmetry with the
-    other stepping calls; the decision depends only on pool state.
+    round-robin so equally needy branches take strict turns. Returns
+    indices into topology.link_at and advances the rotation pointer once.
     """
-    del now
-    ids = topology.branch_ids()
-    n = len(ids)
+    links = topology.link_at
+    n = len(links)
     offset = topology._rr_offset % n
     topology._rr_offset += 1
-    links = topology.links
-    fill = [links[bid].pool.fill_ratio for bid in ids]
+    fill = [link.pool.fill_ratio for link in links]
     # Indices in round-robin rank order, (i - offset) % n; the stable
     # sort on fill keeps that order among ties.
     order = sorted([*range(offset, n), *range(offset)], key=fill.__getitem__)
-    return [ids[i] for i in order[: topology.hub.channel_count]]
+    return order[: topology.hub.channel_count]
+
+
+def schedule_channels(topology: StarTopology, now: float = 0.0) -> list[str]:
+    """Pick which links get the hub's receiver channels this interval.
+
+    This is the core pick_channels with its picks named by branch id. now
+    is accepted for symmetry with the other stepping calls; the decision
+    depends only on pool state.
+    """
+    del now
+    branches = topology.branches
+    return [branches[i].id for i in pick_channels(topology)]
 
 
 def relay_bits(
@@ -239,66 +261,44 @@ class HubStepReport:
     backlog_cost_after: float
 
 
-def hub_cpu_step(
+def hub_step(
     topology: StarTopology,
     dt: float,
-    active_ids: list[str] | None = None,
-    now: float = 0.0,
-) -> HubStepReport:
-    """Run production on the active links under the hub's CPU budget.
+    active: list[int],
+    deposited: list[int] | dict[int, int],
+) -> tuple[list[tuple[int, Round, int]], list[int], int | Fraction, int | Fraction]:
+    """The tick core's hub step: production on distinct indices into topology.link_at.
 
-    active_ids (default: every branch) must name distinct branches of
-    this star; an unknown id raises KeyError and a repeated one
-    ValueError, and then a dt that is not positive ValueError, before
-    anything changes.
-
-    Backlogged work from earlier intervals drains first, FIFO. If this
-    interval's fresh work then overruns what is left of the budget,
-    every active link is served the same share of its bits and the
-    rest joins the backlog; work processed in its own interval makes no
-    backlog entry. Bit and cost accounting is exact: each link's cost
-    and produced bits are its LinkState.round(dt), and every amount is
-    held times 2**SCALE, so whole rounds and a share of 0 or 1 stay in
-    integers and only a share strictly between them is a Fraction.
-    Deferred bits are deposited, in order, by later steps. Each float
-    in the report is the exact amount correctly rounded, as float() of
-    its Fraction is.
-
-    This is the only code that mutates topology.backlog. It keeps
-    topology.backlog_cost exact as it goes, less the budget the drain
-    used and plus the cost it defers, so a step costs time in the work
-    it touches and not in the length of the backlog.
+    Backlogged work drains first, FIFO, under the hub's CPU budget for
+    dt. If fresh work then overruns what is left, every active link is
+    served the same share of its round and the rest joins the backlog.
+    Every amount is exact and held times 2**SCALE, so whole rounds and a
+    share of 0 or 1 stay integers. Each deposit is added into
+    deposited[i], the drain's first. Returns (i, round, auth bits from
+    the pool) of each link that ran, the halted indices, and the CPU
+    cost processed and deferred. A dt that is not positive raises
+    ValueError before anything changes. Only this code mutates
+    topology.backlog, and it keeps backlog_cost exact as it goes, so a
+    step costs time in the work it touches and not in the backlog's length.
     """
-    actives = topology.branch_ids() if active_ids is None else list(active_ids)
-    active_links = [topology.link(bid) for bid in actives]
-    if len(set(actives)) != len(actives):
-        raise ValueError(f"active_ids repeats a branch: {actives}")
-
-    halted: list[str] = []
-    auth_pool: dict[str, int] = {}
-    auth_budget: dict[str, int] = {}
-    fresh: list[tuple[str, LinkState, Round]] = []
-    demanded = 0.0
-    for bid, link in zip(actives, active_links):
+    # Every amount below is times 2**SCALE.
+    budget = capacity = topology._scaled_capacity(dt)
+    links = topology.link_at
+    fresh: list[tuple[int, Round, int]] = []
+    halted: list[int] = []
+    for i in active:
+        link = links[i]
         rnd = link.round(dt)
         from_pool = produce(link, rnd)
         if from_pool is None:
-            halted.append(bid)
-            continue
-        auth_pool[bid] = from_pool
-        auth_budget[bid] = rnd.auth_bits - from_pool
-        demanded += rnd.cpu
-        fresh.append((bid, link, rnd))
-
-    # Every amount below is times 2**SCALE.
-    budget = capacity = topology._scaled_capacity(dt)
-    deposited: dict[str, int] = {}
-    links = topology.links
+            halted.append(i)
+        else:
+            fresh.append((i, rnd, from_pool))
 
     # Old work first, in arrival order; a partly processed head stays put.
     backlog = topology.backlog
     drained = 0
-    for bid, rnd, owed in backlog:
+    for i, rnd, owed in backlog:
         if budget <= 0:
             break
         cost = owed * rnd.cpu_scaled
@@ -308,37 +308,65 @@ def hub_cpu_step(
             drained += 1
         else:
             part = Fraction(budget, rnd.cpu_scaled)
-            backlog[drained] = (bid, rnd, owed - part)
+            backlog[drained] = (i, rnd, owed - part)
             budget = 0
-        deposited[bid] = deposited.get(bid, 0) + links[bid].carry(part * rnd.bits_scaled)
+        deposited[i] += links[i].carry(part * rnd.bits_scaled)
     del backlog[:drained]
     drain_cost = capacity - budget
 
     # Then this interval's production, proportionally if it overruns.
-    total_new = sum(rnd.cpu_scaled for _, _, rnd in fresh)
+    total_new = sum(rnd.cpu_scaled for _, rnd, _ in fresh)
     if total_new <= budget:
         share = 1
     else:
         share = Fraction(budget, total_new) if budget > 0 else 0
     keep = 1 - share
-    for bid, link, rnd in fresh:
-        deposited[bid] = deposited.get(bid, 0) + link.carry(share * rnd.bits_scaled)
+    for i, rnd, _ in fresh:
+        deposited[i] += links[i].carry(share * rnd.bits_scaled)
         if keep:
-            backlog.append((bid, rnd, keep))
+            backlog.append((i, rnd, keep))
     deferred = keep * total_new
     processed = drain_cost + total_new - deferred
     if deferred != drain_cost:
         topology.backlog_cost += Fraction(deferred - drain_cost, ONE)
+    return fresh, halted, processed, deferred
 
+
+def hub_cpu_step(
+    topology: StarTopology,
+    dt: float,
+    active_ids: list[str] | None = None,
+    now: float = 0.0,
+) -> HubStepReport:
+    """Run production on the active links under the hub's CPU budget.
+
+    This is the core hub_step, which the engine calls, in branch ids.
+    active_ids (default: every branch) must name distinct branches of
+    this star; an unknown id raises KeyError and a repeated one
+    ValueError, and then a dt that is not positive ValueError, before
+    anything changes. Each float in the report is the exact amount
+    correctly rounded, as float() of its Fraction is.
+    """
+    ids = topology.branch_ids()
+    actives = ids if active_ids is None else list(active_ids)
+    active = [topology.link_index(bid) for bid in actives]
+    if len(set(active)) != len(active):
+        raise ValueError(f"active_ids repeats a branch: {actives}")
+
+    deposited: defaultdict[int, int] = defaultdict(int)
+    fresh, halted, processed, deferred = hub_step(topology, dt, active, deposited)
+    demanded = 0.0
+    for _, rnd, _ in fresh:  # one float add at a time: sum() compensates from Python 3.12
+        demanded += rnd.cpu
     return HubStepReport(
         time=now,
         active_ids=tuple(actives),
-        deposited=deposited,
-        halted=tuple(halted),
-        auth_bits_from_pool=auth_pool,
-        auth_bits_from_budget=auth_budget,
+        deposited={ids[i]: bits for i, bits in deposited.items()},
+        halted=tuple(ids[i] for i in halted),
+        auth_bits_from_pool={ids[i]: from_pool for i, _, from_pool in fresh},
+        auth_bits_from_budget={ids[i]: rnd.auth_bits - from_pool for i, rnd, from_pool in fresh},
         cpu_demanded=demanded,
-        cpu_processed=processed.numerator / (processed.denominator << SCALE),
-        deferred_cost=deferred.numerator / (deferred.denominator << SCALE),
+        cpu_processed=unscaled(processed),
+        deferred_cost=unscaled(deferred),
         backlog_cost_after=float(topology.backlog_cost),
     )

@@ -1,6 +1,7 @@
 """Star topology: construction, scheduling, relay, hub throttling."""
 
 import random
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
@@ -12,12 +13,15 @@ from starqkd.qkdlink import ONE, LinkParams, raw_rate, tick
 from starqkd.report import KEY_ID
 from starqkd.starnet import (
     BranchSpec,
+    HubStepReport,
     Node,
     NodeKind,
     RelayRecord,
     StarTopology,
     build_star,
     hub_cpu_step,
+    hub_step,
+    pick_channels,
     relay_bits,
     relay_key,
     schedule_channels,
@@ -322,7 +326,9 @@ def test_hub_step_proportional_deferral():
     topo = build_star(hub(channels=3, capacity=60.0), specs)
     rep = hub_cpu_step(topo, 1.0)
     assert rep.deposited == {"a": 15, "b": 15, "c": 30}
-    assert [(bid, owed * Fraction(rnd.cpu_scaled, ONE)) for bid, rnd, owed in topo.backlog] == [
+    assert [
+        (topo.branches[i].id, owed * Fraction(rnd.cpu_scaled, ONE)) for i, rnd, owed in topo.backlog
+    ] == [
         ("a", Fraction(15)),
         ("b", Fraction(15)),
         ("c", Fraction(30)),
@@ -464,6 +470,85 @@ def test_hub_step_backlog_cost_is_the_exact_backlog_sum(
         link = topo.link(bid)
         landed = link.pool.total_generated_bits + link.pending_bits
         assert landed == rounds_run[bid] * Fraction(link.round(dt).bits_scaled, ONE)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(
+    # rate, qber, pool fill and auth reserve of each link: 7.3e-35 bits/s
+    # takes the Fraction form, qber 0.2 is past the cliff, and a link with
+    # no reserve and too little in its pool halts.
+    links=st.lists(
+        st.tuples(
+            st.one_of(st.floats(1.0, 5000.0), st.just(7.3e-35)),
+            st.sampled_from([0.0, 0.2]),
+            st.integers(1, 3000),
+            st.sampled_from([10**9, 512, 0]),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    capacity=st.floats(10.0, 10000.0),
+    channels=st.integers(1, 6),
+    dt=st.sampled_from([0.1, 0.25, 1.0]),
+    # None steps the scheduled links and a set steps those links; an empty
+    # set, and each of the two steps after these, is a drain-only step.
+    steps=st.lists(
+        st.one_of(st.none(), st.just(set()), st.sets(st.integers(0, 5))), min_size=1, max_size=10
+    ),
+)
+def test_wrappers_translate_the_index_core(links, capacity, channels, dt, steps):
+    def twin():
+        specs = [
+            BranchSpec(
+                node=branch(f"b{i}"),
+                link=flat_link(rate=rate, qber=qber),
+                pool_target_bits=1000,
+                pool_rng=random.Random(i),
+                auth_reserved_bits=reserve,
+            )
+            for i, (rate, qber, _, reserve) in enumerate(links)
+        ]
+        topo = build_star(hub(channels, capacity), specs)
+        for link, (_, _, fill, _) in zip(topo.link_at, links):
+            link.pool.deposit(fill)
+        return topo
+
+    wrapped, core = twin(), twin()
+    ids = wrapped.branch_ids()
+    for k, pick in enumerate([*steps, set(), set()]):
+        picked = pick_channels(core)
+        assert schedule_channels(wrapped) == [ids[i] for i in picked]
+        assert wrapped._rr_offset == core._rr_offset
+        active = picked if pick is None else sorted({i % len(ids) for i in pick})
+
+        rep = hub_cpu_step(wrapped, dt, [ids[i] for i in active], now=float(k))
+        deposited = defaultdict(int)
+        fresh, halted, processed, deferred = hub_step(core, dt, active, deposited)
+        demanded = 0.0
+        for _, rnd, _ in fresh:
+            demanded += rnd.cpu
+        assert rep == HubStepReport(
+            time=float(k),
+            active_ids=tuple(ids[i] for i in active),
+            deposited={ids[i]: bits for i, bits in deposited.items()},
+            halted=tuple(ids[i] for i in halted),
+            auth_bits_from_pool={ids[i]: from_pool for i, _, from_pool in fresh},
+            auth_bits_from_budget={ids[i]: rnd.auth_bits - from_pool for i, rnd, from_pool in fresh},
+            cpu_demanded=demanded,
+            cpu_processed=float(Fraction(processed, ONE)),
+            deferred_cost=float(Fraction(deferred, ONE)),
+            backlog_cost_after=float(core.backlog_cost),
+        )
+        # dict equality ignores order: drained links come first, then fresh
+        assert list(rep.deposited) == [ids[i] for i in deposited]
+        assert [(ids[i], rnd, owed) for i, rnd, owed in wrapped.backlog] == [
+            (ids[i], rnd, owed) for i, rnd, owed in core.backlog
+        ]
+        assert wrapped.backlog_cost == core.backlog_cost
+    for a, b in zip(wrapped.link_at, core.link_at):
+        assert (a.pool.available_bits, a.pending_bits, a.halted_ticks) == (
+            b.pool.available_bits, b.pending_bits, b.halted_ticks
+        )
 
 
 def test_hub_step_skips_halted_links():
