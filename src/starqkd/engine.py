@@ -215,7 +215,7 @@ class _Sim:
             "sharing": (EventKind.REFRESH, self.on_refresh, self.sharings),
         }
         self.sources: list[tuple[EventKind, float, Callable[[float, Any], bool | None], Any]] = []
-        for section, i, _, _, period in periodic_sources(scenario):
+        for section, i, _, period in periodic_sources(scenario):
             kind, handler, targets = by_section[section]
             self.sources.append((kind, period, handler, targets[i]))
         # The next firing of each source: (slot, kind, order, m).

@@ -1,9 +1,10 @@
 """Exception hierarchy shared across the package, and its one range rule.
 
 Everything raised on purpose derives from StarQkdError so callers can
-catch one base. Every numeric field of the library's types is checked by
-`check_range`, whose RangeError is a ValueError naming the field; NaN
-and +-infinity fail it. Other precondition slips raise ValueError.
+catch one base. Every numeric field of the library's and the scenario's
+types is checked by `check_range`, whose RangeError is a ValueError
+naming the field; NaN and +-infinity fail it, and a type raises it for
+its other one-field rules too. Other precondition slips raise ValueError.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ class DomainError(StarQkdError, ValueError):
 
 
 class RangeError(DomainError):
-    """A numeric field is not finite or lies outside its bound; field names it."""
+    """A field's value is outside what its type accepts; field names it."""
 
     def __init__(self, field: str, message: str) -> None:
         self.field = field

@@ -6,20 +6,20 @@ requests, sharing instances), the assets to plan for, and the attacker.
 
 Each JSON object has one field table mapping its keys to a `_Field`:
 the reader for the kind (int, float, str, bool, array, or unchecked)
-and the default or `_REQUIRED`; only fields that scenario types alone
-hold carry a bound too. `_read` checks an object against its table
-(unknown and required keys, kinds, finiteness; each error names its
-dotted path) and returns the values with defaults applied. The types
-check the values: `_build` makes a library dataclass and reports its
-`errors.RangeError` at `path.field`, any other precondition error at
-`path`, and a `Scenario` checks its own rules across sections and its
-run, whether parsed or built by hand. `scenario_to_dict` dumps through
-the same tables. Strict mode rejects unknown fields; lax mode warns and
-drops them. `null` means the default only where the default is null.
-A run may have at most MAX_TICKS ticks, at most MAX_TICKS periodic
-firings (rotations, relay requests and share refreshes together) and a
-hub CPU demand of at most MAX_CPU_DEMAND, and a policy grid at most
-MAX_GRID_CELLS cells.
+and the default or `_REQUIRED`, and nothing else. `_read` checks an
+object against its table (unknown and required keys, kinds,
+finiteness; each error names its dotted path) and returns the values
+with defaults applied. The types check the values, whether parsed or
+built by hand: each scenario and library type checks its own fields and
+entry rules, `_build` makes one and reports its `errors.RangeError` at
+`path.field` and any other precondition error at `path`, and a
+`Scenario` checks its own rules across sections, its policy grid and
+its run. `scenario_to_dict` dumps through the same tables. Strict mode
+rejects unknown fields; lax mode warns and drops them. `null` means the
+default only where the default is null. A run may have at most
+MAX_TICKS ticks, at most MAX_TICKS periodic firings (rotations, relay
+requests and share refreshes together) and a hub CPU demand of at most
+MAX_CPU_DEMAND, and a policy grid at most MAX_GRID_CELLS cells.
 """
 
 from __future__ import annotations
@@ -30,10 +30,11 @@ import sys
 import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable
 
-from .errors import BadField, ParseError, RangeError, ValidationError
+from .errors import BadField, ParseError, RangeError, ValidationError, check_range
 from .hybrid import AttackerModel, MigrationTimeline, whole_ticks
 from .keycore import DEFAULT_AUTH_RESERVED_BITS, DEFAULT_POOL_TARGET_BITS, DEFAULT_TAG_COST_BITS
 from .policy import (
@@ -89,6 +90,11 @@ class HubScenario:
     channel_count: int | None = None  # None: one receiver per branch
     cpu_capacity_per_sec: float = DEFAULT_HUB_CPU_PER_SEC
 
+    def __post_init__(self) -> None:
+        if self.channel_count is not None:
+            check_range("channel_count", self.channel_count, 1)
+        check_range("cpu_capacity_per_sec", self.cpu_capacity_per_sec, positive=True)
+
 
 @dataclass(frozen=True)
 class BranchScenario:
@@ -100,6 +106,13 @@ class BranchScenario:
     rotation_frequency_hz: float = 0.0
     master_bits: int = DEFAULT_MASTER_BITS
 
+    def __post_init__(self) -> None:
+        check_range("auth_reserved_bits", self.auth_reserved_bits, 0)
+        check_range("auth_tag_cost_bits", self.auth_tag_cost_bits, 1)
+        check_range("pool_target_bits", self.pool_target_bits, 1)
+        check_range("rotation_frequency_hz", self.rotation_frequency_hz, 0.0)
+        check_range("master_bits", self.master_bits, 1)
+
 
 @dataclass(frozen=True)
 class TrafficDemand:
@@ -108,6 +121,15 @@ class TrafficDemand:
     otp_bits_per_sec: float = 0.0
     relay_bits: int = 0
     relay_interval_seconds: float = 0.0
+
+    def __post_init__(self) -> None:
+        check_range("otp_bits_per_sec", self.otp_bits_per_sec, 0.0)
+        check_range("relay_bits", self.relay_bits, 0)
+        check_range("relay_interval_seconds", self.relay_interval_seconds, 0.0)
+        if self.src == self.dst:
+            raise ValueError(f"src and dst must differ, both are {self.src!r}")
+        if (self.relay_bits > 0) != (self.relay_interval_seconds > 0):
+            raise ValueError("relay_bits and relay_interval_seconds must be given together")
 
 
 @dataclass(frozen=True)
@@ -118,6 +140,15 @@ class SharingScenario:
     refresh_period_seconds: float
     custodians: tuple[str, str]
     field_prime: int = DEFAULT_FIELD_PRIME
+
+    def __post_init__(self) -> None:
+        check_range("refresh_period_seconds", self.refresh_period_seconds, positive=True)
+        if len(self.custodians) != 2:
+            count = len(self.custodians)
+            raise RangeError("custodians", f"expected exactly two branch ids, got {count}")
+        if self.custodians[0] == self.custodians[1]:
+            raise RangeError("custodians", "custodians must be two distinct branches")
+        self.config()
 
     def config(self) -> ShareConfig:
         return ShareConfig(
@@ -181,9 +212,7 @@ class Scenario:
 
 
 # ---------------------------------------------------------------------------
-# value readers: each takes (value, path, bound) and returns the checked value
-
-_POSITIVE = "positive"  # the bound of a float that must be > 0
+# value readers: each takes (value, path) and returns the value of its kind
 
 
 def _as_dict(value: Any, path: str) -> dict:
@@ -192,13 +221,13 @@ def _as_dict(value: Any, path: str) -> dict:
     return value
 
 
-def _as_list(value: Any, path: str, bound: None = None) -> list:
+def _as_list(value: Any, path: str) -> list:
     if not isinstance(value, list):
         raise ValidationError(path, f"expected an array, got {type(value).__name__}")
     return value
 
 
-def _as_str(value: Any, path: str, bound: None = None) -> str:
+def _as_str(value: Any, path: str) -> str:
     if not isinstance(value, str) or not value:
         raise ValidationError(path, f"expected a non-empty string, got {value!r}")
     return value
@@ -211,21 +240,19 @@ def _as_choice(value: Any, path: str, choices: dict[str, Any]) -> Any:
     return choices[name]
 
 
-def _as_bool(value: Any, path: str, bound: None = None) -> bool:
+def _as_bool(value: Any, path: str) -> bool:
     if not isinstance(value, bool):
         raise ValidationError(path, f"expected true/false, got {value!r}")
     return value
 
 
-def _as_int(value: Any, path: str, minimum: int | None = None) -> int:
+def _as_int(value: Any, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(path, f"expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ValidationError(path, f"must be >= {minimum}, got {value}")
     return value
 
 
-def _as_float(value: Any, path: str, minimum: float | str | None = None) -> float:
+def _as_float(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(path, f"expected a number, got {value!r}")
     try:
@@ -234,11 +261,6 @@ def _as_float(value: Any, path: str, minimum: float | str | None = None) -> floa
         out = math.inf
     if not math.isfinite(out):
         raise ValidationError(path, f"must be a finite number, got {value!r}")
-    if minimum is _POSITIVE:
-        if out <= 0:
-            raise ValidationError(path, f"must be positive, got {out}")
-    elif minimum is not None and out < minimum:
-        raise ValidationError(path, f"must be >= {minimum}, got {value}")
     return out
 
 
@@ -248,36 +270,23 @@ def _as_float(value: Any, path: str, minimum: float | str | None = None) -> floa
 _REQUIRED = object()
 
 
-# A field is (reader, default, bound): the reader checks a present value
-# against the bound. Plain tuples, as they unpack fastest.
-_Field = tuple[Callable[[Any, str, Any], Any], Any, Any]
+# A field is (reader, default): the reader checks a present value's kind.
+# Plain tuples, as they unpack fastest.
+_Field = tuple[Callable[[Any, str], Any], Any]
 
 
-def _int(default: Any = _REQUIRED, minimum: int | None = None) -> _Field:
-    return (_as_int, default, minimum)
+def _kind(read: Callable[[Any, str], Any]) -> Callable[..., _Field]:
+    """The field maker of one kind: `_int(default)` is `(_as_int, default)`."""
+    return lambda default=_REQUIRED: (read, default)
 
 
-def _float(
-    default: Any = _REQUIRED, minimum: float | None = None, positive: bool = False
-) -> _Field:
-    return (_as_float, default, _POSITIVE if positive else minimum)
+_int, _float, _bool, _array = map(_kind, (_as_int, _as_float, _as_bool, _as_list))
+# A field whose value the caller checks itself (a nested object).
+_any = _kind(lambda value, path: value)
 
 
 def _str(default: Any = _REQUIRED, choices: dict[str, Any] | None = None) -> _Field:
-    return (_as_str if choices is None else _as_choice, default, choices)
-
-
-def _bool(default: bool) -> _Field:
-    return (_as_bool, default, None)
-
-
-def _array(default: Any = _REQUIRED) -> _Field:
-    return (_as_list, default, None)
-
-
-def _any(default: Any = _REQUIRED) -> _Field:
-    """A field whose value the caller checks itself (a nested object)."""
-    return (lambda value, path, bound: value, default, None)
+    return (_as_str if choices is None else partial(_as_choice, choices=choices), default)
 
 
 _LINK = dict(
@@ -293,11 +302,11 @@ _LINK = dict(
 
 _BRANCH = dict(
     id=_str(),
-    auth_reserved_bits=_int(DEFAULT_AUTH_RESERVED_BITS, minimum=0),
-    auth_tag_cost_bits=_int(DEFAULT_TAG_COST_BITS, minimum=1),
-    pool_target_bits=_int(DEFAULT_POOL_TARGET_BITS, minimum=1),
-    rotation_frequency_hz=_float(0.0, minimum=0.0),
-    master_bits=_int(DEFAULT_MASTER_BITS, minimum=1),
+    auth_reserved_bits=_int(DEFAULT_AUTH_RESERVED_BITS),
+    auth_tag_cost_bits=_int(DEFAULT_TAG_COST_BITS),
+    pool_target_bits=_int(DEFAULT_POOL_TARGET_BITS),
+    rotation_frequency_hz=_float(0.0),
+    master_bits=_int(DEFAULT_MASTER_BITS),
 )
 
 # A branch object carries its link's fields inline.
@@ -305,25 +314,24 @@ _BRANCH_OBJECT = {**_BRANCH, **_LINK}
 
 _HUB = dict(
     id=_str(DEFAULT_HUB_ID),
-    channel_count=_int(None, minimum=1),
-    cpu_capacity_per_sec=_float(DEFAULT_HUB_CPU_PER_SEC, positive=True),
+    channel_count=_int(None),
+    cpu_capacity_per_sec=_float(DEFAULT_HUB_CPU_PER_SEC),
 )
 
 _TRAFFIC = dict(
     src=_str(),
     dst=_str(),
-    otp_bits_per_sec=_float(0.0, minimum=0.0),
-    relay_bits=_int(0, minimum=0),
-    relay_interval_seconds=_float(0.0, minimum=0.0),
+    otp_bits_per_sec=_float(0.0),
+    relay_bits=_int(0),
+    relay_interval_seconds=_float(0.0),
 )
 
-# n_locations, threshold_k and field_prime are bounded by ShareConfig.
 _SHARING = dict(
     id=_str(),
     n_locations=_int(),
     threshold_k=_int(),
     field_prime=_int(DEFAULT_FIELD_PRIME),
-    refresh_period_seconds=_float(positive=True),
+    refresh_period_seconds=_float(),
     custodians=_array(),
 )
 
@@ -351,7 +359,7 @@ _HYBRID = dict(
 # The object form of a technique; only hybrid takes the sizing fields.
 _TECHNIQUE = dict(kind=_str(choices=_KIND_BY_LABEL), **_HYBRID)
 
-_CLASSES = dict(m_c=_int(minimum=2), k_t=_int(minimum=2))
+_CLASSES = dict(m_c=_int(), k_t=_int())
 
 _MATRIX = dict(**_CLASSES, cells=_array())
 
@@ -367,9 +375,9 @@ _MIGRATION = dict(x_years=_float(), y_years=_float(), z_years=_float())
 
 _SCENARIO = dict(
     format_version=_any(SCENARIO_FORMAT_VERSION),
-    seed=_int(DEFAULT_SEED, minimum=0),
+    seed=_int(DEFAULT_SEED),
     duration_seconds=_float(),
-    tick_seconds=_float(DEFAULT_TICK_SECONDS, positive=True),
+    tick_seconds=_float(DEFAULT_TICK_SECONDS),
     hub=_any({}),
     branches=_array(),
     traffic=_array(()),
@@ -398,13 +406,13 @@ def _read(obj: Any, path: str, table: dict[str, _Field], strict: bool) -> dict[s
         warnings.warn(f"{path}: {msg} (ignored)", stacklevel=3)
     prefix = "" if path in _ROOTS else f"{path}."
     values = {}
-    for key, (read, default, bound) in table.items():
+    for key, (read, default) in table.items():
         value = data.get(key, default)
         if value is _REQUIRED:
             raise ValidationError(path, f"missing required field '{key}'")
         # An absent key, or null where the default is null, takes the
         # default as it stands; defaults are valid by construction.
-        values[key] = value if value is default else read(value, prefix + key, bound)
+        values[key] = value if value is default else read(value, prefix + key)
     return values
 
 
@@ -432,32 +440,35 @@ def _dump(obj: Any, table: dict[str, _Field]) -> dict[str, Any]:
 # rules across sections, each decided in one place
 
 
-def periodic_sources(s: Scenario) -> list[tuple[str, int, str, float, float]]:
-    """The run's periodic sources in the engine's order: (section, index, key, value, period).
+def periodic_sources(s: Scenario) -> list[tuple[str, int, str, float]]:
+    """The run's periodic sources in the engine's order: (section, index, key, period).
 
-    value, field key of s.<section>[index], sets period: rotations every 1.0 / f for a branch
-    whose rotation_frequency_hz f is not 0 (a NaN f too, so its check fails), relay requests
-    every relay_interval_seconds for traffic with relay_bits > 0, then every sharing instance's
-    refreshes. `_check_run` bounds these and the engine schedules them.
+    Field key of s.<section>[index] sets period: rotations every 1.0 / f for a branch whose
+    rotation_frequency_hz f is not 0, relay requests every relay_interval_seconds for traffic
+    with relay_bits > 0, then every sharing instance's refreshes. The types make each period
+    positive; `_check_run` bounds these and the engine schedules them.
     """
     rotations = [(i, b.rotation_frequency_hz) for i, b in enumerate(s.branches)]
     relays = [(i, t.relay_interval_seconds) for i, t in enumerate(s.traffic) if t.relay_bits > 0]
     refreshes = [(i, inst.refresh_period_seconds) for i, inst in enumerate(s.sharing)]
     return [
-        *(("branches", i, "rotation_frequency_hz", f, 1.0 / f) for i, f in rotations if f != 0),
-        *(("traffic", i, "relay_interval_seconds", t, t) for i, t in relays),
-        *(("sharing", i, "refresh_period_seconds", t, t) for i, t in refreshes),
+        *(("branches", i, "rotation_frequency_hz", 1.0 / f) for i, f in rotations if f != 0),
+        *(("traffic", i, "relay_interval_seconds", t) for i, t in relays),
+        *(("sharing", i, "refresh_period_seconds", t) for i, t in refreshes),
     ]
 
 
 def _check_run(s: Scenario) -> None:
     """Check a run's seed, tick, tick count, hub CPU demand and periodic sources."""
-    if _as_int(s.seed, "seed", 0) > MAX_SEED:
-        raise ValidationError("seed", f"must fit in 64 bits, got {s.seed}")
+    seed = _as_int(s.seed, "seed")
+    if not 0 <= seed <= MAX_SEED:
+        must = "be >= 0" if seed < 0 else "fit in 64 bits"
+        raise ValidationError("seed", f"must {must}, got {seed}")
     duration = _as_float(s.duration_seconds, "duration_seconds")
-    tick = _as_float(s.tick_seconds, "tick_seconds", _POSITIVE)
-    if duration <= 0:
-        raise ValidationError("duration_seconds", f"must be positive, got {duration}")
+    tick = _as_float(s.tick_seconds, "tick_seconds")
+    for key, value in (("tick_seconds", tick), ("duration_seconds", duration)):
+        if value <= 0:
+            raise ValidationError(key, f"must be positive, got {value}")
     ratio = duration / tick
     if not ratio < MAX_TICKS + 0.5:
         raise ValidationError(
@@ -476,11 +487,10 @@ def _check_run(s: Scenario) -> None:
         )
     # Each periodic firing logs a ledger or unmet entry, so a run may have
     # at most MAX_TICKS of them. (firings over the run, path) per source:
-    firings = []
-    for section, i, key, value, period in periodic_sources(s):
-        path = f"{section}[{i}].{key}"
-        _as_float(value, path, _POSITIVE)
-        firings.append((duration / period, path))
+    firings = [
+        (duration / period, f"{section}[{i}].{key}")
+        for section, i, key, period in periodic_sources(s)
+    ]
     total = sum(count for count, _ in firings)
     if total > MAX_TICKS:
         _, path = max(firings, key=lambda firing: firing[0])  # the first of the largest
@@ -488,6 +498,10 @@ def _check_run(s: Scenario) -> None:
 
 
 def _check_grid(m_c: int, k_t: int, path: str) -> None:
+    """The one grid-size rule: each dimension at least 2, at most MAX_GRID_CELLS cells."""
+    for name, size in zip(_CLASSES, (m_c, k_t)):
+        if size < 2:
+            raise ValidationError(f"{path}.{name}", f"must be >= 2, got {size}")
     if m_c * k_t > MAX_GRID_CELLS:
         raise ValidationError(
             path, f"a {m_c}x{k_t} policy grid exceeds the limit of {MAX_GRID_CELLS} cells"
@@ -503,10 +517,15 @@ def policy_grid(
 
     The matrix's dimensions if there is a matrix, which must agree with
     classes if both are given; else classes; else the smallest grid that
-    holds every asset, bounded by MAX_GRID_CELLS. Every asset must fit.
+    holds every asset. Each grid passes `_check_grid`; asset ids are
+    unique and every asset must fit.
     """
+    _check_unique(assets, "assets")
+    if classes is not None:
+        _check_grid(*classes, "classes")
     if matrix is not None:
         grid = (matrix.m_c, matrix.k_t)
+        _check_grid(*grid, "policy_matrix")
         if classes is not None and grid != classes:
             raise ValidationError(
                 "policy_matrix",
@@ -540,36 +559,21 @@ def _check_unique(items: tuple, section: str, taken: tuple[str, ...] = ()) -> No
 
 def _parse_branch(obj: Any, path: str, strict: bool) -> BranchScenario:
     values = _read(obj, path, _BRANCH_OBJECT, strict)
-    link = _build(LinkParams, path, {key: values.pop(key) for key in _LINK})
-    return BranchScenario(link=link, **values)
+    values["link"] = _build(LinkParams, path, {key: values.pop(key) for key in _LINK})
+    return _build(BranchScenario, path, values)
 
 
 def _parse_traffic(obj: Any, path: str, strict: bool) -> TrafficDemand:
-    demand = TrafficDemand(**_read(obj, path, _TRAFFIC, strict))
-    if demand.src == demand.dst:
-        raise ValidationError(path, f"src and dst must differ, both are {demand.src!r}")
-    if (demand.relay_bits > 0) != (demand.relay_interval_seconds > 0):
-        raise ValidationError(
-            path, "relay_bits and relay_interval_seconds must be given together"
-        )
-    return demand
+    return _build(TrafficDemand, path, _read(obj, path, _TRAFFIC, strict))
 
 
 def _parse_sharing(obj: Any, path: str, strict: bool) -> SharingScenario:
     values = _read(obj, path, _SHARING, strict)
-    custodians = values["custodians"]
-    if len(custodians) != 2:
-        raise ValidationError(
-            f"{path}.custodians", f"expected exactly two branch ids, got {len(custodians)}"
-        )
     values["custodians"] = tuple(
-        _as_str(custodian, f"{path}.custodians[{j}]") for j, custodian in enumerate(custodians)
+        _as_str(custodian, f"{path}.custodians[{j}]")
+        for j, custodian in enumerate(values["custodians"])
     )
-    instance = SharingScenario(**values)
-    if instance.custodians[0] == instance.custodians[1]:
-        raise ValidationError(f"{path}.custodians", "custodians must be two distinct branches")
-    _build(instance.config, path, {})  # ShareConfig bounds n, k and the field
-    return instance
+    return _build(SharingScenario, path, values)
 
 
 def _parse_technique(obj: Any, path: str, strict: bool) -> Technique:
@@ -605,20 +609,14 @@ def _parse_matrix(obj: Any, path: str, strict: bool) -> PolicyMatrix:
 
 
 def _parse_assets(objs: list, strict: bool) -> tuple[InfoAsset, ...]:
-    assets = tuple(
+    return tuple(
         _build(InfoAsset, f"assets[{i}]", _read(obj, f"assets[{i}]", _ASSET, strict))
         for i, obj in enumerate(objs)
     )
-    _check_unique(assets, "assets")
-    return assets
 
 
 def _parse_classes(obj: Any, strict: bool) -> tuple[int, int] | None:
-    if obj is None:
-        return None
-    classes = tuple(_read(obj, "classes", _CLASSES, strict).values())
-    _check_grid(*classes, "classes")
-    return classes
+    return None if obj is None else tuple(_read(obj, "classes", _CLASSES, strict).values())
 
 
 def _parse_migration(obj: Any, strict: bool) -> MigrationTimeline | None:

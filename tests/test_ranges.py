@@ -1,4 +1,4 @@
-"""The one range rule: every numeric field of the library's types, row by row.
+"""The one range rule: every numeric field of the library's and the scenario's types, row by row.
 
 Each row is (type, field, bound kind, bound, make), where make(value)
 builds the type with only that field set to value. NaN, +-infinity and
@@ -23,6 +23,7 @@ from starqkd.hybrid import (
 from starqkd.keycore import AuthBudget, KeyMaterial, KeyPool, Provenance
 from starqkd.policy import DataState, HybridParams, InfoAsset
 from starqkd.qkdlink import LinkParams
+from starqkd.scenario import BranchScenario, HubScenario, SharingScenario, TrafficDemand
 from starqkd.sharing import ShareConfig
 from starqkd.starnet import Node, NodeKind
 
@@ -117,6 +118,45 @@ ROWS = [
     ("ShareConfig", "n_locations", ">=", 2, lambda v: ShareConfig(v, 1)),
     ("ShareConfig", "threshold_k", ">=", 1, lambda v: ShareConfig(3, v)),
     ("ShareConfig", "threshold_k", "<=", 3, lambda v: ShareConfig(3, v)),
+    ("HubScenario", "channel_count", ">=", 1, lambda v: HubScenario(channel_count=v)),
+    (
+        "HubScenario",
+        "cpu_capacity_per_sec",
+        ">0",
+        0.0,
+        lambda v: HubScenario(cpu_capacity_per_sec=v),
+    ),
+    *(
+        ("BranchScenario", name, ">=", low, lambda v, name=name: BranchScenario("a", **{name: v}))
+        for name, low in (
+            ("auth_reserved_bits", 0),
+            ("auth_tag_cost_bits", 1),
+            ("pool_target_bits", 1),
+            ("rotation_frequency_hz", 0.0),
+            ("master_bits", 1),
+        )
+    ),
+    *(
+        (
+            "TrafficDemand",
+            name,
+            ">=",
+            low,
+            lambda v, name=name: TrafficDemand("a", "b", **{name: v}),
+        )
+        for name, low in (
+            ("otp_bits_per_sec", 0.0),
+            ("relay_bits", 0),
+            ("relay_interval_seconds", 0.0),
+        )
+    ),
+    (
+        "SharingScenario",
+        "refresh_period_seconds",
+        ">0",
+        0.0,
+        lambda v: SharingScenario("s", 3, 2, v, ("a", "b")),
+    ),
     (
         "horizon_for",
         "rotation_frequency_hz",

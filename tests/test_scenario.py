@@ -11,8 +11,8 @@ import pytest
 from starqkd import scenario as scenario_module
 
 from starqkd.engine import EventKind, _Sim, run
-from starqkd.errors import ParseError, ValidationError
-from starqkd.policy import TechniqueKind
+from starqkd.errors import BadField, ParseError, RangeError, ValidationError
+from starqkd.policy import DataState, InfoAsset, TechniqueKind
 from starqkd.qkdlink import raw_rate
 from starqkd.scenario import (
     DEFAULT_LINK,
@@ -20,6 +20,7 @@ from starqkd.scenario import (
     MAX_TICKS,
     SCENARIO_FORMAT_VERSION,
     BranchScenario,
+    HubScenario,
     Scenario,
     SharingScenario,
     TrafficDemand,
@@ -572,6 +573,9 @@ def test_readme_lists_every_field_table_key():
     assert missing == []
 
 
+ASSET = InfoAsset("x", 1, 1, 0, 0.0, DataState.AT_REST)
+
+
 def hand_built(**fields) -> Scenario:
     """A two-branch Scenario built without the parser, with fields replaced."""
     return Scenario(
@@ -584,14 +588,6 @@ def hand_built(**fields) -> Scenario:
 # each would hang run(), fail it part way or run the wrong schedule, so the
 # tests only construct them.
 HAND_BUILT = {
-    "zero-relay-interval": (
-        {"traffic": (TrafficDemand("a", "b", relay_bits=8, relay_interval_seconds=0.0),)},
-        "traffic[0].relay_interval_seconds: must be positive, got 0.0",
-    ),
-    "zero-refresh-period": (
-        {"sharing": (SharingScenario("s", 3, 2, 0.0, ("a", "b")),)},
-        "sharing[0].refresh_period_seconds: must be positive, got 0.0",
-    ),
     "zero-tick": ({"tick_seconds": 0.0}, "tick_seconds: must be positive, got 0.0"),
     "fractional-ticks": (
         {"duration_seconds": 10.5},
@@ -601,14 +597,14 @@ HAND_BUILT = {
         {"traffic": (TrafficDemand("a", "ghost", otp_bits_per_sec=8.0),)},
         "traffic[0].dst: unknown branch 'ghost'",
     ),
-    "nan-rotation": (
-        {"branches": (BranchScenario("a"), BranchScenario("b", rotation_frequency_hz=math.nan))},
-        "branches[1].rotation_frequency_hz: must be a finite number, got nan",
+    # Unchecked, run would walk 10**12 cells in default_matrix, and (1, 1) raise BadDimensions.
+    "million-square-classes": (
+        {"classes": (10**6, 10**6), "assets": (ASSET,)},
+        "classes: a 1000000x1000000 policy grid exceeds the limit of 10000 cells",
     ),
-    "infinite-rotation": (
-        {"branches": (BranchScenario("a", rotation_frequency_hz=math.inf), BranchScenario("b"))},
-        "branches[0].rotation_frequency_hz: must be a finite number, got inf",
-    ),
+    "one-by-one-classes": ({"classes": (1, 1)}, "classes.m_c: must be >= 2, got 1"),
+    "one-row-classes": ({"classes": (3, 1)}, "classes.k_t: must be >= 2, got 1"),
+    "duplicate-assets": ({"assets": (ASSET, ASSET)}, "assets[1].id: duplicate id 'x'"),
 }
 
 
@@ -622,6 +618,122 @@ def test_a_hand_built_scenario_checks_itself(case):
     with pytest.raises(ValidationError) as again:
         replace(hand_built(), **fields)
     assert str(again.value) == message
+
+
+# A valid instance's fields per scenario type, and (type, bad fields, the
+# error they give): each type's own rules, which hold however it is built.
+VALID = {
+    HubScenario: {},
+    BranchScenario: {"id": "a"},
+    TrafficDemand: {"src": "a", "dst": "b"},
+    SharingScenario: {
+        "id": "s",
+        "n_locations": 3,
+        "threshold_k": 2,
+        "refresh_period_seconds": 5.0,
+        "custodians": ("a", "b"),
+    },
+}
+TYPE_RULES = {
+    "zero-relay-interval": (
+        TrafficDemand,
+        {"relay_bits": 8, "relay_interval_seconds": 0.0},
+        "relay_bits and relay_interval_seconds must be given together",
+    ),
+    "zero-refresh-period": (
+        SharingScenario,
+        {"refresh_period_seconds": 0.0},
+        "refresh_period_seconds: must be positive, got 0.0",
+    ),
+    "nan-rotation": (
+        BranchScenario,
+        {"rotation_frequency_hz": math.nan},
+        "rotation_frequency_hz: must be a finite number, got nan",
+    ),
+    "infinite-rotation": (
+        BranchScenario,
+        {"rotation_frequency_hz": math.inf},
+        "rotation_frequency_hz: must be a finite number, got inf",
+    ),
+    # Unchecked, each of these would construct and then break or mislead run().
+    "same-endpoints": (
+        TrafficDemand,
+        {"dst": "a", "otp_bits_per_sec": 800.0},
+        "src and dst must differ, both are 'a'",
+    ),
+    "no-channels": (HubScenario, {"channel_count": 0}, "channel_count: must be >= 1, got 0"),
+    "negative-relay-bits": (
+        TrafficDemand,
+        {"relay_bits": -8, "relay_interval_seconds": 5.0},
+        "relay_bits: must be >= 0, got -8",
+    ),
+    "negative-otp-rate": (
+        TrafficDemand,
+        {"otp_bits_per_sec": -800.0},
+        "otp_bits_per_sec: must be >= 0.0, got -800.0",
+    ),
+    "relay-interval-alone": (
+        TrafficDemand,
+        {"relay_interval_seconds": 5.0},
+        "relay_bits and relay_interval_seconds must be given together",
+    ),
+    "one-custodian": (
+        SharingScenario,
+        {"custodians": ("a",)},
+        "custodians: expected exactly two branch ids, got 1",
+    ),
+    "same-custodians": (
+        SharingScenario,
+        {"custodians": ("a", "a")},
+        "custodians: custodians must be two distinct branches",
+    ),
+    "share-config": (
+        SharingScenario,
+        {"n_locations": 1, "threshold_k": 1},
+        "n_locations: must be >= 2, got 1",
+    ),
+    "share-field": (SharingScenario, {"field_prime": 4}, "field_prime 4 is not prime"),
+}
+
+
+@pytest.mark.parametrize("case", TYPE_RULES)
+def test_each_scenario_type_checks_its_own_rules(case):
+    kind, bad, message = TYPE_RULES[case]
+    valid = kind(**VALID[kind])
+    for make in (lambda: kind(**VALID[kind] | bad), lambda: replace(valid, **bad)):
+        with pytest.raises((ValueError, BadField)) as caught:
+            make()
+        exc = caught.value
+        assert str(exc) == message
+        # One-field rules name the field, which the parser puts on the dotted path.
+        if isinstance(exc, RangeError):
+            assert message.startswith(f"{exc.field}: ")
+
+
+def test_type_rules_give_the_parser_its_paths():
+    data = {"duration_seconds": 10.0, "branches": [{"id": "a"}, {"id": "b"}]}
+    expected = {
+        "traffic[0]: src and dst must differ, both are 'a'": {
+            "traffic": [{"src": "a", "dst": "a", "otp_bits_per_sec": 800}]
+        },
+        "traffic[0].otp_bits_per_sec: must be >= 0.0, got -1.0": {
+            "traffic": [{"src": "a", "dst": "b", "otp_bits_per_sec": -1}]
+        },
+        "hub.channel_count: must be >= 1, got 0": {"hub": {"channel_count": 0}},
+        "branches[1].master_bits: must be >= 1, got 0": {
+            "branches": [{"id": "a"}, {"id": "b", "master_bits": 0}]
+        },
+        "sharing[0].custodians: expected exactly two branch ids, got 3": {
+            "sharing": [VALID[SharingScenario] | {"custodians": ["a", "b", "a"]}]
+        },
+        "sharing[0].threshold_k: must be <= 3, got 4": {
+            "sharing": [VALID[SharingScenario] | {"custodians": ["a", "b"], "threshold_k": 4}]
+        },
+    }
+    for message, fields in expected.items():
+        with pytest.raises(ValidationError) as caught:
+            scenario_from_dict(data | fields)
+        assert str(caught.value) == message
 
 
 def test_a_hand_built_scenario_equals_the_parsed_one():
