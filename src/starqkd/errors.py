@@ -1,10 +1,14 @@
-"""Exception hierarchy shared across the package, and its one range rule.
+"""Exception hierarchy shared across the package, and its one rule per kind.
 
 Everything raised on purpose derives from StarQkdError so callers can
-catch one base. Every numeric field of the library's and the scenario's
-types is checked by `check_range`, whose RangeError is a ValueError
-naming the field; NaN and +-infinity fail it, and a type raises it for
-its other one-field rules too. Other precondition slips raise ValueError.
+catch one base. Every field of the library's and the scenario's types
+is checked by the rule of its kind, `check_int`, `check_float`,
+`check_text` or `check_flag`, with the field's range if it has one.
+Their RangeError is a ValueError naming the field, and a type raises it
+for its other one-field rules too. A float field takes any int or float
+but a bool, fails NaN and +-infinity, and is stored as a float by
+`store_float`, so equal values print alike. Other precondition slips
+raise ValueError.
 """
 
 from __future__ import annotations
@@ -50,27 +54,59 @@ class RangeError(DomainError):
         super().__init__(f"{field}: {message}")
 
 
-def check_range(
-    field: str, value: Any, low: float = 0, high: float = math.inf, positive: bool = False
-) -> None:
-    """Raise RangeError unless value is a finite number in [low, high], or > 0 if positive.
+def _range_error(field: str, value: Any, low: float, high: float, positive: bool) -> RangeError:
+    bound = "positive" if positive else f">= {low}" if value < low else f"<= {high}"
+    return RangeError(field, f"must be {bound}, got {value}")
 
-    NaN fails every comparison; an int of any size compares exactly.
-    """
-    try:
-        finite = -math.inf < value < math.inf
-    except TypeError:  # None, or not a number
-        finite = False
-    if finite and (0 < value if positive else low <= value <= high):
-        return
-    if not finite:
-        message = f"must be a finite number, got {value!r}"
-    elif positive:
-        message = f"must be positive, got {value}"
-    else:
-        bound = f">= {low}" if value < low else f"<= {high}"
-        message = f"must be {bound}, got {value}"
-    raise RangeError(field, message)
+
+def check_int(field: str, value: Any, low: float = -math.inf, high: float = math.inf) -> int:
+    """value if it is an int (not a bool) in [low, high]; any size compares exactly."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise RangeError(field, f"expected an integer, got {value!r}")
+    if not low <= value <= high:
+        raise _range_error(field, value, low, high, False)
+    return value
+
+
+def check_float(
+    field: str, value: Any, low: float = -math.inf, high: float = math.inf, positive: bool = False
+) -> float:
+    """float(value) if value is a finite int or float (not a bool) in [low, high], or > 0."""
+    out = value
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise RangeError(field, f"expected a number, got {value!r}")
+        try:
+            out = float(value)
+        except OverflowError:  # an int too large for a float
+            out = math.inf
+    if not math.isfinite(out):
+        raise RangeError(field, f"must be a finite number, got {value!r}")
+    if not ((0 < out) if positive else (low <= out <= high)):
+        raise _range_error(field, out, low, high, positive)
+    return out
+
+
+def store_float(
+    owner: Any, field: str, low: float = -math.inf, high: float = math.inf, positive: bool = False
+) -> None:
+    """Check owner.field by `check_float` and store it back as a float, frozen or not."""
+    value = getattr(owner, field)
+    out = check_float(field, value, low, high, positive)
+    if out is not value:
+        object.__setattr__(owner, field, out)
+
+
+def check_text(field: str, value: Any) -> str:
+    if not isinstance(value, str) or not value:
+        raise RangeError(field, f"expected a non-empty string, got {value!r}")
+    return value
+
+
+def check_flag(field: str, value: Any) -> bool:
+    if not isinstance(value, bool):
+        raise RangeError(field, f"expected true/false, got {value!r}")
+    return value
 
 
 class MissingKey(StarQkdError):

@@ -14,7 +14,9 @@ import math
 import struct
 from dataclasses import dataclass, field
 
-from .errors import ClockRegression, MissingKey, RangeError, check_range
+from .errors import (
+    ClockRegression, MissingKey, RangeError, check_flag, check_float, check_int, store_float
+)
 from .keycore import KeyMaterial, mix_keys, xor_bytes
 
 YEAR_SECONDS = 31_557_600.0  # Julian year
@@ -37,7 +39,9 @@ class AttackerModel:
     records_traffic: bool = False
 
     def __post_init__(self) -> None:
-        check_range("classical_ops_per_sec", self.classical_ops_per_sec, positive=True)
+        store_float(self, "classical_ops_per_sec", positive=True)
+        check_flag("has_quantum", self.has_quantum)
+        check_flag("records_traffic", self.records_traffic)
 
 
 @dataclass(frozen=True)
@@ -50,7 +54,7 @@ class MigrationTimeline:
 
     def __post_init__(self) -> None:
         for name in ("x_years", "y_years", "z_years"):
-            check_range(name, getattr(self, name), 0.0)
+            store_float(self, name, 0.0)
 
 
 @dataclass(frozen=True)
@@ -62,8 +66,8 @@ class SecurityHorizon:
     model_id: str = HORIZON_MODEL_ID
 
     def __post_init__(self) -> None:
-        check_range("t_s_seconds", self.t_s_seconds, 0.0)
-        check_range("t_sq_seconds", self.t_sq_seconds, self.t_s_seconds)
+        store_float(self, "t_s_seconds", 0.0)
+        store_float(self, "t_sq_seconds", self.t_s_seconds)
 
 
 @dataclass
@@ -78,7 +82,7 @@ class HybridCipherState:
     epoch_log: list[tuple[float, str]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        check_range("rotation_frequency_hz", self.rotation_frequency_hz, 0.0)
+        store_float(self, "rotation_frequency_hz", 0.0)
 
 
 def _keystream(master: bytes, session: bytes, epoch: int, length: int) -> bytes:
@@ -129,7 +133,7 @@ def whole_ticks(ratio: float) -> int | None:
 
 
 def _check_clock(state: HybridCipherState, now: float) -> None:
-    check_range("now", now, -math.inf)
+    check_float("now", now)
     if now < state.last_rotation_time:
         raise ClockRegression(f"now={now} precedes last rotation at {state.last_rotation_time}")
 
@@ -181,7 +185,7 @@ def estimate_t_s(session_key_bits: int, attacker: AttackerModel) -> float:
     A quantum attacker gets the Grover square-root speedup (effective
     bits halve). Saturates at the practically-infinite sentinel.
     """
-    check_range("session_key_bits", session_key_bits, 1)
+    check_int("session_key_bits", session_key_bits, 1)
     effective = session_key_bits / 2.0 if attacker.has_quantum else float(session_key_bits)
     try:
         t = 2.0**effective / attacker.classical_ops_per_sec
@@ -211,8 +215,8 @@ def horizon_for(
     asset_lifetime_seconds: float,
 ) -> SecurityHorizon:
     """Security horizon for a keying discipline, not a whole state."""
-    check_range("rotation_frequency_hz", rotation_frequency_hz, 0.0)
-    check_range("asset_lifetime_seconds", asset_lifetime_seconds, 0.0)
+    check_float("rotation_frequency_hz", rotation_frequency_hz, 0.0)
+    check_float("asset_lifetime_seconds", asset_lifetime_seconds, 0.0)
     t_s = estimate_t_s(session_key_bits, attacker)
     cover = min(
         asset_lifetime_seconds,

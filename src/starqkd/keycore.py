@@ -20,7 +20,7 @@ from .errors import (
     KeyAlreadyConsumed,
     LengthMismatch,
     WrongProvenance,
-    check_range,
+    check_int,
 )
 from .rng import derive_seed, random_bits
 
@@ -66,7 +66,7 @@ class KeyMaterial:
     consumed: bool = False
 
     def __post_init__(self) -> None:
-        check_range("bit_length", self.bit_length, 1)
+        check_int("bit_length", self.bit_length, 1)
         if len(self.bits) != bytes_for_bits(self.bit_length):
             raise ValueError(
                 f"key {self.id}: {len(self.bits)} bytes cannot hold exactly "
@@ -153,7 +153,7 @@ class KeyPool:
     _draw_count: int = field(default=0, repr=False)
 
     def __post_init__(self) -> None:
-        check_range("target_bits", self.target_bits, 1)
+        check_int("target_bits", self.target_bits, 1)
         if self.rng is None:
             self.rng = random.Random(derive_seed(0, f"pool/{self.link_id}"))
         self.assert_conservation()
@@ -219,8 +219,8 @@ class AuthBudget:
     total_consumed_bits: int = 0
 
     def __post_init__(self) -> None:
-        check_range("reserved_bits", self.reserved_bits, 0)
-        check_range("tag_cost_bits", self.tag_cost_bits, 1)
+        check_int("reserved_bits", self.reserved_bits, 0)
+        check_int("tag_cost_bits", self.tag_cost_bits, 1)
 
     def consume(self, n_messages: int) -> int:
         """Pay for n_messages tags; returns the bits spent."""

@@ -15,7 +15,7 @@ from enum import Enum, IntEnum
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import BadDimensions, IndexOutOfBounds, check_range
+from .errors import BadDimensions, IndexOutOfBounds, RangeError, check_int, check_text, store_float
 from .hybrid import (
     PRACTICALLY_INFINITE_SECONDS,
     AttackerModel,
@@ -72,8 +72,8 @@ class HybridParams:
 
     def __post_init__(self) -> None:
         for name in ("master_bits", "session_bits", "quantum_bits"):
-            check_range(name, getattr(self, name), 1)
-        check_range("rotation_frequency_hz", self.rotation_frequency_hz, 0.0)
+            check_int(name, getattr(self, name), 1)
+        store_float(self, "rotation_frequency_hz", 0.0)
 
 
 @dataclass(frozen=True)
@@ -84,6 +84,8 @@ class Technique:
     hybrid: HybridParams | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, TechniqueKind):
+            raise RangeError("kind", f"expected a TechniqueKind, got {self.kind!r}")
         if self.kind is TechniqueKind.HYBRID:
             if self.hybrid is None:
                 object.__setattr__(self, "hybrid", HybridParams())
@@ -103,10 +105,13 @@ class InfoAsset:
     data_state: DataState
 
     def __post_init__(self) -> None:
-        check_range("sensitivity_index", self.sensitivity_index, 1)
-        check_range("time_index", self.time_index, 1)
-        check_range("size_bytes", self.size_bytes, 0)
-        check_range("lifetime_seconds", self.lifetime_seconds, 0.0)
+        check_text("id", self.id)
+        check_int("sensitivity_index", self.sensitivity_index, 1)
+        check_int("time_index", self.time_index, 1)
+        check_int("size_bytes", self.size_bytes, 0)
+        store_float(self, "lifetime_seconds", 0.0)
+        if not isinstance(self.data_state, DataState):
+            raise RangeError("data_state", f"expected a DataState, got {self.data_state!r}")
 
 
 @dataclass

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import DomainError, InsufficientKey, check_range
+from .errors import DomainError, InsufficientKey, check_int, store_float
 from .keycore import AuthBudget, KeyPool
 
 
@@ -32,15 +32,15 @@ class LinkParams:
     post_processing_messages_per_round: int = 4
 
     def __post_init__(self) -> None:
-        check_range("distance_km", self.distance_km, 0.0)
-        check_range("source_rate_hz", self.source_rate_hz, 0.0)
-        check_range("detector_efficiency", self.detector_efficiency, 0.0, 1.0)
-        check_range("sifting_factor", self.sifting_factor, 0.0, 1.0)
-        check_range("qber", self.qber, 0.0, 0.5)
-        check_range("attenuation_db_per_km", self.attenuation_db_per_km, 0.0)
-        check_range("cpu_cost_per_raw_bit", self.cpu_cost_per_raw_bit, 0.0)
+        store_float(self, "distance_km", 0.0)
+        store_float(self, "source_rate_hz", 0.0)
+        store_float(self, "detector_efficiency", 0.0, 1.0)
+        store_float(self, "sifting_factor", 0.0, 1.0)
+        store_float(self, "qber", 0.0, 0.5)
+        store_float(self, "attenuation_db_per_km", 0.0)
+        store_float(self, "cpu_cost_per_raw_bit", 0.0)
         messages = self.post_processing_messages_per_round
-        check_range("post_processing_messages_per_round", messages, 0)
+        check_int("post_processing_messages_per_round", messages, 0)
 
     @cached_property
     def cpu_cost_per_sec(self) -> float:

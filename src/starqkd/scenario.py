@@ -4,17 +4,19 @@ A scenario is one JSON object describing the star (hub limits and
 branch links), the demands placed on it (pairwise traffic, relay
 requests, sharing instances), the assets to plan for, and the attacker.
 
-Each JSON object has one field table mapping its keys to a `_Field`:
-the reader for the kind (int, float, str, bool, array, or unchecked)
-and the default or `_REQUIRED`, and nothing else. `_read` checks an
-object against its table (unknown and required keys, kinds,
-finiteness; each error names its dotted path) and returns the values
-with defaults applied. The types check the values, whether parsed or
-built by hand: each scenario and library type checks its own fields and
-entry rules, `_build` makes one and reports its `errors.RangeError` at
-`path.field` and any other precondition error at `path`, and a
-`Scenario` checks its own rules across sections, its policy grid and
-its run. `scenario_to_dict` dumps through the same tables. Strict mode
+Each JSON object has one field table mapping its keys to their defaults
+(`_REQUIRED` where a key must be given), and nothing else. `_read`
+checks an object against its table (an object; unknown and required
+keys; each error names its dotted path) and returns the values with
+defaults applied. The parser reads only the JSON's shape, its objects
+and arrays, and turns labels into their enums. The types check the
+values, whether parsed or built by hand: each scenario and library type
+checks its own fields' kinds, ranges and entry rules with the `errors`
+rule of each kind, which stores a float field as a float. `_build` makes
+one and reports its `errors.RangeError` at `path.field` and any other
+precondition error at `path`. A `Scenario` checks its own run fields,
+its rules across sections and its policy grid, the matrix's coherence
+included. `scenario_to_dict` dumps through the same tables. Strict mode
 rejects unknown fields; lax mode warns and drops them. `null` means the
 default only where the default is null. A run may have at most
 MAX_TICKS ticks, at most MAX_TICKS periodic firings (rotations, relay
@@ -25,16 +27,16 @@ MAX_CPU_DEMAND, and a policy grid at most MAX_GRID_CELLS cells.
 from __future__ import annotations
 
 import json
-import math
 import sys
 import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import partial
 from pathlib import Path
 from typing import Any, Callable
 
-from .errors import BadField, ParseError, RangeError, ValidationError, check_range
+from .errors import (
+    BadField, ParseError, RangeError, ValidationError, check_int, check_text, store_float
+)
 from .hybrid import AttackerModel, MigrationTimeline, whole_ticks
 from .keycore import DEFAULT_AUTH_RESERVED_BITS, DEFAULT_POOL_TARGET_BITS, DEFAULT_TAG_COST_BITS
 from .policy import (
@@ -91,9 +93,10 @@ class HubScenario:
     cpu_capacity_per_sec: float = DEFAULT_HUB_CPU_PER_SEC
 
     def __post_init__(self) -> None:
+        check_text("id", self.id)
         if self.channel_count is not None:
-            check_range("channel_count", self.channel_count, 1)
-        check_range("cpu_capacity_per_sec", self.cpu_capacity_per_sec, positive=True)
+            check_int("channel_count", self.channel_count, 1)
+        store_float(self, "cpu_capacity_per_sec", positive=True)
 
 
 @dataclass(frozen=True)
@@ -107,11 +110,12 @@ class BranchScenario:
     master_bits: int = DEFAULT_MASTER_BITS
 
     def __post_init__(self) -> None:
-        check_range("auth_reserved_bits", self.auth_reserved_bits, 0)
-        check_range("auth_tag_cost_bits", self.auth_tag_cost_bits, 1)
-        check_range("pool_target_bits", self.pool_target_bits, 1)
-        check_range("rotation_frequency_hz", self.rotation_frequency_hz, 0.0)
-        check_range("master_bits", self.master_bits, 1)
+        check_text("id", self.id)
+        check_int("auth_reserved_bits", self.auth_reserved_bits, 0)
+        check_int("auth_tag_cost_bits", self.auth_tag_cost_bits, 1)
+        check_int("pool_target_bits", self.pool_target_bits, 1)
+        store_float(self, "rotation_frequency_hz", 0.0)
+        check_int("master_bits", self.master_bits, 1)
 
 
 @dataclass(frozen=True)
@@ -123,9 +127,11 @@ class TrafficDemand:
     relay_interval_seconds: float = 0.0
 
     def __post_init__(self) -> None:
-        check_range("otp_bits_per_sec", self.otp_bits_per_sec, 0.0)
-        check_range("relay_bits", self.relay_bits, 0)
-        check_range("relay_interval_seconds", self.relay_interval_seconds, 0.0)
+        check_text("src", self.src)
+        check_text("dst", self.dst)
+        store_float(self, "otp_bits_per_sec", 0.0)
+        check_int("relay_bits", self.relay_bits, 0)
+        store_float(self, "relay_interval_seconds", 0.0)
         if self.src == self.dst:
             raise ValueError(f"src and dst must differ, both are {self.src!r}")
         if (self.relay_bits > 0) != (self.relay_interval_seconds > 0):
@@ -142,7 +148,12 @@ class SharingScenario:
     field_prime: int = DEFAULT_FIELD_PRIME
 
     def __post_init__(self) -> None:
-        check_range("refresh_period_seconds", self.refresh_period_seconds, positive=True)
+        check_text("id", self.id)
+        store_float(self, "refresh_period_seconds", positive=True)
+        if not isinstance(self.custodians, tuple):
+            raise RangeError("custodians", f"expected a tuple, got {self.custodians!r}")
+        for j, custodian in enumerate(self.custodians):
+            check_text(f"custodians[{j}]", custodian)
         if len(self.custodians) != 2:
             count = len(self.custodians)
             raise RangeError("custodians", f"expected exactly two branch ids, got {count}")
@@ -174,7 +185,12 @@ class Scenario:
     migration: MigrationTimeline | None = None
 
     def __post_init__(self) -> None:
-        """Check the rules across sections, in this order, and then the run."""
+        """Check the run fields, the rules across sections in this order, and then the run."""
+        if not 0 <= _checked(check_int, "seed", self.seed) <= MAX_SEED:
+            must = "be >= 0" if self.seed < 0 else "fit in 64 bits"
+            raise ValidationError("seed", f"must {must}, got {self.seed}")
+        for key in ("duration_seconds", "tick_seconds"):
+            _checked(store_float, self, key, positive=True)
         if not self.branches:
             raise ValidationError("branches", "at least one branch is required")
         _check_unique(self.branches, "branches", taken=(self.hub.id,))
@@ -212,7 +228,7 @@ class Scenario:
 
 
 # ---------------------------------------------------------------------------
-# value readers: each takes (value, path) and returns the value of its kind
+# JSON shape and labels: each reader takes (value, path)
 
 
 def _as_dict(value: Any, path: str) -> dict:
@@ -227,176 +243,127 @@ def _as_list(value: Any, path: str) -> list:
     return value
 
 
-def _as_str(value: Any, path: str) -> str:
-    if not isinstance(value, str) or not value:
-        raise ValidationError(path, f"expected a non-empty string, got {value!r}")
-    return value
+def _checked(rule: Callable[..., Any], *args: Any, **bounds: Any) -> Any:
+    """rule(*args, **bounds), an `errors` kind rule whose RangeError is reported at its field."""
+    try:
+        return rule(*args, **bounds)
+    except RangeError as exc:
+        raise ValidationError(exc.field, exc.message) from exc
 
 
 def _as_choice(value: Any, path: str, choices: dict[str, Any]) -> Any:
-    name = _as_str(value, path)
+    name = _checked(check_text, path, value)
     if name not in choices:
         raise ValidationError(path, f"expected one of {sorted(choices)}, got {name!r}")
     return choices[name]
 
 
-def _as_bool(value: Any, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise ValidationError(path, f"expected true/false, got {value!r}")
-    return value
-
-
-def _as_int(value: Any, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(path, f"expected an integer, got {value!r}")
-    return value
-
-
-def _as_float(value: Any, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(path, f"expected a number, got {value!r}")
-    try:
-        out = float(value)
-    except OverflowError:  # an integer too large for a float
-        out = math.inf
-    if not math.isfinite(out):
-        raise ValidationError(path, f"must be a finite number, got {value!r}")
-    return out
-
-
 # ---------------------------------------------------------------------------
-# field tables
+# field tables: each key and its default
 
 _REQUIRED = object()
 
-
-# A field is (reader, default): the reader checks a present value's kind.
-# Plain tuples, as they unpack fastest.
-_Field = tuple[Callable[[Any, str], Any], Any]
-
-
-def _kind(read: Callable[[Any, str], Any]) -> Callable[..., _Field]:
-    """The field maker of one kind: `_int(default)` is `(_as_int, default)`."""
-    return lambda default=_REQUIRED: (read, default)
-
-
-_int, _float, _bool, _array = map(_kind, (_as_int, _as_float, _as_bool, _as_list))
-# A field whose value the caller checks itself (a nested object).
-_any = _kind(lambda value, path: value)
-
-
-def _str(default: Any = _REQUIRED, choices: dict[str, Any] | None = None) -> _Field:
-    return (_as_str if choices is None else partial(_as_choice, choices=choices), default)
-
-
 _LINK = dict(
-    distance_km=_float(DEFAULT_LINK.distance_km),
-    attenuation_db_per_km=_float(DEFAULT_LINK.attenuation_db_per_km),
-    source_rate_hz=_float(DEFAULT_LINK.source_rate_hz),
-    detector_efficiency=_float(DEFAULT_LINK.detector_efficiency),
-    sifting_factor=_float(DEFAULT_LINK.sifting_factor),
-    qber=_float(DEFAULT_LINK.qber),
-    cpu_cost_per_raw_bit=_float(DEFAULT_LINK.cpu_cost_per_raw_bit),
-    post_processing_messages_per_round=_int(DEFAULT_LINK.post_processing_messages_per_round),
+    distance_km=DEFAULT_LINK.distance_km,
+    attenuation_db_per_km=DEFAULT_LINK.attenuation_db_per_km,
+    source_rate_hz=DEFAULT_LINK.source_rate_hz,
+    detector_efficiency=DEFAULT_LINK.detector_efficiency,
+    sifting_factor=DEFAULT_LINK.sifting_factor,
+    qber=DEFAULT_LINK.qber,
+    cpu_cost_per_raw_bit=DEFAULT_LINK.cpu_cost_per_raw_bit,
+    post_processing_messages_per_round=DEFAULT_LINK.post_processing_messages_per_round,
 )
 
 _BRANCH = dict(
-    id=_str(),
-    auth_reserved_bits=_int(DEFAULT_AUTH_RESERVED_BITS),
-    auth_tag_cost_bits=_int(DEFAULT_TAG_COST_BITS),
-    pool_target_bits=_int(DEFAULT_POOL_TARGET_BITS),
-    rotation_frequency_hz=_float(0.0),
-    master_bits=_int(DEFAULT_MASTER_BITS),
+    id=_REQUIRED,
+    auth_reserved_bits=DEFAULT_AUTH_RESERVED_BITS,
+    auth_tag_cost_bits=DEFAULT_TAG_COST_BITS,
+    pool_target_bits=DEFAULT_POOL_TARGET_BITS,
+    rotation_frequency_hz=0.0,
+    master_bits=DEFAULT_MASTER_BITS,
 )
 
 # A branch object carries its link's fields inline.
 _BRANCH_OBJECT = {**_BRANCH, **_LINK}
 
-_HUB = dict(
-    id=_str(DEFAULT_HUB_ID),
-    channel_count=_int(None),
-    cpu_capacity_per_sec=_float(DEFAULT_HUB_CPU_PER_SEC),
-)
+_HUB = dict(id=DEFAULT_HUB_ID, channel_count=None, cpu_capacity_per_sec=DEFAULT_HUB_CPU_PER_SEC)
 
 _TRAFFIC = dict(
-    src=_str(),
-    dst=_str(),
-    otp_bits_per_sec=_float(0.0),
-    relay_bits=_int(0),
-    relay_interval_seconds=_float(0.0),
+    src=_REQUIRED,
+    dst=_REQUIRED,
+    otp_bits_per_sec=0.0,
+    relay_bits=0,
+    relay_interval_seconds=0.0,
 )
 
 _SHARING = dict(
-    id=_str(),
-    n_locations=_int(),
-    threshold_k=_int(),
-    field_prime=_int(DEFAULT_FIELD_PRIME),
-    refresh_period_seconds=_float(),
-    custodians=_array(),
+    id=_REQUIRED,
+    n_locations=_REQUIRED,
+    threshold_k=_REQUIRED,
+    field_prime=DEFAULT_FIELD_PRIME,
+    refresh_period_seconds=_REQUIRED,
+    custodians=_REQUIRED,
 )
 
 _STATE_BY_NAME = {state.value: state for state in DataState}
 
 _ASSET = dict(
-    id=_str(),
-    sensitivity_index=_int(),
-    time_index=_int(),
-    size_bytes=_int(0),
-    lifetime_seconds=_float(0.0),
-    data_state=_str(DataState.AT_REST, choices=_STATE_BY_NAME),
+    id=_REQUIRED,
+    sensitivity_index=_REQUIRED,
+    time_index=_REQUIRED,
+    size_bytes=0,
+    lifetime_seconds=0.0,
+    data_state=DataState.AT_REST.value,
 )
 
 _KIND_BY_LABEL = {kind.label: kind for kind in TechniqueKind}
 _HYBRID_BASE = HybridParams()
 
 _HYBRID = dict(
-    master_bits=_int(_HYBRID_BASE.master_bits),
-    session_bits=_int(_HYBRID_BASE.session_bits),
-    quantum_bits=_int(_HYBRID_BASE.quantum_bits),
-    rotation_frequency_hz=_float(_HYBRID_BASE.rotation_frequency_hz),
+    master_bits=_HYBRID_BASE.master_bits,
+    session_bits=_HYBRID_BASE.session_bits,
+    quantum_bits=_HYBRID_BASE.quantum_bits,
+    rotation_frequency_hz=_HYBRID_BASE.rotation_frequency_hz,
 )
 
 # The object form of a technique; only hybrid takes the sizing fields.
-_TECHNIQUE = dict(kind=_str(choices=_KIND_BY_LABEL), **_HYBRID)
+_TECHNIQUE = dict(kind=_REQUIRED, **_HYBRID)
 
-_CLASSES = dict(m_c=_int(), k_t=_int())
+_CLASSES = dict(m_c=_REQUIRED, k_t=_REQUIRED)
 
-_MATRIX = dict(**_CLASSES, cells=_array())
+_MATRIX = dict(**_CLASSES, cells=_REQUIRED)
 
-_CELL = dict(sensitivity=_int(), time=_int(), technique=_any())
+_CELL = dict(sensitivity=_REQUIRED, time=_REQUIRED, technique=_REQUIRED)
 
 _ATTACKER = dict(
-    classical_ops_per_sec=_float(DEFAULT_ATTACKER.classical_ops_per_sec),
-    has_quantum=_bool(DEFAULT_ATTACKER.has_quantum),
-    records_traffic=_bool(DEFAULT_ATTACKER.records_traffic),
+    classical_ops_per_sec=DEFAULT_ATTACKER.classical_ops_per_sec,
+    has_quantum=DEFAULT_ATTACKER.has_quantum,
+    records_traffic=DEFAULT_ATTACKER.records_traffic,
 )
 
-_MIGRATION = dict(x_years=_float(), y_years=_float(), z_years=_float())
+_MIGRATION = dict(x_years=_REQUIRED, y_years=_REQUIRED, z_years=_REQUIRED)
 
 _SCENARIO = dict(
-    format_version=_any(SCENARIO_FORMAT_VERSION),
-    seed=_int(DEFAULT_SEED),
-    duration_seconds=_float(),
-    tick_seconds=_float(DEFAULT_TICK_SECONDS),
-    hub=_any({}),
-    branches=_array(),
-    traffic=_array(()),
-    sharing=_array(()),
-    assets=_array(()),
-    classes=_any(None),
-    policy_matrix=_any(None),
-    attacker=_any({}),
-    migration=_any(None),
+    format_version=SCENARIO_FORMAT_VERSION,
+    seed=DEFAULT_SEED,
+    duration_seconds=_REQUIRED,
+    tick_seconds=DEFAULT_TICK_SECONDS,
+    hub={},
+    branches=_REQUIRED,
+    traffic=[],
+    sharing=[],
+    assets=[],
+    classes=None,
+    policy_matrix=None,
+    attacker={},
+    migration=None,
 )
 
 # The assets file read by `starqkd plan`.
-_PLAN = dict(assets=_array(), classes=_any(None), migration=_any(None))
-
-# Objects whose fields are named without a prefix ("seed", not "scenario.seed").
-_ROOTS = ("scenario", "assets file")
+_PLAN = dict(assets=_REQUIRED, classes=None, migration=None)
 
 
-def _read(obj: Any, path: str, table: dict[str, _Field], strict: bool) -> dict[str, Any]:
+def _read(obj: Any, path: str, table: dict[str, Any], strict: bool) -> dict[str, Any]:
     """Check the JSON object at path against table; return every field's value."""
     data = _as_dict(obj, path)
     if not data.keys() <= table.keys():
@@ -404,15 +371,12 @@ def _read(obj: Any, path: str, table: dict[str, _Field], strict: bool) -> dict[s
         if strict:
             raise ValidationError(path, msg)
         warnings.warn(f"{path}: {msg} (ignored)", stacklevel=3)
-    prefix = "" if path in _ROOTS else f"{path}."
     values = {}
-    for key, (read, default) in table.items():
-        value = data.get(key, default)
-        if value is _REQUIRED:
+    for key, default in table.items():
+        # An absent key, or null where the default is null, takes the default.
+        values[key] = data.get(key, default)
+        if values[key] is _REQUIRED:
             raise ValidationError(path, f"missing required field '{key}'")
-        # An absent key, or null where the default is null, takes the
-        # default as it stands; defaults are valid by construction.
-        values[key] = value if value is default else read(value, prefix + key)
     return values
 
 
@@ -426,7 +390,7 @@ def _build(make: Callable[..., Any], path: str, values: dict[str, Any]) -> Any:
         raise ValidationError(path, str(exc)) from exc
 
 
-def _dump(obj: Any, table: dict[str, _Field]) -> dict[str, Any]:
+def _dump(obj: Any, table: dict[str, Any]) -> dict[str, Any]:
     out = {}
     for key in table:
         value = getattr(obj, key)
@@ -459,16 +423,8 @@ def periodic_sources(s: Scenario) -> list[tuple[str, int, str, float]]:
 
 
 def _check_run(s: Scenario) -> None:
-    """Check a run's seed, tick, tick count, hub CPU demand and periodic sources."""
-    seed = _as_int(s.seed, "seed")
-    if not 0 <= seed <= MAX_SEED:
-        must = "be >= 0" if seed < 0 else "fit in 64 bits"
-        raise ValidationError("seed", f"must {must}, got {seed}")
-    duration = _as_float(s.duration_seconds, "duration_seconds")
-    tick = _as_float(s.tick_seconds, "tick_seconds")
-    for key, value in (("tick_seconds", tick), ("duration_seconds", duration)):
-        if value <= 0:
-            raise ValidationError(key, f"must be positive, got {value}")
+    """Check a run's tick count, hub CPU demand and periodic sources."""
+    duration, tick = s.duration_seconds, s.tick_seconds
     ratio = duration / tick
     if not ratio < MAX_TICKS + 0.5:
         raise ValidationError(
@@ -498,10 +454,9 @@ def _check_run(s: Scenario) -> None:
 
 
 def _check_grid(m_c: int, k_t: int, path: str) -> None:
-    """The one grid-size rule: each dimension at least 2, at most MAX_GRID_CELLS cells."""
+    """The one grid-size rule: each dimension an int of at least 2, at most MAX_GRID_CELLS cells."""
     for name, size in zip(_CLASSES, (m_c, k_t)):
-        if size < 2:
-            raise ValidationError(f"{path}.{name}", f"must be >= 2, got {size}")
+        _checked(check_int, f"{path}.{name}", size, 2)
     if m_c * k_t > MAX_GRID_CELLS:
         raise ValidationError(
             path, f"a {m_c}x{k_t} policy grid exceeds the limit of {MAX_GRID_CELLS} cells"
@@ -515,10 +470,10 @@ def policy_grid(
 ) -> tuple[int, int]:
     """The (m_c, k_t) grid that run and plan apply to assets.
 
-    The matrix's dimensions if there is a matrix, which must agree with
-    classes if both are given; else classes; else the smallest grid that
-    holds every asset. Each grid passes `_check_grid`; asset ids are
-    unique and every asset must fit.
+    The matrix's dimensions if there is a matrix, which must pass
+    `validate_matrix` and agree with classes if both are given; else
+    classes; else the smallest grid that holds every asset. Each grid
+    passes `_check_grid`; asset ids are unique and every asset must fit.
     """
     _check_unique(assets, "assets")
     if classes is not None:
@@ -526,6 +481,9 @@ def policy_grid(
     if matrix is not None:
         grid = (matrix.m_c, matrix.k_t)
         _check_grid(*grid, "policy_matrix")
+        problems = validate_matrix(matrix)
+        if problems:
+            raise ValidationError("policy_matrix", "; ".join(problems))
         if classes is not None and grid != classes:
             raise ValidationError(
                 "policy_matrix",
@@ -569,10 +527,7 @@ def _parse_traffic(obj: Any, path: str, strict: bool) -> TrafficDemand:
 
 def _parse_sharing(obj: Any, path: str, strict: bool) -> SharingScenario:
     values = _read(obj, path, _SHARING, strict)
-    values["custodians"] = tuple(
-        _as_str(custodian, f"{path}.custodians[{j}]")
-        for j, custodian in enumerate(values["custodians"])
-    )
+    values["custodians"] = tuple(_as_list(values["custodians"], f"{path}.custodians"))
     return _build(SharingScenario, path, values)
 
 
@@ -580,7 +535,7 @@ def _parse_technique(obj: Any, path: str, strict: bool) -> Technique:
     if isinstance(obj, str):
         return Technique(_as_choice(obj, path, _KIND_BY_LABEL))
     values = _read(obj, path, _TECHNIQUE, strict)
-    kind = values.pop("kind")
+    kind = _as_choice(values.pop("kind"), f"{path}.kind", _KIND_BY_LABEL)
     if kind is TechniqueKind.HYBRID:
         return Technique(kind, _build(HybridParams, path, values))
     if obj.keys() - {"kind"}:
@@ -589,30 +544,32 @@ def _parse_technique(obj: Any, path: str, strict: bool) -> Technique:
 
 
 def _parse_matrix(obj: Any, path: str, strict: bool) -> PolicyMatrix:
-    values = _read(obj, path, _MATRIX, strict)
-    m_c, k_t = values["m_c"], values["k_t"]
+    m_c, k_t, cell_objs = _read(obj, path, _MATRIX, strict).values()
     _check_grid(m_c, k_t, path)
     cells: dict[tuple[int, int], Technique] = {}
-    for i, cell_obj in enumerate(values["cells"]):
+    for i, cell_obj in enumerate(_as_list(cell_objs, f"{path}.cells")):
         cell_path = f"{path}.cells[{i}]"
         c, t, technique = _read(cell_obj, cell_path, _CELL, strict).values()
+        for key, index in zip(_CELL, (c, t)):
+            _checked(check_int, f"{cell_path}.{key}", index)
         if not (1 <= c <= m_c and 1 <= t <= k_t):
             raise ValidationError(cell_path, f"cell ({c}, {t}) outside {m_c}x{k_t}")
         if (c, t) in cells:
             raise ValidationError(cell_path, f"cell ({c}, {t}) defined twice")
         cells[(c, t)] = _parse_technique(technique, f"{cell_path}.technique", strict)
-    matrix = PolicyMatrix(m_c=m_c, k_t=k_t, cells=cells)
-    problems = validate_matrix(matrix)
-    if problems:
-        raise ValidationError(path, "; ".join(problems))
-    return matrix
+    return PolicyMatrix(m_c=m_c, k_t=k_t, cells=cells)  # which policy_grid validates
 
 
-def _parse_assets(objs: list, strict: bool) -> tuple[InfoAsset, ...]:
-    return tuple(
-        _build(InfoAsset, f"assets[{i}]", _read(obj, f"assets[{i}]", _ASSET, strict))
-        for i, obj in enumerate(objs)
-    )
+def _parse_asset(obj: Any, path: str, strict: bool) -> InfoAsset:
+    values = _read(obj, path, _ASSET, strict)
+    values["data_state"] = _as_choice(values["data_state"], f"{path}.data_state", _STATE_BY_NAME)
+    return _build(InfoAsset, path, values)
+
+
+def _parse_each(values: dict, name: str, parse: Callable[..., Any], strict: bool) -> tuple:
+    """Each object of the array values[name], parsed at name[i]."""
+    objs = _as_list(values[name], name)
+    return tuple(parse(obj, f"{name}[{i}]", strict) for i, obj in enumerate(objs))
 
 
 def _parse_classes(obj: Any, strict: bool) -> tuple[int, int] | None:
@@ -634,16 +591,13 @@ def scenario_from_dict(data: Any, strict: bool = True) -> Scenario:
             "format_version", f"expected {SCENARIO_FORMAT_VERSION}, got {version!r}"
         )
 
-    def each(name: str, parse: Callable[[Any, str, bool], Any]) -> tuple:
-        return tuple(parse(obj, f"{name}[{i}]", strict) for i, obj in enumerate(values[name]))
-
     matrix = values["policy_matrix"]
     values.update(
-        branches=each("branches", _parse_branch),
+        branches=_parse_each(values, "branches", _parse_branch, strict),
         hub=_build(HubScenario, "hub", _read(values["hub"], "hub", _HUB, strict)),
-        traffic=each("traffic", _parse_traffic),
-        sharing=each("sharing", _parse_sharing),
-        assets=_parse_assets(values["assets"], strict),
+        traffic=_parse_each(values, "traffic", _parse_traffic, strict),
+        sharing=_parse_each(values, "sharing", _parse_sharing, strict),
+        assets=_parse_each(values, "assets", _parse_asset, strict),
         classes=_parse_classes(values["classes"], strict),
         policy_matrix=None if matrix is None else _parse_matrix(matrix, "policy_matrix", strict),
         attacker=_build(
@@ -671,7 +625,7 @@ def ingest_plan_inputs(
 ) -> tuple[tuple[InfoAsset, ...], tuple[int, int] | None, MigrationTimeline | None]:
     """Load an assets file for planning: assets, optional classes, migration."""
     values = _read(_load_json(path), "assets file", _PLAN, strict)
-    assets = _parse_assets(values["assets"], strict)
+    assets = _parse_each(values, "assets", _parse_asset, strict)
     classes = _parse_classes(values["classes"], strict)
     policy_grid(assets, classes)
     return assets, classes, _parse_migration(values["migration"], strict)

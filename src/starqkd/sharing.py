@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .errors import (
     BadField,
-    check_range,
+    check_int,
     DuplicateX,
     FieldTooLarge,
     MissingShares,
@@ -69,8 +69,9 @@ class ShareConfig:
     field_prime: int = DEFAULT_FIELD_PRIME
 
     def __post_init__(self) -> None:
-        check_range("n_locations", self.n_locations, 2)
-        check_range("threshold_k", self.threshold_k, 1, self.n_locations)
+        check_int("n_locations", self.n_locations, 2)
+        check_int("threshold_k", self.threshold_k, 1, self.n_locations)
+        check_int("field_prime", self.field_prime)
         if self.field_prime <= self.n_locations:
             raise BadField(
                 f"field_prime {self.field_prime} must exceed n_locations {self.n_locations}"

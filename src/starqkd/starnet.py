@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from .errors import DuplicateId, InsufficientKey, NoBranches, check_range
+from .errors import DuplicateId, InsufficientKey, NoBranches, check_int, store_float
 from .keycore import DEFAULT_AUTH_RESERVED_BITS, DEFAULT_POOL_TARGET_BITS, DEFAULT_TAG_COST_BITS
 from .keycore import AuthBudget, KeyMaterial, KeyPool, Provenance
 from .qkdlink import ONE, LinkParams, LinkState, Round, produce, scaled, unscaled
@@ -41,8 +41,8 @@ class Node:
         if not self.id:
             raise ValueError("node id must be non-empty")
         if self.kind is NodeKind.HUB:
-            check_range("channel_count", self.channel_count, 1)
-            check_range("cpu_capacity_per_sec", self.cpu_capacity_per_sec, positive=True)
+            check_int("channel_count", self.channel_count, 1)
+            store_float(self, "cpu_capacity_per_sec", positive=True)
 
 
 @dataclass

@@ -1,8 +1,8 @@
-"""The one range rule: every numeric field of the library's and the scenario's types, row by row.
+"""Every numeric field's range under its kind rule, in the library's and scenario's types.
 
 Each row is (type, field, bound kind, bound, make), where make(value)
 builds the type with only that field set to value. NaN, +-infinity and
-the first value past the bound must raise the rule's RangeError, a
+the first value past the bound must raise the rules' RangeError, a
 ValueError naming the field; the bound itself must construct.
 """
 
@@ -206,7 +206,10 @@ def test_range_rule_messages():
         "distance_km: must be >= 0.0, got -1.0": lambda: LinkParams(**LINK | {"distance_km": -1.0}),
         "classical_ops_per_sec: must be positive, got 0.0": lambda: AttackerModel(0.0),
         "x_years: must be a finite number, got nan": lambda: MigrationTimeline(math.nan, 1, 1),
-        "channel_count: must be a finite number, got None": lambda: hub(channel_count=None),
+        "channel_count: expected an integer, got None": lambda: hub(channel_count=None),
+        "channel_count: expected an integer, got 1.5": lambda: hub(channel_count=1.5),
+        "x_years: expected a number, got True": lambda: MigrationTimeline(True, 1, 1),
+        "has_quantum: expected true/false, got 1": lambda: AttackerModel(1e9, has_quantum=1),
         "threshold_k: must be <= 3, got 4": lambda: ShareConfig(3, 4),
     }
     for message, make in expected.items():

@@ -3,7 +3,8 @@
 import json
 import math
 import re
-from dataclasses import replace
+from dataclasses import asdict, replace
+from enum import Enum
 from pathlib import Path
 
 import pytest
@@ -12,9 +13,12 @@ from starqkd import scenario as scenario_module
 
 from starqkd.engine import EventKind, _Sim, run
 from starqkd.errors import BadField, ParseError, RangeError, ValidationError
-from starqkd.policy import DataState, InfoAsset, TechniqueKind
+from starqkd.hybrid import AttackerModel, MigrationTimeline
+from starqkd.policy import DataState, InfoAsset, PolicyMatrix, Technique, TechniqueKind
 from starqkd.qkdlink import raw_rate
+from starqkd.report import emit_report
 from starqkd.scenario import (
+    DEFAULT_ATTACKER,
     DEFAULT_LINK,
     MAX_CPU_DEMAND,
     MAX_TICKS,
@@ -552,13 +556,20 @@ def readme_scenario_keys() -> set[str]:
 
 
 def test_readme_lists_every_field_table_key():
-    tables = {
+    # Every module-level dict is a field table (key -> default) but the
+    # label maps, which turn a JSON label into its enum member.
+    dicts = {
         name: value
         for name, value in vars(scenario_module).items()
-        if isinstance(value, dict)
-        and value
-        and all(isinstance(field, tuple) and callable(field[0]) for field in value.values())
+        if isinstance(value, dict) and not name.startswith("__")
     }
+    labels = {
+        name
+        for name, value in dicts.items()
+        if value and all(isinstance(member, Enum) for member in value.values())
+    }
+    assert labels == {"_STATE_BY_NAME", "_KIND_BY_LABEL"}
+    tables = {name: value for name, value in dicts.items() if name not in labels}
     assert set(tables) == set(TABLE_PREFIXES)
     documented = readme_scenario_keys()
     missing = []
@@ -574,6 +585,21 @@ def test_readme_lists_every_field_table_key():
 
 
 ASSET = InfoAsset("x", 1, 1, 0, 0.0, DataState.AT_REST)
+
+# A 3x2 matrix whose (3, 1) is weaker than (2, 1), its left neighbour.
+NON_MONOTONE_CELLS = {
+    (1, 1): "classical_public_key",
+    (2, 1): "hybrid",
+    (3, 1): "post_quantum",
+    (1, 2): "hybrid",
+    (2, 2): "hybrid",
+    (3, 2): "qkd_otp",
+}
+NON_MONOTONE = PolicyMatrix(
+    3,
+    2,
+    {cell: Technique(TechniqueKind[label.upper()]) for cell, label in NON_MONOTONE_CELLS.items()},
+)
 
 
 def hand_built(**fields) -> Scenario:
@@ -605,6 +631,15 @@ HAND_BUILT = {
     "one-by-one-classes": ({"classes": (1, 1)}, "classes.m_c: must be >= 2, got 1"),
     "one-row-classes": ({"classes": (3, 1)}, "classes.k_t: must be >= 2, got 1"),
     "duplicate-assets": ({"assets": (ASSET, ASSET)}, "assets[1].id: duplicate id 'x'"),
+    # Unchecked, these would run on a fractional grid or an incoherent matrix.
+    "fractional-classes": ({"classes": (2.5, 3)}, "classes.m_c: expected an integer, got 2.5"),
+    "text-classes": ({"classes": (2, "3")}, "classes.k_t: expected an integer, got '3'"),
+    "non-monotone-matrix": (
+        {"policy_matrix": NON_MONOTONE},
+        "policy_matrix: cell (3, 1) weaker than (2, 1): post_quantum < hybrid",
+    ),
+    "bool-seed": ({"seed": True}, "seed: expected an integer, got True"),
+    "text-duration": ({"duration_seconds": "10"}, "duration_seconds: expected a number, got '10'"),
 }
 
 
@@ -633,6 +668,9 @@ VALID = {
         "refresh_period_seconds": 5.0,
         "custodians": ("a", "b"),
     },
+    Technique: {"kind": TechniqueKind.POST_QUANTUM},
+    InfoAsset: asdict(ASSET),
+    AttackerModel: {"classical_ops_per_sec": 1e9},
 }
 TYPE_RULES = {
     "zero-relay-interval": (
@@ -693,6 +731,88 @@ TYPE_RULES = {
         "n_locations: must be >= 2, got 1",
     ),
     "share-field": (SharingScenario, {"field_prime": 4}, "field_prime 4 is not prime"),
+    # Kinds: unchecked, each would construct and then raise a bare error in
+    # run(), or run on a value the parser rejects.
+    "empty-branch-id": (BranchScenario, {"id": ""}, "id: expected a non-empty string, got ''"),
+    "int-branch-id": (BranchScenario, {"id": 5}, "id: expected a non-empty string, got 5"),
+    "bool-master-bits": (
+        BranchScenario,
+        {"master_bits": True},
+        "master_bits: expected an integer, got True",
+    ),
+    "float-pool-target": (
+        BranchScenario,
+        {"pool_target_bits": 4096.0},
+        "pool_target_bits: expected an integer, got 4096.0",
+    ),
+    "text-rotation": (
+        BranchScenario,
+        {"rotation_frequency_hz": "1"},
+        "rotation_frequency_hz: expected a number, got '1'",
+    ),
+    "fractional-channels": (
+        HubScenario,
+        {"channel_count": 1.5},
+        "channel_count: expected an integer, got 1.5",
+    ),
+    "bool-hub-cpu": (
+        HubScenario,
+        {"cpu_capacity_per_sec": True},
+        "cpu_capacity_per_sec: expected a number, got True",
+    ),
+    "none-hub-id": (HubScenario, {"id": None}, "id: expected a non-empty string, got None"),
+    "int-src": (TrafficDemand, {"src": 1}, "src: expected a non-empty string, got 1"),
+    "float-relay-bits": (
+        TrafficDemand,
+        {"relay_bits": 8.0, "relay_interval_seconds": 5.0},
+        "relay_bits: expected an integer, got 8.0",
+    ),
+    "string-custodians": (
+        SharingScenario,
+        {"custodians": "ab"},
+        "custodians: expected a tuple, got 'ab'",
+    ),
+    "int-custodian": (
+        SharingScenario,
+        {"custodians": ("a", 5)},
+        "custodians[1]: expected a non-empty string, got 5",
+    ),
+    "float-n-locations": (
+        SharingScenario,
+        {"n_locations": 3.0},
+        "n_locations: expected an integer, got 3.0",
+    ),
+    "bool-field-prime": (
+        SharingScenario,
+        {"field_prime": True},
+        "field_prime: expected an integer, got True",
+    ),
+    "label-technique": (
+        Technique,
+        {"kind": "hybrid"},
+        "kind: expected a TechniqueKind, got 'hybrid'",
+    ),
+    "label-data-state": (
+        InfoAsset,
+        {"data_state": "in_use"},
+        "data_state: expected a DataState, got 'in_use'",
+    ),
+    "empty-asset-id": (InfoAsset, {"id": ""}, "id: expected a non-empty string, got ''"),
+    "float-asset-index": (
+        InfoAsset,
+        {"time_index": 2.0},
+        "time_index: expected an integer, got 2.0",
+    ),
+    "int-has-quantum": (
+        AttackerModel,
+        {"has_quantum": 1},
+        "has_quantum: expected true/false, got 1",
+    ),
+    "none-records-traffic": (
+        AttackerModel,
+        {"records_traffic": None},
+        "records_traffic: expected true/false, got None",
+    ),
 }
 
 
@@ -739,6 +859,60 @@ def test_type_rules_give_the_parser_its_paths():
 def test_a_hand_built_scenario_equals_the_parsed_one():
     parsed = scenario_from_dict({"duration_seconds": 10.0, "branches": [{"id": "a"}, {"id": "b"}]})
     assert hand_built() == parsed
+
+
+def test_ints_in_float_fields_give_the_same_report_bytes_parsed_or_built_by_hand(tmp_path):
+    # A float field of every section is given as a JSON integer.
+    parsed = scenario_from_dict(
+        {
+            "duration_seconds": 20,
+            "tick_seconds": 2,
+            "hub": {"cpu_capacity_per_sec": 10**18},
+            "branches": [
+                {"id": "a", "distance_km": 5, "qber": 0, "rotation_frequency_hz": 1},
+                {"id": "b", "sifting_factor": 1, "cpu_cost_per_raw_bit": 2},
+            ],
+            "traffic": [
+                {
+                    "src": "a",
+                    "dst": "b",
+                    "otp_bits_per_sec": 800,
+                    "relay_bits": 64,
+                    "relay_interval_seconds": 4,
+                }
+            ],
+            "sharing": [
+                VALID[SharingScenario] | {"custodians": ["a", "b"], "refresh_period_seconds": 4}
+            ],
+            "assets": [
+                {"id": "x", "sensitivity_index": 2, "time_index": 2, "lifetime_seconds": 1000}
+            ],
+            "attacker": {"classical_ops_per_sec": 10**9},
+            "migration": {"x_years": 1, "y_years": 2, "z_years": 3},
+        }
+    )
+    by_hand = Scenario(
+        duration_seconds=20,
+        tick_seconds=2,
+        hub=HubScenario(cpu_capacity_per_sec=10**18),
+        branches=(
+            BranchScenario(
+                "a", replace(DEFAULT_LINK, distance_km=5, qber=0), rotation_frequency_hz=1
+            ),
+            BranchScenario("b", replace(DEFAULT_LINK, sifting_factor=1, cpu_cost_per_raw_bit=2)),
+        ),
+        traffic=(TrafficDemand("a", "b", 800, 64, 4),),
+        sharing=(SharingScenario(**VALID[SharingScenario] | {"refresh_period_seconds": 4}),),
+        assets=(InfoAsset("x", 2, 2, 0, 1000, DataState.AT_REST),),
+        attacker=replace(DEFAULT_ATTACKER, classical_ops_per_sec=10**9),
+        migration=MigrationTimeline(1, 2, 3),
+    )
+    assert by_hand == parsed and scenario_to_dict(by_hand) == scenario_to_dict(parsed)
+    files = [
+        emit_report(run(s), "json", tmp_path / name)[0].read_bytes()
+        for name, s in (("parsed", parsed), ("by_hand", by_hand))
+    ]
+    assert files[0] == files[1]
 
 
 def test_the_engine_schedules_the_sources_the_scenario_bounds():
