@@ -95,7 +95,7 @@ class _Pair:
     """
 
     name: str  # "src->dst"
-    pools: tuple[KeyPool, KeyPool]  # src, dst; a branch pool's link_id is its branch
+    pools: tuple[KeyPool, KeyPool]  # src, dst
     bits_per_tick: int | Fraction
     relay_bits: int
     otp_route: int
@@ -260,9 +260,9 @@ class _Sim:
         """Relay n bits between the pools' branches if both hold n; both pads
         count to category, and the ledger row to route.
         """
-        if ends[0].available_bits < n or ends[1].available_bits < n:
+        fresh = relay_bits(self.topology, *ends, n, self.relay_rng)
+        if fresh is None:
             return False
-        fresh = relay_bits(self.topology, ends[0].link_id, ends[1].link_id, n, self.relay_rng)
         self.consumed[category] += 2 * n
         self.report.relay_ledger.append(time, route, n, hashlib.sha256(fresh).digest())
         return True

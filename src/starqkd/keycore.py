@@ -174,16 +174,16 @@ class KeyPool:
             )
 
     def deposit(self, n_bits: int) -> None:
-        """Credit freshly distilled bits to the pool."""
-        if n_bits <= 0:
-            raise ValueError(f"deposit must be positive, got {n_bits}")
+        """Credit freshly distilled bits to the pool; n_bits is an int >= 1."""
+        if type(n_bits) is not int or n_bits < 1:  # check_int only on a miss: a per-tick call
+            check_int("n_bits", n_bits, 1)
         self.available_bits += n_bits
         self.total_generated_bits += n_bits
 
     def spend(self, n_bits: int) -> None:
-        """Debit n_bits from the pool; fails without side effects when short."""
-        if n_bits <= 0:
-            raise ValueError(f"spend must be positive, got {n_bits}")
+        """Debit n_bits, an int >= 1, from the pool; fails without side effects."""
+        if type(n_bits) is not int or n_bits < 1:
+            check_int("n_bits", n_bits, 1)
         if self.available_bits < n_bits:
             raise InsufficientKey(
                 f"pool {self.link_id}: requested {n_bits} bits, "

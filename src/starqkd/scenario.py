@@ -14,14 +14,16 @@ values, whether parsed or built by hand: each scenario and library type
 checks its own fields' kinds, ranges and entry rules with the `errors`
 rule of each kind, which stores a float field as a float. `_build` makes
 one and reports its `errors.RangeError` at `path.field` and any other
-precondition error at `path`. A `Scenario` checks its own run fields,
-its rules across sections and its policy grid, the matrix's coherence
-included. `scenario_to_dict` dumps through the same tables. Strict mode
-rejects unknown fields; lax mode warns and drops them. `null` means the
-default only where the default is null. A run may have at most
-MAX_TICKS ticks, at most MAX_TICKS periodic firings (rotations, relay
-requests and share refreshes together) and a hub CPU demand of at most
-MAX_CPU_DEMAND, and a policy grid at most MAX_GRID_CELLS cells.
+precondition error at `path`. A `Scenario` checks that each section
+holds its type (a list given for a tuple is stored as the tuple), its
+own run fields, its rules across sections and its policy grid, the
+matrix's coherence included. `scenario_to_dict` dumps through the same
+tables. Strict mode rejects unknown fields; lax mode warns and drops
+them. `null` means the default only where the default is null. A run
+may have at most MAX_TICKS ticks, at most MAX_TICKS periodic firings
+(rotations, relay requests and share refreshes together) and a hub CPU
+demand of at most MAX_CPU_DEMAND, and a policy grid at most
+MAX_GRID_CELLS cells.
 """
 
 from __future__ import annotations
@@ -185,7 +187,8 @@ class Scenario:
     migration: MigrationTimeline | None = None
 
     def __post_init__(self) -> None:
-        """Check the run fields, the rules across sections in this order, and then the run."""
+        """Check the sections' types, the run fields, the rules across sections, then the run."""
+        _check_sections(self)
         if not 0 <= _checked(check_int, "seed", self.seed) <= MAX_SEED:
             must = "be >= 0" if self.seed < 0 else "fit in 64 bits"
             raise ValidationError("seed", f"must {must}, got {self.seed}")
@@ -420,6 +423,51 @@ def periodic_sources(s: Scenario) -> list[tuple[str, int, str, float]]:
         *(("traffic", i, "relay_interval_seconds", t) for i, t in relays),
         *(("sharing", i, "refresh_period_seconds", t) for i, t in refreshes),
     ]
+
+
+def _check_sections(s: Scenario) -> None:
+    """Check that each section holds its type, before any of its fields is read."""
+    for key, kind in (
+        ("branches", BranchScenario),
+        ("traffic", TrafficDemand),
+        ("sharing", SharingScenario),
+        ("assets", InfoAsset),
+    ):
+        for i, item in enumerate(_stored_tuple(s, key)):
+            if not isinstance(item, kind):
+                raise ValidationError(f"{key}[{i}]", f"expected {kind.__name__}, got {item!r}")
+    if s.classes is not None and len(_stored_tuple(s, "classes")) != 2:
+        raise ValidationError("classes", f"expected a pair (m_c, k_t), got {s.classes!r}")
+    for key, kind, optional in (
+        ("hub", HubScenario, False),
+        ("attacker", AttackerModel, False),
+        ("migration", MigrationTimeline, True),
+        ("policy_matrix", PolicyMatrix, True),
+    ):
+        value = getattr(s, key)
+        if not (isinstance(value, kind) or optional and value is None):
+            expected = f"{kind.__name__} or None" if optional else kind.__name__
+            raise ValidationError(key, f"expected {expected}, got {value!r}")
+    cells = getattr(s.policy_matrix, "cells", {})
+    if not isinstance(cells, dict):
+        raise ValidationError("policy_matrix.cells", f"expected a dict, got {cells!r}")
+    for at, technique in cells.items():
+        if not isinstance(technique, Technique):
+            index = "".join(f"[{i}]" for i in at) if isinstance(at, tuple) else f"[{at!r}]"
+            raise ValidationError(
+                f"policy_matrix.cells{index}", f"expected Technique, got {technique!r}"
+            )
+
+
+def _stored_tuple(s: Scenario, key: str) -> tuple:
+    """s.key, which must be a tuple or a list, stored as a tuple so equal scenarios stay ==."""
+    value = getattr(s, key)
+    if not isinstance(value, (tuple, list)):
+        raise ValidationError(key, f"expected a tuple, got {value!r}")
+    if type(value) is not tuple:
+        value = tuple(value)
+        object.__setattr__(s, key, value)
+    return value
 
 
 def _check_run(s: Scenario) -> None:

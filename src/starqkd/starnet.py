@@ -190,36 +190,26 @@ def schedule_channels(topology: StarTopology, now: float = 0.0) -> list[str]:
 
 def relay_bits(
     topology: StarTopology,
-    branch_i: str,
-    branch_j: str,
+    pool_i: KeyPool,
+    pool_j: KeyPool,
     n_bits: int,
     rng: random.Random,
-) -> bytes:
-    """Relay one fresh n-bit key between two branches; return its bits.
+) -> bytes | None:
+    """The relay core: one fresh n-bit key between the branches of two distinct pools.
 
     The hub one-time-pads a fresh n-bit key down each spoke, spending
     the pads from the endpoint pools as ledger debits; each branch strips
     its pad and holds the fresh key. Total pool cost is exactly
     2 * n_bits. The key is one random_bits(rng, n_bits) draw and steps
-    relay_count by one. Fails atomically: a short pool on either side
-    leaves both pools, relay_count and rng untouched.
+    relay_count by one. n_bits is an int >= 1. Fails atomically: if either
+    pool is short, returns None and leaves both pools, relay_count and rng untouched.
     """
-    if branch_i == branch_j:
-        raise ValueError(f"relay endpoints must differ, got {branch_i!r} twice")
-    if n_bits <= 0:
-        raise ValueError(f"n_bits must be positive, got {n_bits}")
-    link_i = topology.link(branch_i)
-    link_j = topology.link(branch_j)
-    for bid, link in ((branch_i, link_i), (branch_j, link_j)):
-        if link.pool.available_bits < n_bits:
-            raise InsufficientKey(
-                f"pool {bid}: relay needs {n_bits} bits, "
-                f"only {link.pool.available_bits} available"
-            )
+    if pool_i.available_bits < n_bits or pool_j.available_bits < n_bits:
+        return None
     fresh = random_bits(rng, n_bits)
     topology.relay_count += 1
-    link_i.pool.spend(n_bits)  # the pad for each spoke
-    link_j.pool.spend(n_bits)
+    pool_i.spend(n_bits)  # the pad for each spoke
+    pool_j.spend(n_bits)
     return fresh
 
 
@@ -233,10 +223,18 @@ def relay_key(
 ) -> tuple[KeyMaterial, KeyMaterial, RelayRecord]:
     """Deliver one fresh shared key to two branches via the trusted hub.
 
-    This is relay_bits, with the errors it raises, plus each branch's
+    This is relay_bits on the two branches' pools, plus each branch's
     copy of the key as KeyMaterial and a RelayRecord, all stamped now.
+    Equal or unknown ends, an n_bits < 1 and a short pool raise before anything changes.
     """
-    fresh = relay_bits(topology, branch_i, branch_j, n_bits, rng)
+    if branch_i == branch_j:
+        raise ValueError(f"relay endpoints must differ, got {branch_i!r} twice")
+    check_int("n_bits", n_bits, 1)
+    ends = [(bid, topology.link(bid).pool) for bid in (branch_i, branch_j)]
+    fresh = relay_bits(topology, ends[0][1], ends[1][1], n_bits, rng)
+    if fresh is None:
+        bid, have = next((b, p.available_bits) for b, p in ends if p.available_bits < n_bits)
+        raise InsufficientKey(f"pool {bid}: relay needs {n_bits} bits, only {have} available")
     key_id = KEY_ID % topology.relay_count
     k_i, k_j = (
         KeyMaterial(f"{key_id}/{bid}", fresh, n_bits, Provenance.RELAYED, created_at=now)

@@ -245,6 +245,31 @@ def test_relay_interval_between_ticks():
     assert times == sorted(times)
 
 
+@pytest.mark.parametrize("src, dst", [("full", "dry"), ("dry", "full")])
+def test_relay_with_one_short_pool_logs_unmet_and_debits_neither(src, dst):
+    # "dry" makes no key, while "full" holds tens of thousands of bits by
+    # the first request: each relay is unmet and neither pool pays a pad.
+    s = scenario_from_dict(
+        small_scenario(
+            duration_seconds=5.0,
+            branches=[{"id": "full"}, {"id": "dry", "source_rate_hz": 1.0}],
+            traffic=[{"src": src, "dst": dst, "relay_bits": 256, "relay_interval_seconds": 1.0}],
+        )
+    )
+    r = run(s)
+    assert r.links["full"]["series"]["pool_available"][0] >= 256
+    assert r.unmet_demand == [
+        {"time": float(t), "kind": "relay", "entity": f"{src}->{dst}", "bits": 256}
+        for t in range(1, 6)
+    ]
+    assert len(r.relay_ledger) == 0
+    for bid in ("full", "dry"):
+        pool = r.links[bid]["pool"]
+        assert pool["consumed_bits"] == 0
+        assert pool["available_bits"] == pool["generated_bits"]
+    assert r.totals["consumed_bits"]["relay"] == r.totals["relay_delivered_bits"] == 0
+
+
 def test_relay_on_a_tick_runs_after_it_whatever_the_float_rounding():
     # 3 * 0.1 rounds above 0.3, and 3 * 0.3 rounds below 9 * 0.1 == 0.9:
     # each relay is due on tick 3 or 9 and must follow that tick's production

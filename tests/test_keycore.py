@@ -1,6 +1,7 @@
 """Key material, pools, and XOR primitives."""
 
 import random
+import re
 
 import pytest
 
@@ -9,6 +10,7 @@ from starqkd.errors import (
     InsufficientKey,
     KeyAlreadyConsumed,
     LengthMismatch,
+    RangeError,
     WrongProvenance,
 )
 from starqkd.keycore import (
@@ -172,6 +174,32 @@ def test_pool_draw_failure_changes_nothing():
         with pytest.raises(InsufficientKey):
             debit(pool, 1)
         assert counters(pool) == (0, 50, 50)
+
+
+def test_pool_bit_counts_are_ints_checked_before_anything_moves():
+    # A float or bool count used to be spent or banked before a later
+    # check failed; now the int rule rejects it with every counter, the
+    # stream and the draw count as they were.
+    cases = (
+        (8.0, "n_bits: expected an integer, got 8.0"),
+        (True, "n_bits: expected an integer, got True"),
+        (0, "n_bits: must be >= 1, got 0"),
+        (-3, "n_bits: must be >= 1, got -3"),
+    )
+    for n, message in cases:
+        pool = KeyPool(link_id="a")
+        with pytest.raises(RangeError, match=re.escape(message)):
+            pool.deposit(n)
+        assert counters(pool) == (0, 0, 0)
+        pool.deposit(100)
+        stream = pool.rng.getstate()
+        for debit in DEBITS:
+            with pytest.raises(RangeError, match=re.escape(message)):
+                debit(pool, n)
+            assert counters(pool) == (100, 100, 0)
+            assert type(pool.available_bits) is int
+            assert pool.rng.getstate() == stream
+            assert pool._draw_count == 0
 
 
 def test_pool_rejects_zero_quantities():

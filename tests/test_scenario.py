@@ -1,5 +1,6 @@
 """Scenario file parsing, validation, and round-tripping."""
 
+import dataclasses
 import json
 import math
 import re
@@ -640,6 +641,19 @@ HAND_BUILT = {
     ),
     "bool-seed": ({"seed": True}, "seed: expected an integer, got True"),
     "text-duration": ({"duration_seconds": "10"}, "duration_seconds: expected a number, got '10'"),
+    # Unchecked, these raise a bare error in run(), or, with no attacker, run.
+    "int-migration": ({"migration": 5}, "migration: expected MigrationTimeline or None, got 5"),
+    "int-hub": ({"hub": 5}, "hub: expected HubScenario, got 5"),
+    "int-traffic": ({"traffic": (5,)}, "traffic[0]: expected TrafficDemand, got 5"),
+    "int-classes": ({"classes": 5}, "classes: expected a tuple, got 5"),
+    "no-attacker": ({"attacker": None}, "attacker: expected AttackerModel, got None"),
+    "text-branch": ({"branches": ("a",)}, "branches[0]: expected BranchScenario, got 'a'"),
+    "text-branches": ({"branches": "ab"}, "branches: expected a tuple, got 'ab'"),
+    "three-classes": ({"classes": (2, 2, 2)}, "classes: expected a pair (m_c, k_t), got (2, 2, 2)"),
+    "text-cell": (
+        {"policy_matrix": replace(NON_MONOTONE, cells={**NON_MONOTONE.cells, (2, 1): "hybrid"})},
+        "policy_matrix.cells[2][1]: expected Technique, got 'hybrid'",
+    ),
 }
 
 
@@ -653,6 +667,34 @@ def test_a_hand_built_scenario_checks_itself(case):
     with pytest.raises(ValidationError) as again:
         replace(hand_built(), **fields)
     assert str(again.value) == message
+
+
+def test_each_scenario_field_rejects_a_value_of_another_type():
+    # Whatever the field, a value of a type it does not take is rejected at
+    # its own path: 5 where the field takes no number, and in every field
+    # an object, a text and a bool.
+    for field in dataclasses.fields(Scenario):
+        numeric = field.type in ("int", "float", int, float)
+        for value in (object(), "x", True, *(() if numeric else (5,))):
+            with pytest.raises(ValidationError) as caught:
+                hand_built(**{field.name: value})
+            assert caught.value.path == field.name, (field.name, value)
+
+
+def test_lists_for_tuples_are_stored_as_tuples():
+    # Equal scenarios stay == and hashable however their sections are given.
+    sections = {
+        "branches": (BranchScenario("a"), BranchScenario("b")),
+        "traffic": (TrafficDemand("a", "b", otp_bits_per_sec=64.0),),
+        "assets": (ASSET,),
+        "classes": (2, 3),
+    }
+    as_tuples = hand_built(**sections)
+    as_lists = hand_built(**{key: list(value) for key, value in sections.items()})
+    assert as_lists == as_tuples and hash(as_lists) == hash(as_tuples)
+    for key in sections:
+        assert type(getattr(as_lists, key)) is tuple
+    assert run(as_lists).to_json() == run(as_tuples).to_json()
 
 
 # A valid instance's fields per scenario type, and (type, bad fields, the

@@ -7,10 +7,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from starqkd.errors import DuplicateId, InsufficientKey, NoBranches
+from starqkd.errors import DuplicateId, InsufficientKey, NoBranches, RangeError
 from starqkd.keycore import Provenance
 from starqkd.qkdlink import ONE, LinkParams, raw_rate, tick
 from starqkd.report import KEY_ID
+from starqkd.rng import random_bits
 from starqkd.starnet import (
     BranchSpec,
     HubStepReport,
@@ -110,64 +111,106 @@ def pool_counters(topo: StarTopology, bid: str) -> tuple[int, int, int]:
     return pool.available_bits, pool.total_generated_bits, pool.total_consumed_bits
 
 
-# The engine relays through relay_bits and library callers through relay_key.
-RELAYS = (relay_bits, relay_key)
+def pools(topo: StarTopology, *bids: str) -> list:
+    return [topo.link(bid).pool for bid in bids]
+
+
+# Pool levels with b1, b2 or both short of a 128-bit relay.
+SHORT = {"b1": (100, 12852), "b2": (12852, 100), "both": (100, 127)}
+
+
+def test_relay_bits_fails_atomically():
+    # The core on the pools the caller holds: either side short gives None,
+    # and both pools keep every counter, with no relay counted or drawn.
+    for short, levels in SHORT.items():
+        topo = star()
+        for pool, level in zip(pools(topo, "b1", "b2"), levels):
+            pool.deposit(level)
+        rng = random.Random(7)
+        state = rng.getstate()
+        for src, dst in (("b1", "b2"), ("b2", "b1")):
+            assert relay_bits(topo, *pools(topo, src, dst), 128, rng) is None, short
+            assert [pool_counters(topo, bid) for bid in ("b1", "b2")] == [
+                (level, level, 0) for level in levels
+            ]
+            assert topo.relay_count == 0
+            assert rng.getstate() == state
+
+
+def test_relay_bits_accounting():
+    # A relay debits exactly n from each side, makes no pad bits, steps
+    # relay_count and returns one random_bits draw of n bits.
+    topo = star()
+    b1, b2 = pools(topo, "b1", "b2")
+    b1.deposit(100)
+    b2.deposit(12852)
+    streams = [pool.rng.getstate() for pool in (b1, b2)]
+    rng, twin = random.Random(7), random.Random(7)
+    assert relay_bits(topo, b1, b2, 100, rng) == random_bits(twin, 100)
+    assert rng.getstate() == twin.getstate()
+    assert pool_counters(topo, "b1") == (0, 100, 100)
+    assert pool_counters(topo, "b2") == (12752, 12852, 100)
+    assert [pool.rng.getstate() for pool in (b1, b2)] == streams
+    assert topo.relay_count == 1
 
 
 def test_relay_fails_atomically():
-    for relay in RELAYS:
+    # relay_key names the first short branch in (branch_i, branch_j) order.
+    for short, levels in SHORT.items():
         topo = star()
-        topo.link("b1").pool.deposit(100)
-        topo.link("b2").pool.deposit(12852)
+        for pool, level in zip(pools(topo, "b1", "b2"), levels):
+            pool.deposit(level)
         rng = random.Random(7)
         state = rng.getstate()
-        # Either side short: both pools keep every counter, and no relay is
-        # counted or drawn.
         for src, dst in (("b1", "b2"), ("b2", "b1")):
-            with pytest.raises(InsufficientKey):
-                relay(topo, src, dst, 128, rng)
-            assert pool_counters(topo, "b1") == (100, 100, 0)
-            assert pool_counters(topo, "b2") == (12852, 12852, 0)
+            first = src if short == "both" else short
+            have = levels[("b1", "b2").index(first)]
+            message = f"pool {first}: relay needs 128 bits, only {have} available"
+            with pytest.raises(InsufficientKey, match=f"^{message}$"):
+                relay_key(topo, src, dst, 128, rng)
+            assert [pool_counters(topo, bid) for bid in ("b1", "b2")] == [
+                (level, level, 0) for level in levels
+            ]
             assert topo.relay_count == 0
             assert rng.getstate() == state
-        # A successful relay debits exactly n from each side and makes no pad bits.
-        streams = [topo.link(bid).pool.rng.getstate() for bid in ("b1", "b2")]
-        relay(topo, "b1", "b2", 100, rng)
-        assert pool_counters(topo, "b1") == (0, 100, 100)
-        assert pool_counters(topo, "b2") == (12752, 12852, 100)
-        assert [topo.link(bid).pool.rng.getstate() for bid in ("b1", "b2")] == streams
-        assert topo.relay_count == 1
 
 
 def test_relay_rejects_bad_endpoints():
-    for relay in RELAYS:
-        topo = star()
-        topo.link("b1").pool.deposit(100)
-        rng = random.Random(0)
-        state = rng.getstate()
-        with pytest.raises(ValueError):
-            relay(topo, "b1", "b1", 8, rng)
-        with pytest.raises(ValueError):
-            relay(topo, "b1", "b2", 0, rng)
-        with pytest.raises(KeyError):
-            relay(topo, "b1", "nope", 8, rng)
-        with pytest.raises(KeyError):
-            relay(topo, "nope", "b1", 8, rng)
-        assert pool_counters(topo, "b1") == (100, 100, 0)
-        assert topo.relay_count == 0
-        assert rng.getstate() == state
+    # Each raises before anything changes, a count that is not an int >= 1
+    # included: a bool used to be spent from both pools before it raised.
+    topo = star()
+    for pool in pools(topo, "b1", "b2"):
+        pool.deposit(100)
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="relay endpoints must differ"):
+        relay_key(topo, "b1", "b1", 8, rng)
+    for n, message in (
+        (0, "n_bits: must be >= 1, got 0"),
+        (True, "n_bits: expected an integer, got True"),
+        (8.0, "n_bits: expected an integer, got 8.0"),
+    ):
+        with pytest.raises(RangeError, match=f"^{message}$"):
+            relay_key(topo, "b1", "b2", n, rng)
+    with pytest.raises(KeyError):
+        relay_key(topo, "b1", "nope", 8, rng)
+    with pytest.raises(KeyError):
+        relay_key(topo, "nope", "b1", 8, rng)
+    assert pool_counters(topo, "b1") == pool_counters(topo, "b2") == (100, 100, 0)
+    assert topo.relay_count == 0
+    assert rng.getstate() == state
 
 
 def test_relay_key_wraps_relay_bits():
-    # From equal RNG states, relay_key's keys hold exactly relay_bits' draw,
-    # under the id KEY_ID % relay_count.
+    # From equal RNG states, relay_key's keys hold exactly the core's draw
+    # on the two branches' pools, under the id KEY_ID % relay_count.
     core, wrapped = star(), star()
     for topo in (core, wrapped):
         for bid in topo.branch_ids():
             topo.link(bid).pool.deposit(5000)
     core_rng, wrapped_rng = random.Random(11), random.Random(11)
     for n, i, j in ((1, "b1", "b2"), (64, "b3", "b1"), (100, "b2", "b3"), (4096, "b1", "b3")):
-        fresh = relay_bits(core, i, j, n, core_rng)
+        fresh = relay_bits(core, *pools(core, i, j), n, core_rng)
         k_i, k_j, record = relay_key(wrapped, i, j, n, wrapped_rng, now=2.5)
         key_id = KEY_ID % core.relay_count
         assert isinstance(fresh, bytes)
