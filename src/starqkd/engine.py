@@ -43,7 +43,7 @@ from .hybrid import EPOCH_ID, mosca_at_risk, whole_ticks
 from .keycore import KeyPool
 from .policy import default_matrix, recommend
 from .qkdlink import ONE, SCALE, LinkState, raw_rate, scaled, secret_rate, unscaled
-from .report import MetricsReport
+from .report import MetricsReport, SeriesView
 from .rng import StreamRegistry
 from .scenario import Scenario, periodic_sources, policy_grid, technique_to_jsonable
 from .sharing import ShareConfig, reconstruct, refresh as refresh_shares, split
@@ -73,14 +73,11 @@ class EventKind(IntEnum):
 
 @dataclass
 class _Branch:
-    """One branch: its link, rotation size, per-tick series, epochs and flows out."""
+    """One branch: its link, rotation size, epochs and flows out."""
 
     name: str
     link: LinkState
     master_bits: int
-    series: dict[str, list] = field(
-        default_factory=lambda: {"pool_available": [], "deposited_bits": [], "active": []}
-    )
     epochs: list[list] = field(default_factory=list)
     flows_out: list[_Pair] = field(default_factory=list)
 
@@ -236,12 +233,14 @@ class _Sim:
         }
 
         self.hub_series = {"backlog_cost": [], "processed_cost": [], "active_link_count": []}
-        # Per-tick columns, bound once and in link index order: (pool, and
-        # the append of its pool_available, deposited_bits and active series).
-        self.columns = [
-            (b.link.pool, *(column.append for column in b.series.values()))
-            for b in self.branches
-        ]
+        # Per-link series, tick-major: one list per kind for the whole star,
+        # allocated at its final size. Tick k writes its row, every link's
+        # value in link index order, to [(k - 1) * n, k * n) by one slice
+        # assignment; `finish` gives each link a strided view of it.
+        self.pools = [b.link.pool for b in self.branches]
+        size = self.n_ticks * len(self.pools)
+        self.series = {kind: [0] * size for kind in ("pool_available", "deposited_bits", "active")}
+        self.row = 0  # where the next tick's row starts
         self.hub_columns = tuple(column.append for column in self.hub_series.values())
         if collect_trace:
             self.report.event_trace = []
@@ -278,16 +277,14 @@ class _Sim:
         for i in halted:
             branch = self.branches[i]
             self.unmet(time, "auth", branch.name, branch.link.round(self.dt).auth_bits)
-        self.report.times.append(time)
-        flags = bytearray(len(deposited))
+        start = self.row
+        stop = self.row = start + len(deposited)
+        series = self.series
+        series["pool_available"][start:stop] = [pool.available_bits for pool in self.pools]
+        series["deposited_bits"][start:stop] = deposited
+        is_active = series["active"]
         for i in active:
-            flags[i] = 1
-        for (pool, pool_available, deposited_bits, is_active), bits, flag in zip(
-            self.columns, deposited, flags
-        ):
-            pool_available(pool.available_bits)
-            deposited_bits(bits)
-            is_active(flag)
+            is_active[start + i] = 1
         backlog_cost, processed_cost, active_link_count = self.hub_columns
         backlog_cost(float(topology.backlog_cost))
         processed_cost(unscaled(processed))
@@ -359,13 +356,15 @@ class _Sim:
     def finish(self) -> MetricsReport:
         report = self.report
         s = self.scenario
-        for b in self.branches:
+        report.times = [k * self.dt for k in range(1, self.n_ticks + 1)]  # run's tick times
+        n = len(self.branches)
+        for i, b in enumerate(self.branches):
             link = b.link
             entry = {
                 "distance_km": link.params.distance_km,
                 "raw_rate_bps": raw_rate(link.params),
                 "secret_rate_bps": secret_rate(link.params),
-                "series": b.series,
+                "series": {kind: SeriesView(col, i, n) for kind, col in self.series.items()},
                 "pool": {
                     "target_bits": link.pool.target_bits,
                     "available_bits": link.pool.available_bits,
@@ -430,7 +429,7 @@ class _Sim:
 
         report.mosca_at_risk = None if s.migration is None else mosca_at_risk(s.migration)
 
-        pools = [b.link.pool for b in self.branches]
+        pools = self.pools
         generated = sum(pool.total_generated_bits for pool in pools)
         available = sum(pool.available_bits for pool in pools)
         consumed = sum(pool.total_consumed_bits for pool in pools)

@@ -223,15 +223,14 @@ class AuthBudget:
         check_int("tag_cost_bits", self.tag_cost_bits, 1)
 
     def consume(self, n_messages: int) -> int:
-        """Pay for n_messages tags; returns the bits spent."""
-        if n_messages <= 0:
-            raise ValueError(f"n_messages must be positive, got {n_messages}")
+        """Pay for n_messages tags, an int >= 1; returns the bits spent."""
+        check_int("n_messages", n_messages, 1)
         return self.spend(n_messages * self.tag_cost_bits)
 
     def spend(self, n_bits: int) -> int:
-        """Pay n_bits of tag key (0 pays nothing); returns the bits spent."""
-        if n_bits < 0:
-            raise ValueError(f"cannot spend negative auth bits: {n_bits}")
+        """Pay n_bits of tag key, an int >= 0 (0 pays nothing); returns the bits spent."""
+        if type(n_bits) is not int or n_bits < 0:  # check_int only on a miss: a per-tick call
+            check_int("n_bits", n_bits, 0)
         if self.reserved_bits < n_bits:
             raise InsufficientAuthKey(
                 f"auth budget holds {self.reserved_bits} bits, tags need {n_bits}"
@@ -241,7 +240,7 @@ class AuthBudget:
         return n_bits
 
     def deposit(self, n_bits: int) -> None:
-        """Top the budget up, e.g. from a link's key pool."""
-        if n_bits <= 0:
-            raise ValueError(f"deposit must be positive, got {n_bits}")
+        """Top the budget up, e.g. from a link's key pool; n_bits is an int >= 1."""
+        if type(n_bits) is not int or n_bits < 1:
+            check_int("n_bits", n_bits, 1)
         self.reserved_bits += n_bits

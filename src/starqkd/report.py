@@ -20,6 +20,13 @@ route, its bits and the first 8 bytes of its key's sha256. Row i's
 key_id is ``KEY_ID % (i + 1)``, not stored. The ledger reads as the
 list of 7-key dicts the JSON report holds, and ``iterencode`` prints it
 from one template per row without building them.
+
+The engine holds each per-link series kind tick-major: one list for the
+whole star, each tick's row every link's value in link order. A link's
+series is a read-only ``SeriesView`` of it that reads as the link's own
+list. ``iterencode`` prints a view in one slice, the CSV writer reads
+each tick's row as one slice of the column, and ``MetricsReport.to_dict``
+returns plain lists.
 """
 
 from __future__ import annotations
@@ -123,6 +130,41 @@ class RelayLedger(Sequence):
         return NotImplemented
 
 
+class SeriesView(Sequence):
+    """One link's per-tick series, read from a tick-major column of every link's.
+
+    Item k is ``column[start + k * step]``: tick k + 1's value of the
+    link at index start among step links. The view is read-only, and
+    indexing, slicing, iteration, ``len`` and ``==`` read it as the list
+    ``column[start::step]``.
+    """
+
+    def __init__(self, column: list, start: int, step: int) -> None:
+        self.column = column
+        self.start = start
+        self.step = step
+
+    def _range(self) -> range:
+        return range(self.start, len(self.column), self.step)
+
+    def __len__(self) -> int:
+        return len(self._range())
+
+    def __getitem__(self, index: int | slice) -> Any:
+        at = self._range()[index]  # list index rules, IndexError included
+        if isinstance(at, range):
+            return [self.column[i] for i in at]
+        return self.column[at]
+
+    def __iter__(self) -> Iterator[Any]:
+        return iter(self.column[self.start :: self.step])
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (SeriesView, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+
 def iterencode(obj: Any) -> Iterator[str]:
     """Yield obj as a report.json document, the final newline included.
 
@@ -130,7 +172,7 @@ def iterencode(obj: Any) -> Iterator[str]:
     "\\n"``, and an object json cannot encode raises the same
     ``TypeError``. A list of only ints or only finite floats is one
     chunk, where json yields a few per item, and a relay ledger is one
-    chunk per few hundred rows.
+    chunk per few hundred rows. A series view prints as its list.
     """
     yield from _chunks(obj, "\n")
     yield "\n"
@@ -140,7 +182,10 @@ def _chunks(obj: Any, indent: str) -> Iterator[str]:
     """Yield the JSON text of obj; indent is a newline and obj's indentation.
     A list or tuple of only ints or only finite floats is one join, a relay
     ledger a join of rows at a time, and any other list or dict item by item.
+    A series view is read as a list, in one slice of its column.
     """
+    if isinstance(obj, SeriesView):
+        obj = obj.column[obj.start :: obj.step]
     if isinstance(obj, dict):
         brackets = "{}"
     elif isinstance(obj, (list, tuple, RelayLedger)):
@@ -159,8 +204,9 @@ def _chunks(obj: Any, indent: str) -> Iterator[str]:
         items = [(_key(key), value) for key, value in sorted(obj.items())]
     else:
         kinds = set(map(type, obj))
-        if len(kinds) == 1 and (kind := kinds.pop()) in (int, float):
-            text = ("," + inner).join(map(kind.__repr__, obj))
+        if len(kinds) == 1 and kinds.pop() in (int, float):
+            # Every item is exactly an int or a float, so repr is its type's.
+            text = ("," + inner).join(map(repr, obj))
             # A finite float's repr has no "n"; nan and inf do.
             if "n" not in text:
                 yield "[" + inner + text + indent + "]"
@@ -257,11 +303,15 @@ class MetricsReport:
 
     def to_dict(self) -> dict[str, Any]:
         """The report as plain JSON data: every field but event_trace, by
-        reference, after the format version, except the relay ledger, which
-        is built here as a new list of dicts.
+        reference, after the format version, except the relay ledger and
+        each link's series, which are built here as new lists.
         """
         doc = self._document()
         doc["relay_ledger"] = list(self.relay_ledger)
+        links = doc["links"] = {name: dict(link) for name, link in self.links.items()}
+        for link in links.values():
+            if "series" in link:
+                link["series"] = {kind: list(values) for kind, values in link["series"].items()}
         return doc
 
     def to_json(self) -> str:
@@ -271,6 +321,28 @@ class MetricsReport:
         indent=2) + "\\n"``; see the module docstring for the format.
         """
         return "".join(iterencode(self._document()))
+
+
+def _series_rows(times: list[float], columns: list) -> Iterator[Sequence]:
+    """Each tick's CSV row: its time, then each column's value.
+
+    Rows are those of ``zip(times, *columns)``. When the columns are the
+    views of one tick-major column in link order, as in every report the
+    engine builds, each row's values are one contiguous slice of it.
+    """
+    n = len(columns)
+    if not n or not all(
+        isinstance(view, SeriesView)
+        and view.column is columns[0].column
+        and (view.start, view.step) == (i, n)
+        for i, view in enumerate(columns)
+    ):
+        return zip(times, *columns)
+    column = columns[0].column
+    return (
+        [time, *column[at : at + n]]
+        for time, at in zip(times, range(0, len(column) - n + 1, n))
+    )
 
 
 def emit_report(report: MetricsReport, fmt: str, out_dir: str | Path) -> list[Path]:
@@ -311,8 +383,8 @@ def emit_report(report: MetricsReport, fmt: str, out_dir: str | Path) -> list[Pa
         meta = (FORMAT_VERSION, report.seed, report.duration_seconds, report.tick_seconds)
         tables = (
             ("meta.csv", ["format_version", "seed", "duration_seconds", "tick_seconds"], [meta]),
-            ("pool_available.csv", ["time", *links], zip(report.times, *pools)),
-            ("deposited_bits.csv", ["time", *links], zip(report.times, *deposits)),
+            ("pool_available.csv", ["time", *links], _series_rows(report.times, pools)),
+            ("deposited_bits.csv", ["time", *links], _series_rows(report.times, deposits)),
             ("hub.csv", ["time", *hub_names], zip(report.times, *map(hub.get, hub_names))),
         )
         for filename, header, rows in tables:

@@ -308,3 +308,27 @@ def test_auth_budget_deposit():
     assert budget.reserved_bits == 0
     with pytest.raises(ValueError):
         budget.deposit(0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # Each used to move the counters: to 92.0, to 102.5, by one bit
+        # and by 192.0 bits.
+        (lambda b: b.spend(8.0), "n_bits: expected an integer, got 8.0"),
+        (lambda b: b.deposit(2.5), "n_bits: expected an integer, got 2.5"),
+        (lambda b: b.spend(True), "n_bits: expected an integer, got True"),
+        (lambda b: b.consume(1.5), "n_messages: expected an integer, got 1.5"),
+        (lambda b: b.spend(-1), "n_bits: must be >= 0, got -1"),
+        (lambda b: b.deposit(0), "n_bits: must be >= 1, got 0"),
+        (lambda b: b.deposit(True), "n_bits: expected an integer, got True"),
+        (lambda b: b.consume(0), "n_messages: must be >= 1, got 0"),
+        (lambda b: b.consume(True), "n_messages: expected an integer, got True"),
+    ],
+)
+def test_auth_budget_counts_are_ints_checked_before_anything_moves(call, message):
+    budget = AuthBudget(100)
+    with pytest.raises(RangeError, match=re.escape(message)):
+        call(budget)
+    assert (budget.reserved_bits, budget.total_consumed_bits) == (100, 0)
+    assert type(budget.reserved_bits) is int

@@ -1,6 +1,7 @@
 """Report serialization and file emission."""
 
 import csv
+import dataclasses
 import gc
 import hashlib
 import json
@@ -14,7 +15,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from starqkd.engine import run
 from starqkd.errors import IoError
-from starqkd.report import FORMAT_VERSION, RelayLedger, emit_report, iterencode
+from starqkd.report import (
+    FORMAT_VERSION,
+    RelayLedger,
+    SeriesView,
+    _series_rows,
+    emit_report,
+    iterencode,
+)
 from starqkd.scenario import ingest_scenario, scenario_from_dict, with_overrides
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -181,8 +189,15 @@ _ODD_LEDGER = _ledger(
         (-_INF, 0, 2**64, b"\xff" * 32),
     ],
 )
+# Series views of a flat list, empty ones and ones past its end included.
+_VIEWS = st.builds(
+    lambda column, step, start: SeriesView(column, start % step, step),
+    _FLAT_LISTS,
+    st.integers(1, 4),
+    st.integers(0, 3),
+)
 _TREES = st.recursive(
-    _SCALARS | _FLAT_LISTS | _LEDGERS,
+    _SCALARS | _FLAT_LISTS | _LEDGERS | _VIEWS,
     lambda children: st.lists(children, max_size=4)
     | st.lists(children, max_size=4).map(tuple)
     | st.dictionaries(_TEXT, children, max_size=4)
@@ -208,8 +223,11 @@ _TREES = st.recursive(
 @example(_LONG_LEDGER)
 @example({"relay_ledger": _ODD_LEDGER, "a": [_LONG_LEDGER, _ledger([("a", "b", "refresh")], [])]})
 @example([_ODD_LEDGER, {"x": [_ODD_LEDGER]}])
+@example({"a": SeriesView([1, 2, 3, 4, 5, 6], 1, 2), "b": SeriesView([0.5, _NAN, 2.0], 0, 1)})
+@example([SeriesView([], 0, 3), SeriesView([True, 1, False, 0], 0, 2), SeriesView([7], 2, 3)])
 def test_iterencode_matches_json_dumps(obj):
-    # json.dumps prints a RelayLedger as its list of row dicts.
+    # json.dumps prints a RelayLedger as its list of row dicts, and a
+    # SeriesView as its list.
     expected = json.dumps(obj, sort_keys=True, indent=2, default=list) + "\n"
     assert "".join(iterencode(obj)) == expected
 
@@ -293,3 +311,100 @@ def test_relay_ledger_holds_under_100_bytes_a_row():
         tracemalloc.stop()
     assert rows > 5000
     assert freed / rows < 100, (freed, rows)
+
+
+def test_series_view_reads_as_its_list():
+    # Four links over six ticks, tick-major: link i's series is column[i::4].
+    column = [100 + k for k in range(24)]
+    bounds = (None, *range(-8, 9), 10**6, -(10**6))
+    for start in range(4):
+        view, values = SeriesView(column, start, 4), column[start::4]
+        assert len(view) == 6
+        for i in range(-6, 6):
+            assert view[i] == values[i]
+        for i in (6, -7, 10**6, -(10**6)):
+            with pytest.raises(IndexError):
+                view[i]
+        for step in (None, 1, 2, 3, 7, -1, -2, -3, -7):
+            for lo in bounds:
+                for hi in bounds:
+                    part = view[lo:hi:step]
+                    assert type(part) is list and part == values[lo:hi:step], (lo, hi, step)
+        assert [v for v in view] == values and list(reversed(view)) == values[::-1]
+        assert sum(view) == sum(values) and max(view) == max(values)
+        assert view == values and values == view and view == SeriesView(values, 0, 1)
+        assert SeriesView(values, 0, 1) == view and not view != values
+        assert view != values[:-1] and view != values[::-1] and view != tuple(values)
+        assert view != SeriesView(column, (start + 1) % 4, 4)
+    assert SeriesView([], 0, 3) == [] and not SeriesView([], 0, 3)
+    assert SeriesView([1, 2], 2, 3) == [] and len(SeriesView([1, 2], 2, 3)) == 0
+
+
+def test_series_view_is_read_only():
+    view = SeriesView([1, 2, 3, 4], 0, 2)
+    assert not hasattr(view, "append") and not hasattr(view, "__setitem__")
+    with pytest.raises(TypeError):
+        view[0] = 5
+    with pytest.raises(TypeError):
+        del view[0]
+    assert view == [1, 3]
+
+
+def test_engine_series_are_views_and_to_dict_gives_lists(report):
+    n_ticks = len(report.times)
+    for link in report.links.values():
+        for values in link["series"].values():
+            assert isinstance(values, SeriesView) and len(values) == n_ticks
+    data = report.to_dict()
+    assert json.dumps(data, sort_keys=True, indent=2) + "\n" == report.to_json()
+    for name, link in data["links"].items():
+        for kind, values in link["series"].items():
+            assert type(values) is list and values == report.links[name]["series"][kind]
+            values.append(-1)  # a new list, which the report does not hold
+            assert len(report.links[name]["series"][kind]) == n_ticks
+    assert report.times == [k * report.tick_seconds for k in range(1, n_ticks + 1)]
+
+
+def _csv_bytes(report, out_dir):
+    return {p.name: p.read_bytes() for p in emit_report(report, "csv", out_dir)}
+
+
+def _with_links(report, links):
+    return dataclasses.replace(report, links=links)
+
+
+def _listed(links):
+    """links with each series a plain list."""
+    return {
+        name: {**link, "series": {kind: list(v) for kind, v in link["series"].items()}}
+        for name, link in links.items()
+    }
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"seed": 3, "duration_seconds": 8.0, "branches": [{"id": "a"}, {"id": "b"}, {"id": "c"}]},
+        {"seed": 4, "duration_seconds": 6.0, "branches": [{"id": "only"}]},
+        {"seed": 5, "duration_seconds": 1.0, "branches": [{"id": "a"}, {"id": "b"}]},
+        {"seed": 6, "duration_seconds": 1.0, "branches": [{"id": "only"}]},
+    ],
+    ids=["three-branches", "one-branch", "one-tick", "one-branch-one-tick"],
+)
+def test_csv_rows_from_views_and_from_lists_are_the_same_bytes(doc, tmp_path):
+    engine_report = run(scenario_from_dict(doc))
+    links = engine_report.links
+    pools = [link["series"]["pool_available"] for link in links.values()]
+    # The engine's views take the one-slice-per-row path, the lists zip's.
+    assert not isinstance(_series_rows(engine_report.times, pools), zip)
+    listed = _with_links(engine_report, _listed(links))
+    assert isinstance(_series_rows(listed.times, [list(v) for v in pools]), zip)
+    expected = _csv_bytes(listed, tmp_path / "lists")
+    assert _csv_bytes(engine_report, tmp_path / "views") == expected
+    rows = expected["pool_available.csv"].decode().splitlines()
+    assert len(rows) == 1 + len(engine_report.times) and rows[0] == ",".join(["time", *links])
+    # Views out of link order take zip's path too, with the same bytes as their lists.
+    backwards = dict(reversed(links.items()))
+    assert _csv_bytes(_with_links(engine_report, backwards), tmp_path / "back") == _csv_bytes(
+        _with_links(engine_report, _listed(backwards)), tmp_path / "back-lists"
+    )
