@@ -7,18 +7,17 @@ Subcommands:
   validate    check a scenario file and report problems
 
 Exit codes: 0 on success, 1 for invalid or unparsable input files,
-2 for runtime failures (I/O, exhausted pools, bad arguments to the
-library).
+2 for runtime failures (I/O, exhausted pools) and bad arguments, on
+the command line or to the library.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import replace
 
-from .errors import ScenarioInvalid, StarQkdError
+from .errors import ScenarioInvalid, StarQkdError, check_float, check_int
 from .hybrid import PRACTICALLY_INFINITE_SECONDS, YEAR_SECONDS, mosca_at_risk
 from .keycore import DEFAULT_POOL_TARGET_BITS, Provenance
 from .policy import default_matrix, recommend
@@ -124,9 +123,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
-    if not (math.isfinite(args.ops_per_sec) and args.ops_per_sec > 0):
-        print("error: --ops-per-sec must be a positive finite number", file=sys.stderr)
-        return 2
+    check_float("--ops-per-sec", args.ops_per_sec, positive=True)
     assets, classes, migration = ingest_plan_inputs(args.assets)
     matrix = None if args.matrix is None else ingest_matrix(args.matrix)
     grid = policy_grid(assets, classes, matrix)
@@ -167,18 +164,9 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_relay_demo(args: argparse.Namespace) -> int:
-    if not 2 <= args.branches <= MAX_DEMO_BRANCHES:
-        print(
-            f"error: relay needs at least 2 branches and at most {MAX_DEMO_BRANCHES}",
-            file=sys.stderr,
-        )
-        return 2
-    if not 0 < args.bits <= DEFAULT_POOL_TARGET_BITS:
-        print(f"error: --bits must be between 1 and {DEFAULT_POOL_TARGET_BITS}", file=sys.stderr)
-        return 2
-    if not 0 <= args.seed <= MAX_SEED:
-        print(f"error: --seed must be between 0 and {MAX_SEED}", file=sys.stderr)
-        return 2
+    check_int("--branches", args.branches, 2, MAX_DEMO_BRANCHES)
+    check_int("--bits", args.bits, 1, DEFAULT_POOL_TARGET_BITS)
+    check_int("--seed", args.seed, 0, MAX_SEED)
     # The demo steps no clock; the duration only makes the scenario whole.
     scenario = scenario_from_dict(
         {

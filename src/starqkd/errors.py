@@ -1,14 +1,16 @@
 """Exception hierarchy shared across the package, and its one rule per kind.
 
 Everything raised on purpose derives from StarQkdError so callers can
-catch one base. Every field of the library's and the scenario's types
-is checked by the rule of its kind, `check_int`, `check_float`,
-`check_text` or `check_flag`, with the field's range if it has one.
-Their RangeError is a ValueError naming the field, and a type raises it
-for its other one-field rules too. A float field takes any int or float
-but a bool, fails NaN and +-infinity, and is stored as a float by
-`store_float`, so equal values print alike. Other precondition slips
-raise ValueError.
+catch one base. Every field of the library's and the scenario's types,
+and every library function argument or CLI argument that comes from
+outside the program, is checked by the rule of its kind: `check_int`,
+`check_float`, `check_text`, `check_flag`, `check_enum`, or
+`store_tuple` for a tuple that may be given as a list, with the range
+if it has one. Their RangeError is a ValueError naming the field, and a
+type raises it for its other one-field rules too. A float field takes
+any int or float but a bool, fails NaN and +-infinity, and is stored as
+a float by `store_float`, so equal values print alike. Other
+precondition slips raise ValueError.
 """
 
 from __future__ import annotations
@@ -106,6 +108,23 @@ def check_text(field: str, value: Any) -> str:
 def check_flag(field: str, value: Any) -> bool:
     if not isinstance(value, bool):
         raise RangeError(field, f"expected true/false, got {value!r}")
+    return value
+
+
+def check_enum(field: str, value: Any, kind: type) -> Any:
+    if not isinstance(value, kind):
+        raise RangeError(field, f"expected a {kind.__name__}, got {value!r}")
+    return value
+
+
+def store_tuple(owner: Any, field: str) -> tuple:
+    """owner.field, which must be a tuple or a list, stored as a tuple so equal values stay ==."""
+    value = getattr(owner, field)
+    if not isinstance(value, (tuple, list)):
+        raise RangeError(field, f"expected a tuple, got {value!r}")
+    if type(value) is not tuple:
+        value = tuple(value)
+        object.__setattr__(owner, field, value)
     return value
 
 

@@ -20,6 +20,7 @@ from .errors import (
     KeyAlreadyConsumed,
     LengthMismatch,
     WrongProvenance,
+    check_enum,
     check_int,
 )
 from .rng import derive_seed, random_bits
@@ -67,6 +68,7 @@ class KeyMaterial:
 
     def __post_init__(self) -> None:
         check_int("bit_length", self.bit_length, 1)
+        check_enum("provenance", self.provenance, Provenance)
         if len(self.bits) != bytes_for_bits(self.bit_length):
             raise ValueError(
                 f"key {self.id}: {len(self.bits)} bytes cannot hold exactly "
@@ -154,6 +156,8 @@ class KeyPool:
 
     def __post_init__(self) -> None:
         check_int("target_bits", self.target_bits, 1)
+        for name in ("available_bits", "total_generated_bits", "total_consumed_bits"):
+            check_int(name, getattr(self, name), 0)
         if self.rng is None:
             self.rng = random.Random(derive_seed(0, f"pool/{self.link_id}"))
         self.assert_conservation()
@@ -221,6 +225,7 @@ class AuthBudget:
     def __post_init__(self) -> None:
         check_int("reserved_bits", self.reserved_bits, 0)
         check_int("tag_cost_bits", self.tag_cost_bits, 1)
+        check_int("total_consumed_bits", self.total_consumed_bits, 0)
 
     def consume(self, n_messages: int) -> int:
         """Pay for n_messages tags, an int >= 1; returns the bits spent."""

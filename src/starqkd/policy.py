@@ -15,7 +15,7 @@ from enum import Enum, IntEnum
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import BadDimensions, IndexOutOfBounds, RangeError, check_int, check_text, store_float
+from .errors import BadDimensions, IndexOutOfBounds, check_enum, check_int, check_text, store_float
 from .hybrid import (
     PRACTICALLY_INFINITE_SECONDS,
     AttackerModel,
@@ -84,8 +84,7 @@ class Technique:
     hybrid: HybridParams | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.kind, TechniqueKind):
-            raise RangeError("kind", f"expected a TechniqueKind, got {self.kind!r}")
+        check_enum("kind", self.kind, TechniqueKind)
         if self.kind is TechniqueKind.HYBRID:
             if self.hybrid is None:
                 object.__setattr__(self, "hybrid", HybridParams())
@@ -110,8 +109,7 @@ class InfoAsset:
         check_int("time_index", self.time_index, 1)
         check_int("size_bytes", self.size_bytes, 0)
         store_float(self, "lifetime_seconds", 0.0)
-        if not isinstance(self.data_state, DataState):
-            raise RangeError("data_state", f"expected a DataState, got {self.data_state!r}")
+        check_enum("data_state", self.data_state, DataState)
 
 
 @dataclass

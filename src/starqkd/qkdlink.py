@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import DomainError, InsufficientKey, check_int, store_float
+from .errors import InsufficientKey, check_float, check_int, store_float
 from .keycore import AuthBudget, KeyPool
 
 
@@ -56,8 +56,7 @@ def raw_rate(params: LinkParams) -> float:
 
 def binary_entropy(q: float) -> float:
     """Shannon entropy of a bit with error probability q."""
-    if not 0.0 <= q <= 1.0:
-        raise DomainError(f"binary_entropy needs q in [0, 1], got {q}")
+    q = check_float("q", q, 0.0, 1.0)
     if q == 0.0 or q == 1.0:
         return 0.0
     return -q * math.log2(q) - (1.0 - q) * math.log2(1.0 - q)
@@ -65,9 +64,7 @@ def binary_entropy(q: float) -> float:
 
 def secret_fraction(q: float) -> float:
     """Asymptotic BB84 secret fraction, zero at and past the ~11% QBER cliff."""
-    if not 0.0 <= q <= 0.5:
-        raise DomainError(f"secret_fraction needs q in [0, 0.5], got {q}")
-    return max(0.0, 1.0 - 2.0 * binary_entropy(q))
+    return max(0.0, 1.0 - 2.0 * binary_entropy(check_float("q", q, 0.0, 0.5)))
 
 
 def secret_rate(params: LinkParams) -> float:
@@ -134,8 +131,7 @@ class LinkState:
     def round(self, dt: float) -> Round:
         """The round of dt > 0 seconds, redone only for a new dt: params and tag cost are fixed."""
         if self._round is None or self._round.dt != dt:
-            if dt <= 0:
-                raise ValueError(f"dt must be positive, got {dt}")
+            check_float("dt", dt, positive=True)
             exact_dt = Fraction(dt)
             self._round = Round(
                 dt=dt,

@@ -12,13 +12,14 @@ from __future__ import annotations
 import hashlib
 import random
 
+from .errors import check_int
+
 MAX_SEED = 2**64 - 1
 
 
 def derive_seed(root_seed: int, label: str) -> int:
     """Derive a 64-bit stream seed from the root seed and a label."""
-    if not 0 <= root_seed <= MAX_SEED:
-        raise ValueError(f"root seed must fit in 64 bits, got {root_seed}")
+    check_int("root_seed", root_seed, 0, MAX_SEED)
     digest = hashlib.sha256(root_seed.to_bytes(8, "big") + label.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 
@@ -29,8 +30,8 @@ def random_bits(rng: random.Random, n_bits: int) -> bytes:
     The byte string has ceil(n_bits / 8) bytes; unused high bits of the
     first byte are zero.
     """
-    if n_bits <= 0:
-        raise ValueError(f"n_bits must be positive, got {n_bits}")
+    if type(n_bits) is not int or n_bits < 1:  # check_int only on a miss: a per-relay call
+        check_int("n_bits", n_bits, 1)
     n_bytes = (n_bits + 7) // 8
     return rng.getrandbits(n_bits).to_bytes(n_bytes, "big")
 
@@ -39,9 +40,7 @@ class StreamRegistry:
     """Cache of named random streams derived from one root seed."""
 
     def __init__(self, root_seed: int) -> None:
-        if not 0 <= root_seed <= MAX_SEED:
-            raise ValueError(f"root seed must fit in 64 bits, got {root_seed}")
-        self.root_seed = root_seed
+        self.root_seed = check_int("root_seed", root_seed, 0, MAX_SEED)
         self._streams: dict[str, random.Random] = {}
 
     def stream(self, label: str) -> random.Random:

@@ -36,9 +36,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Any, Callable
 
-from .errors import (
-    BadField, ParseError, RangeError, ValidationError, check_int, check_text, store_float
-)
+from .errors import BadField, ParseError, RangeError, ValidationError, check_int, check_text
+from .errors import store_float, store_tuple
 from .hybrid import AttackerModel, MigrationTimeline, whole_ticks
 from .keycore import DEFAULT_AUTH_RESERVED_BITS, DEFAULT_POOL_TARGET_BITS, DEFAULT_TAG_COST_BITS
 from .policy import (
@@ -152,9 +151,7 @@ class SharingScenario:
     def __post_init__(self) -> None:
         check_text("id", self.id)
         store_float(self, "refresh_period_seconds", positive=True)
-        if not isinstance(self.custodians, tuple):
-            raise RangeError("custodians", f"expected a tuple, got {self.custodians!r}")
-        for j, custodian in enumerate(self.custodians):
+        for j, custodian in enumerate(store_tuple(self, "custodians")):
             check_text(f"custodians[{j}]", custodian)
         if len(self.custodians) != 2:
             count = len(self.custodians)
@@ -189,9 +186,7 @@ class Scenario:
     def __post_init__(self) -> None:
         """Check the sections' types, the run fields, the rules across sections, then the run."""
         _check_sections(self)
-        if not 0 <= _checked(check_int, "seed", self.seed) <= MAX_SEED:
-            must = "be >= 0" if self.seed < 0 else "fit in 64 bits"
-            raise ValidationError("seed", f"must {must}, got {self.seed}")
+        _checked(check_int, "seed", self.seed, 0, MAX_SEED)
         for key in ("duration_seconds", "tick_seconds"):
             _checked(store_float, self, key, positive=True)
         if not self.branches:
@@ -433,10 +428,10 @@ def _check_sections(s: Scenario) -> None:
         ("sharing", SharingScenario),
         ("assets", InfoAsset),
     ):
-        for i, item in enumerate(_stored_tuple(s, key)):
+        for i, item in enumerate(_checked(store_tuple, s, key)):
             if not isinstance(item, kind):
                 raise ValidationError(f"{key}[{i}]", f"expected {kind.__name__}, got {item!r}")
-    if s.classes is not None and len(_stored_tuple(s, "classes")) != 2:
+    if s.classes is not None and len(_checked(store_tuple, s, "classes")) != 2:
         raise ValidationError("classes", f"expected a pair (m_c, k_t), got {s.classes!r}")
     for key, kind, optional in (
         ("hub", HubScenario, False),
@@ -457,17 +452,6 @@ def _check_sections(s: Scenario) -> None:
             raise ValidationError(
                 f"policy_matrix.cells{index}", f"expected Technique, got {technique!r}"
             )
-
-
-def _stored_tuple(s: Scenario, key: str) -> tuple:
-    """s.key, which must be a tuple or a list, stored as a tuple so equal scenarios stay ==."""
-    value = getattr(s, key)
-    if not isinstance(value, (tuple, list)):
-        raise ValidationError(key, f"expected a tuple, got {value!r}")
-    if type(value) is not tuple:
-        value = tuple(value)
-        object.__setattr__(s, key, value)
-    return value
 
 
 def _check_run(s: Scenario) -> None:
@@ -575,7 +559,7 @@ def _parse_traffic(obj: Any, path: str, strict: bool) -> TrafficDemand:
 
 def _parse_sharing(obj: Any, path: str, strict: bool) -> SharingScenario:
     values = _read(obj, path, _SHARING, strict)
-    values["custodians"] = tuple(_as_list(values["custodians"], f"{path}.custodians"))
+    _as_list(values["custodians"], f"{path}.custodians")
     return _build(SharingScenario, path, values)
 
 

@@ -31,12 +31,16 @@ DEFAULT_FIELD_PRIME = (1 << 61) - 1
 MAX_ORACLE_PRIME = 257
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin on those twelve bases is proven exact only below this
+# number, itself a strong pseudoprime to all of them, so a field prime
+# must lie below it.
+MAX_FIELD_PRIME = 318665857834031151167461 - 1
 
 
 # Every ShareConfig checks its prime; scenarios reuse a handful of primes.
 @lru_cache(maxsize=64)
 def _is_prime(n: int) -> bool:
-    # Deterministic Miller-Rabin for n < 3.3e24; plenty for 61-bit fields.
+    # Deterministic Miller-Rabin for n <= MAX_FIELD_PRIME; plenty for 61-bit fields.
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -71,7 +75,7 @@ class ShareConfig:
     def __post_init__(self) -> None:
         check_int("n_locations", self.n_locations, 2)
         check_int("threshold_k", self.threshold_k, 1, self.n_locations)
-        check_int("field_prime", self.field_prime)
+        check_int("field_prime", self.field_prime, high=MAX_FIELD_PRIME)
         if self.field_prime <= self.n_locations:
             raise BadField(
                 f"field_prime {self.field_prime} must exceed n_locations {self.n_locations}"
@@ -109,8 +113,7 @@ def _eval_poly(coeffs: Sequence[int], x: int, p: int) -> int:
 def split(secret: int, config: ShareConfig, rng: random.Random) -> list[Share]:
     """Split a secret into n round-0 shares at x = 1..n."""
     p = config.field_prime
-    if not 0 <= secret < p:
-        raise ValueError(f"secret must lie in [0, {p}), got {secret}")
+    check_int("secret", secret, 0, p - 1)
     coeffs = [secret] + [rng.randrange(p) for _ in range(config.threshold_k - 1)]
     return [
         Share(x=x, y=_eval_poly(coeffs, x, p), round=0)

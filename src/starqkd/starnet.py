@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from .errors import DuplicateId, InsufficientKey, NoBranches, check_int, store_float
+from .errors import DuplicateId, InsufficientKey, NoBranches, check_enum, check_float, check_int
+from .errors import check_text, store_float
 from .keycore import DEFAULT_AUTH_RESERVED_BITS, DEFAULT_POOL_TARGET_BITS, DEFAULT_TAG_COST_BITS
 from .keycore import AuthBudget, KeyMaterial, KeyPool, Provenance
 from .qkdlink import ONE, LinkParams, LinkState, Round, produce, scaled, unscaled
@@ -38,8 +39,8 @@ class Node:
     cpu_capacity_per_sec: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.id:
-            raise ValueError("node id must be non-empty")
+        check_text("id", self.id)
+        check_enum("kind", self.kind, NodeKind)
         if self.kind is NodeKind.HUB:
             check_int("channel_count", self.channel_count, 1)
             store_float(self, "cpu_capacity_per_sec", positive=True)
@@ -105,10 +106,9 @@ class StarTopology:
         return [b.id for b in self.branches]
 
     def _scaled_capacity(self, dt: float) -> int | Fraction:
-        """capacity(dt) * 2**SCALE, redone only for a new dt; a dt that is not positive raises."""
+        """capacity(dt) * 2**SCALE, redone only for a new dt; dt is checked by check_float."""
         if self._budget is None or self._budget[0] != dt:
-            if dt <= 0:
-                raise ValueError(f"dt must be positive, got {dt}")
+            check_float("dt", dt, positive=True)
             self._budget = (dt, scaled(Fraction(self.hub.cpu_capacity_per_sec) * Fraction(dt)))
         return self._budget[1]
 
@@ -274,8 +274,8 @@ def hub_step(
     share of 0 or 1 stay integers. Each deposit is added into
     deposited[i], the drain's first. Returns (i, round, auth bits from
     the pool) of each link that ran, the halted indices, and the CPU
-    cost processed and deferred. A dt that is not positive raises
-    ValueError before anything changes. Only this code mutates
+    cost processed and deferred. A dt that is not a positive finite number
+    raises RangeError before anything changes. Only this code mutates
     topology.backlog, and it keeps backlog_cost exact as it goes, so a
     step costs time in the work it touches and not in the backlog's length.
     """
@@ -340,8 +340,8 @@ def hub_cpu_step(
 
     This is the core hub_step, which the engine calls, in branch ids.
     active_ids (default: every branch) must name distinct branches of
-    this star; an unknown id raises KeyError and a repeated one
-    ValueError, and then a dt that is not positive ValueError, before
+    this star; an unknown id raises KeyError, a repeated one ValueError,
+    and then a dt that is not a positive finite number RangeError, before
     anything changes. Each float in the report is the exact amount
     correctly rounded, as float() of its Fraction is.
     """

@@ -455,15 +455,15 @@ def test_relay_demo_deterministic(capsys):
 @pytest.mark.parametrize(
     ("argv", "message"),
     [
-        (["relay-demo", "--branches", "1"], "at least 2"),
-        (["relay-demo", "--bits", "0"], "--bits must be between 1 and"),
-        (["relay-demo", "--bits", "100000000000"], "--bits must be between 1 and"),
-        (["relay-demo", "--branches", "1001"], "at most 1000"),
-        (["relay-demo", "--seed", "-1"], "--seed must be between 0 and"),
-        (["relay-demo", "--seed", str(2**64)], "--seed must be between 0 and"),
-        (["plan", "scenarios/assets.json", "--ops-per-sec", "0"], "--ops-per-sec must be"),
-        (["plan", "scenarios/assets.json", "--ops-per-sec", "nan"], "--ops-per-sec must be"),
-        (["plan", "scenarios/assets.json", "--ops-per-sec", "inf"], "--ops-per-sec must be"),
+        (["relay-demo", "--branches", "1"], "--branches: must be >= 2"),
+        (["relay-demo", "--bits", "0"], "--bits: must be >= 1"),
+        (["relay-demo", "--bits", "100000000000"], "--bits: must be <= 1000000"),
+        (["relay-demo", "--branches", "1001"], "--branches: must be <= 1000"),
+        (["relay-demo", "--seed", "-1"], "--seed: must be >= 0"),
+        (["relay-demo", "--seed", str(2**64)], "--seed: must be <= "),
+        (["plan", "scenarios/assets.json", "--ops-per-sec", "0"], "--ops-per-sec: must be positive"),
+        (["plan", "scenarios/assets.json", "--ops-per-sec", "nan"], "--ops-per-sec: must be a finite"),
+        (["plan", "scenarios/assets.json", "--ops-per-sec", "inf"], "--ops-per-sec: must be a finite"),
     ],
     ids=[
         "single-branch",
@@ -481,6 +481,22 @@ def test_bad_arguments_exit_two(capsys, argv, message):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+# 399165290221 * 798330580441 and 1287836182261 * 2575672364521, which the
+# primality test called prime.
+@pytest.mark.parametrize("composite", [318665857834031151167461, 3317044064679887385961981])
+def test_validate_rejects_a_field_prime_past_the_primality_bound(tmp_path, capsys, composite):
+    sharing = {"id": "v", "n_locations": 3, "threshold_k": 2, "refresh_period_seconds": 5.0,
+               "custodians": ["a", "b"], "field_prime": composite}
+    p = tmp_path / "prime.json"
+    p.write_text(json.dumps(
+        {"duration_seconds": 10, "branches": [{"id": "a"}, {"id": "b"}], "sharing": [sharing]}
+    ))
+    assert main(["validate", str(p)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: sharing[0].field_prime: must be <= 318665857834031151167460, got {composite}\n"
+    )
 
 
 def test_usage_error_exits_two():

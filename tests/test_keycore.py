@@ -202,6 +202,26 @@ def test_pool_bit_counts_are_ints_checked_before_anything_moves():
             assert pool._draw_count == 0
 
 
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        # Each balanced the ledger, so each was accepted: a negative pool,
+        # a fractional one that spend(1) left at 2.5, and two budgets.
+        (lambda: KeyPool("a", available_bits=-5, total_consumed_bits=5), "available_bits"),
+        (lambda: KeyPool("a", available_bits=3.5, total_generated_bits=3.5), "available_bits"),
+        (lambda: KeyPool("a", total_generated_bits=-1, total_consumed_bits=-1),
+         "total_generated_bits"),
+        (lambda: AuthBudget(10, total_consumed_bits=-3), "total_consumed_bits"),
+        (lambda: AuthBudget(10, total_consumed_bits=2.5), "total_consumed_bits"),
+    ],
+    ids=["negative-pool", "fractional-pool", "negative-ledger", "negative-tags", "fractional-tags"],
+)
+def test_pool_and_budget_counters_are_checked_when_built(make, field):
+    with pytest.raises(RangeError) as caught:
+        make()
+    assert caught.value.field == field
+
+
 def test_pool_rejects_zero_quantities():
     pool = KeyPool(link_id="a")
     with pytest.raises(ValueError):

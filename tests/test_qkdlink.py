@@ -221,9 +221,9 @@ def test_param_validation():
             params(**bad)
     state = make_state(params())
     for dt in (0.0, -1.0):
-        with pytest.raises(ValueError, match="dt must be positive"):
+        with pytest.raises(ValueError, match="dt: must be positive"):
             state.round(dt)
-        with pytest.raises(ValueError, match="dt must be positive"):
+        with pytest.raises(ValueError, match="dt: must be positive"):
             tick(state, dt)
     # A rejected dt changes nothing.
     assert state.halted_ticks == 0 and state.cumulative_cpu_cost == 0.0

@@ -3,10 +3,13 @@
 Each row is (type, field, bound kind, bound, make), where make(value)
 builds the type with only that field set to value. NaN, +-infinity and
 the first value past the bound must raise the rules' RangeError, a
-ValueError naming the field; the bound itself must construct.
+ValueError naming the field; the bound itself must construct. The
+library functions' arguments go through the same rules, before
+anything moves.
 """
 
 import math
+import random
 
 import pytest
 
@@ -20,12 +23,13 @@ from starqkd.hybrid import (
     estimate_t_s,
     horizon_for,
 )
-from starqkd.keycore import AuthBudget, KeyMaterial, KeyPool, Provenance
+from starqkd.keycore import AuthBudget, KeyMaterial, KeyPool, Provenance, mix_keys
 from starqkd.policy import DataState, HybridParams, InfoAsset
-from starqkd.qkdlink import LinkParams
+from starqkd.qkdlink import LinkParams, binary_entropy, tick
+from starqkd.rng import StreamRegistry, derive_seed, random_bits
 from starqkd.scenario import BranchScenario, HubScenario, SharingScenario, TrafficDemand
-from starqkd.sharing import ShareConfig
-from starqkd.starnet import Node, NodeKind
+from starqkd.sharing import ShareConfig, split
+from starqkd.starnet import BranchSpec, Node, NodeKind, build_star, hub_cpu_step
 
 ATTACKER = AttackerModel(classical_ops_per_sec=1e9, has_quantum=True)
 LINK = dict(distance_km=10.0, source_rate_hz=1e6, detector_efficiency=0.2, qber=0.02)
@@ -237,3 +241,78 @@ def test_due_rotations_bounds_now_at_2_to_the_53_periods():
             due_rotations(state, now)
         assert caught.value.field == "now"
         assert (state.rotation_count, state.last_rotation_time, state.epoch_log) == (0, 0.0, [])
+
+
+def backlogged_star():
+    """Two branches whose 63k cost units a second each overrun a 500-unit hub: a backlog."""
+    specs = [BranchSpec(Node(b, NodeKind.BRANCH), LinkParams(**LINK)) for b in ("b1", "b2")]
+    topo = build_star(hub(channel_count=2, cpu_capacity_per_sec=500.0), specs)
+    hub_cpu_step(topo, 1.0)
+    assert topo.backlog
+    return topo
+
+
+def snapshot(topo, rng):
+    """Everything a rejected argument must leave as it was."""
+    links = [
+        (link.pool.available_bits, link.pool.total_generated_bits, link.pool.total_consumed_bits,
+         link.auth.reserved_bits, link.auth.total_consumed_bits, link.halted_ticks,
+         link.cumulative_cpu_cost, link.pending_bits)
+        for link in topo.link_at
+    ]
+    return links, list(topo.backlog), topo.backlog_cost, topo.relay_count, rng.getstate()
+
+
+TEXT_PROVENANCE = dict(id="q", bits=bytes(32), bit_length=256, provenance="quantum")
+MASTER = KeyMaterial("m", bytes(32), 256, Provenance.MASTER)
+
+# (id, field, call(topo, rng)): a library argument that used to raise a bare
+# error, or to be accepted, each now a RangeError naming the field.
+ARGUMENTS = [
+    *(
+        (f"{name}({dt!r})", "dt", lambda topo, rng, call=call, dt=dt: call(topo, dt))
+        for name, call in (
+            ("tick", lambda topo, dt: tick(topo.link("b1"), dt)),
+            ("LinkState.round", lambda topo, dt: topo.link("b1").round(dt)),
+            ("StarTopology.capacity", lambda topo, dt: topo.capacity(dt)),
+            ("hub_cpu_step", lambda topo, dt: hub_cpu_step(topo, dt)),
+        )
+        for dt in (math.inf, math.nan, "1")
+    ),
+    *(
+        (f"{name}({seed!r})", "root_seed", lambda topo, rng, make=make, seed=seed: make(seed))
+        for name, make in (("derive_seed", lambda seed: derive_seed(seed, "x")),
+                           ("StreamRegistry", StreamRegistry))
+        for seed in (1.5, True)
+    ),
+    *(
+        (f"random_bits({n!r})", "n_bits", lambda topo, rng, n=n: random_bits(rng, n))
+        for n in (8.0, True)
+    ),
+    ("Node(id=5)", "id", lambda topo, rng: Node(5, NodeKind.BRANCH)),
+    (
+        "Node(kind='hub')",
+        "kind",
+        lambda topo, rng: Node("h", "hub", channel_count=1, cpu_capacity_per_sec=1.0),
+    ),
+    ("KeyMaterial", "provenance", lambda topo, rng: KeyMaterial(**TEXT_PROVENANCE)),
+    ("mix_keys", "provenance", lambda topo, rng: mix_keys(MASTER, KeyMaterial(**TEXT_PROVENANCE))),
+    *(
+        (f"split({s!r})", "secret", lambda topo, rng, s=s: split(s, ShareConfig(3, 2, 13), rng))
+        for s in (1.5, True)
+    ),
+    ("binary_entropy('x')", "q", lambda topo, rng: binary_entropy("x")),
+]
+
+
+@pytest.mark.parametrize(
+    ("field", "call"), [row[1:] for row in ARGUMENTS], ids=[row[0] for row in ARGUMENTS]
+)
+def test_each_library_argument_raises_a_range_error_naming_it_before_anything_moves(field, call):
+    topo, rng = backlogged_star(), random.Random(7)
+    before = snapshot(topo, rng)
+    with pytest.raises(ValueError) as caught:
+        call(topo, rng)
+    assert isinstance(caught.value, RangeError), caught.value
+    assert caught.value.field == field
+    assert snapshot(topo, rng) == before

@@ -91,7 +91,7 @@ def test_duration_must_be_whole_ticks():
 def test_seed_range():
     data = minimal()
     data["seed"] = 2**64
-    with pytest.raises(ValidationError, match="64 bits"):
+    with pytest.raises(ValidationError, match="must be <= 18446744073709551615"):
         scenario_from_dict(data)
     data["seed"] = -1
     with pytest.raises(ValidationError):
@@ -695,6 +695,14 @@ def test_lists_for_tuples_are_stored_as_tuples():
     for key in sections:
         assert type(getattr(as_lists, key)) is tuple
     assert run(as_lists).to_json() == run(as_tuples).to_json()
+
+
+def test_custodians_given_as_a_list_are_stored_as_the_tuple():
+    # As a Scenario's sections are; custodians used to reject the list.
+    as_list = SharingScenario("s", 3, 2, 5.0, ["a", "b"])
+    as_tuple = SharingScenario("s", 3, 2, 5.0, ("a", "b"))
+    assert as_list == as_tuple and hash(as_list) == hash(as_tuple)
+    assert type(as_list.custodians) is tuple
 
 
 # A valid instance's fields per scenario type, and (type, bad fields, the

@@ -6,6 +6,7 @@ import pytest
 
 from starqkd.errors import (
     BadField,
+    RangeError,
     DuplicateX,
     FieldTooLarge,
     InsufficientKey,
@@ -219,6 +220,22 @@ def test_bad_fields_rejected():
         ShareConfig(n_locations=3, threshold_k=4, field_prime=13)
     with pytest.raises(ValueError):
         ShareConfig(n_locations=1, threshold_k=1, field_prime=13)
+
+
+# Each a strong pseudoprime to the twelve Miller-Rabin bases 2..37, which
+# _is_prime called prime: 399165290221 * 798330580441 and
+# 1287836182261 * 2575672364521.
+PSEUDOPRIMES = (318665857834031151167461, 3317044064679887385961981)
+
+
+def test_field_prime_lies_below_the_primality_bound():
+    for composite in PSEUDOPRIMES:
+        with pytest.raises(RangeError) as caught:
+            ShareConfig(3, 2, composite)
+        bound = 318665857834031151167460
+        assert str(caught.value) == f"field_prime: must be <= {bound}, got {composite}"
+    for prime in (7, 13, 257, 2**61 - 1):
+        assert ShareConfig(3, 2, prime).field_prime == prime
 
 
 def test_is_prime_below_two():

@@ -346,12 +346,12 @@ def test_hub_step_rejects_a_non_positive_dt_before_anything_changes():
                 list(topo.backlog), topo.backlog_cost)
 
     before = snapshot()
-    with pytest.raises(ValueError, match="dt must be positive"):
+    with pytest.raises(ValueError, match="dt: must be positive"):
         hub_cpu_step(topo, 0.0)
-    with pytest.raises(ValueError, match="dt must be positive"):
+    with pytest.raises(ValueError, match="dt: must be positive"):
         hub_cpu_step(topo, -1.0, active_ids=[])  # only the drain would use dt
     assert snapshot() == before
-    with pytest.raises(ValueError, match="dt must be positive"):
+    with pytest.raises(ValueError, match="dt: must be positive"):
         star(capacity=5.0).capacity(-1.0)
 
 
