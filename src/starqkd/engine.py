@@ -237,8 +237,7 @@ class _Sim:
         # allocated at its final size. Tick k writes its row, every link's
         # value in link index order, to [(k - 1) * n, k * n) by one slice
         # assignment; `finish` gives each link a strided view of it.
-        self.pools = [b.link.pool for b in self.branches]
-        size = self.n_ticks * len(self.pools)
+        size = self.n_ticks * len(self.branches)
         self.series = {kind: [0] * size for kind in ("pool_available", "deposited_bits", "active")}
         self.row = 0  # where the next tick's row starts
         self.hub_columns = tuple(column.append for column in self.hub_series.values())
@@ -280,7 +279,7 @@ class _Sim:
         start = self.row
         stop = self.row = start + len(deposited)
         series = self.series
-        series["pool_available"][start:stop] = [pool.available_bits for pool in self.pools]
+        series["pool_available"][start:stop] = [pool.available_bits for pool in topology.pool_at]
         series["deposited_bits"][start:stop] = deposited
         is_active = series["active"]
         for i in active:
@@ -429,7 +428,7 @@ class _Sim:
 
         report.mosca_at_risk = None if s.migration is None else mosca_at_risk(s.migration)
 
-        pools = self.pools
+        pools = self.topology.pool_at
         generated = sum(pool.total_generated_bits for pool in pools)
         available = sum(pool.available_bits for pool in pools)
         consumed = sum(pool.total_consumed_bits for pool in pools)

@@ -73,17 +73,23 @@ def secret_rate(params: LinkParams) -> float:
 
 
 # Every exact per-tick amount x is held as x * 2**SCALE: an int when that
-# is whole, a Fraction otherwise. A product of two floats that is not
+# is whole, a Fraction otherwise, by `exact`. That holds for each round's
+# bits and cost, a link's carry, and the hub's budget, drain costs and
+# processed and deferred totals. A product of two floats that is not
 # whole at this scale is below 2**-22 (two 53-bit mantissas multiply to
 # under 2**106), so only a near-dead link's amounts take the Fraction form.
 SCALE = 128
 ONE = 1 << SCALE
 
 
+def exact(y: int | Fraction) -> int | Fraction:
+    """y as an int when it is whole, else y: the one number form of exact amounts."""
+    return y.numerator if y.denominator == 1 else y
+
+
 def scaled(x: Fraction) -> int | Fraction:
     """x * 2**SCALE, as an int when it is whole."""
-    y = x * ONE
-    return y.numerator if y.denominator == 1 else y
+    return exact(x * ONE)
 
 
 def unscaled(y: int | Fraction) -> float:
@@ -149,7 +155,7 @@ class LinkState:
         if whole:
             carry -= whole << SCALE
             self.pool.deposit(whole)
-        self._carry = carry.numerator if carry.denominator == 1 else carry
+        self._carry = exact(carry)
         return whole
 
 

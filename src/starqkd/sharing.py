@@ -102,6 +102,11 @@ class Share:
     y: int
     round: int = 0
 
+    def __post_init__(self) -> None:
+        check_int("x", self.x, 1)
+        check_int("y", self.y, 0)
+        check_int("round", self.round, 0)
+
 
 def _eval_poly(coeffs: Sequence[int], x: int, p: int) -> int:
     acc = 0
@@ -129,10 +134,8 @@ def _check_combinable(shares: Sequence[Share], config: ShareConfig) -> None:
     if len(set(xs)) != len(xs):
         raise DuplicateX(f"duplicate evaluation points in {sorted(xs)}")
     for s in shares:
-        if not 1 <= s.x <= config.n_locations:
-            raise ValueError(f"share at x={s.x} outside 1..{config.n_locations}")
-        if not 0 <= s.y < config.field_prime:
-            raise ValueError(f"share value {s.y} outside the field")
+        check_int("x", s.x, 1, config.n_locations)
+        check_int("y", s.y, 0, config.field_prime - 1)
 
 
 def _lagrange_at(points: Sequence[tuple[int, int]], x_target: int, p: int) -> int:

@@ -19,7 +19,7 @@ from .errors import DuplicateId, InsufficientKey, NoBranches, check_enum, check_
 from .errors import check_text, store_float
 from .keycore import DEFAULT_AUTH_RESERVED_BITS, DEFAULT_POOL_TARGET_BITS, DEFAULT_TAG_COST_BITS
 from .keycore import AuthBudget, KeyMaterial, KeyPool, Provenance
-from .qkdlink import ONE, LinkParams, LinkState, Round, produce, scaled, unscaled
+from .qkdlink import ONE, LinkParams, LinkState, Round, exact, produce, scaled, unscaled
 from .report import KEY_ID
 from .rng import random_bits
 
@@ -73,8 +73,9 @@ class RelayRecord:
 class StarTopology:
     """One hub, its branches, and the per-branch link states.
 
-    link_at lists the links in branch order and index maps a branch id
-    to its position there, so the tick core works by link index.
+    link_at lists the links in branch order, pool_at their pools, and
+    index maps a branch id to its position there, so the tick core works
+    by link index.
 
     backlog is the hub's FIFO of deferred post-processing work: an entry
     (index, Round, owed) owes that share of the round of link_at[index],
@@ -96,10 +97,12 @@ class StarTopology:
     _rr_offset: int = field(default=0, repr=False)
     _budget: tuple[float, int | Fraction] | None = field(default=None, init=False, repr=False)
     link_at: list[LinkState] = field(init=False, repr=False, compare=False)
+    pool_at: list[KeyPool] = field(init=False, repr=False, compare=False)
     index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.link_at = [self.links[b.id] for b in self.branches]
+        self.pool_at = [link.pool for link in self.link_at]
         self.index = {b.id: i for i, b in enumerate(self.branches)}
 
     def branch_ids(self) -> list[str]:
@@ -162,14 +165,19 @@ def pick_channels(topology: StarTopology) -> list[int]:
     """The tick core's channel pick: which links get the hub's receiver channels.
 
     Lowest fill ratio (available_bits / target_bits) first; ties rotate
-    round-robin so equally needy branches take strict turns. Returns
-    indices into topology.link_at and advances the rotation pointer once.
+    round-robin so equally needy branches take strict turns. Each pool's
+    counters are read once, from topology.pool_at; a ratio past float
+    range ranks as inf, as KeyPool.fill_ratio has it. Returns indices
+    into topology.link_at and advances the rotation pointer once.
     """
-    links = topology.link_at
-    n = len(links)
+    pools = topology.pool_at
+    n = len(pools)
     offset = topology._rr_offset % n
     topology._rr_offset += 1
-    fill = [link.pool.fill_ratio for link in links]
+    try:
+        fill = [pool.available_bits / pool.target_bits for pool in pools]
+    except OverflowError:
+        fill = [pool.fill_ratio for pool in pools]
     # Indices in round-robin rank order, (i - offset) % n; the stable
     # sort on fill keeps that order among ties.
     order = sorted([*range(offset, n), *range(offset)], key=fill.__getitem__)
@@ -270,8 +278,10 @@ def hub_step(
     Backlogged work drains first, FIFO, under the hub's CPU budget for
     dt. If fresh work then overruns what is left, every active link is
     served the same share of its round and the rest joins the backlog.
-    Every amount is exact and held times 2**SCALE, so whole rounds and a
-    share of 0 or 1 stay integers. Each deposit is added into
+    Every amount is exact and held times 2**SCALE, as an int whenever it
+    is whole: each drain's cost, the budget, the drain total and the
+    processed and deferred totals. A share of 0 deposits nothing and skips
+    the carry. Each deposit is added into
     deposited[i], the drain's first. Returns (i, round, auth bits from
     the pool) of each link that ran, the halted indices, and the CPU
     cost processed and deferred. A dt that is not a positive finite number
@@ -299,9 +309,9 @@ def hub_step(
     for i, rnd, owed in backlog:
         if budget <= 0:
             break
-        cost = owed * rnd.cpu_scaled
+        cost = exact(owed * rnd.cpu_scaled)
         if cost <= budget:
-            budget -= cost
+            budget = exact(budget - cost)
             part = owed
             drained += 1
         else:
@@ -310,7 +320,7 @@ def hub_step(
             budget = 0
         deposited[i] += links[i].carry(part * rnd.bits_scaled)
     del backlog[:drained]
-    drain_cost = capacity - budget
+    drain_cost = exact(capacity - budget)
 
     # Then this interval's production, proportionally if it overruns.
     total_new = sum(rnd.cpu_scaled for _, rnd, _ in fresh)
@@ -320,11 +330,12 @@ def hub_step(
         share = Fraction(budget, total_new) if budget > 0 else 0
     keep = 1 - share
     for i, rnd, _ in fresh:
-        deposited[i] += links[i].carry(share * rnd.bits_scaled)
+        if share:
+            deposited[i] += links[i].carry(share * rnd.bits_scaled)
         if keep:
             backlog.append((i, rnd, keep))
-    deferred = keep * total_new
-    processed = drain_cost + total_new - deferred
+    deferred = exact(total_new - budget) if keep else 0  # = keep * total_new
+    processed = exact(drain_cost + total_new - deferred)
     if deferred != drain_cost:
         topology.backlog_cost += Fraction(deferred - drain_cost, ONE)
     return fresh, halted, processed, deferred

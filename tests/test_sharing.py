@@ -87,10 +87,22 @@ def test_reconstruct_preconditions():
         reconstruct(bumped + [shares[2]], cfg)
     with pytest.raises(ValueError):
         split(13, cfg, random.Random(0))
-    with pytest.raises(ValueError, match="outside 1..4"):
+    with pytest.raises(ValueError, match="x: must be >= 1, got 0"):
         reconstruct([Share(0, 1)] + shares[1:3], cfg)
-    with pytest.raises(ValueError, match="outside the field"):
+    with pytest.raises(ValueError, match="y: must be <= 12, got 13"):
         reconstruct([Share(1, 13)] + shares[1:3], cfg)
+
+
+def test_share_checks_its_kinds():
+    cfg = ShareConfig(n_locations=3, threshold_k=2, field_prime=13)
+    with pytest.raises(RangeError, match="y: expected an integer, got 2.5"):
+        reconstruct([Share(1, 2.5), Share(2, 9)], cfg)
+    with pytest.raises(RangeError, match="x: expected an integer, got 1.5"):
+        reconstruct([Share(1.5, 7), Share(2, 9)], cfg)
+    with pytest.raises(RangeError, match="x: expected an integer, got True"):
+        Share(True, 7)
+    with pytest.raises(RangeError, match="round: must be >= 0, got -1"):
+        Share(1, 7, round=-1)
 
 
 def test_refresh_known_zero_polynomial():
@@ -108,7 +120,7 @@ def test_refresh_rejects_anything_but_one_share_per_location():
     pool = budget(cfg.refresh_cost_bits)
     with pytest.raises(DuplicateX):
         refresh([s1, s2, s2], cfg, random.Random(0), pool)
-    with pytest.raises(ValueError, match="outside 1..3"):
+    with pytest.raises(ValueError, match="x: must be <= 3, got 4"):
         refresh([s1, s2, Share(4, 1)], cfg, random.Random(0), pool)
     with pytest.raises(MissingShares, match="refresh needs all 3 shares"):
         refresh([s1, s2], cfg, random.Random(0), pool)

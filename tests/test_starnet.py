@@ -294,6 +294,58 @@ def test_schedule_respects_channel_count():
     assert set(schedule_channels(wide)) == {"b1", "b2", "b3"}
 
 
+def expected_pick(topo: StarTopology, tick: int) -> list[int]:
+    """pick_channels by its definition: fill_ratio order, ties in round-robin rank order."""
+    n = len(topo.pool_at)
+    offset = tick % n
+    rank_order = [*range(offset, n), *range(offset)]
+    return sorted(rank_order, key=lambda i: topo.pool_at[i].fill_ratio)[: topo.hub.channel_count]
+
+
+def test_pool_at_holds_each_link_pool():
+    topo = star(n=4)
+    assert len(topo.pool_at) == len(topo.link_at) == 4
+    for pool, link in zip(topo.pool_at, topo.link_at):
+        assert pool is link.pool
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_pick_ranks_a_pool_past_float_range_last(n):
+    topo = star(n=n, channels=n)
+    topo.link("b2").pool.deposit(10**400)  # available / target leaves float range
+    for tick in range(2 * n):
+        picked = pick_channels(topo)
+        assert picked[-1] == 1
+        ties = [*range(tick % n, n), *range(tick % n)]
+        assert picked[:-1] == [i for i in ties if i != 1]
+        assert picked == expected_pick(topo, tick)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(
+    # (available, target) of each pool; 10**400 bits leaves float range.
+    pools=st.lists(
+        st.tuples(st.one_of(st.integers(0, 3000), st.just(10**400)), st.integers(1, 2000)),
+        min_size=1,
+        max_size=8,
+    ),
+    channels=st.integers(1, 8),
+    ticks=st.integers(1, 10),
+)
+def test_pick_is_fill_ratio_order_with_round_robin_ties(pools, channels, ticks):
+    specs = [
+        BranchSpec(node=branch(f"b{i}"), link=flat_link(), pool_target_bits=target,
+                   pool_rng=random.Random(i))
+        for i, (_, target) in enumerate(pools)
+    ]
+    topo = build_star(hub(channels), specs)
+    for pool, (available, _) in zip(topo.pool_at, pools):
+        if available:
+            pool.deposit(available)
+    for tick in range(ticks):
+        assert pick_channels(topo) == expected_pick(topo, tick)
+
+
 def link_counters(topo: StarTopology, bid: str) -> tuple:
     link = topo.link(bid)
     return (*pool_counters(topo, bid), link.auth.reserved_bits, link.halted_ticks,
@@ -445,7 +497,12 @@ def test_hub_step_partly_drained_head_stays_at_the_head():
     assert hub_cpu_step(topo, 1.0).deposited == {"a": 20, "b": 40, "c": 60}
     # The drain finishes a and takes 40 of b's 160, leaving b at the head.
     assert hub_cpu_step(topo, 1.0, active_ids=[]).deposited == {"a": 80, "b": 40}
-    assert hub_cpu_step(topo, 1.0, active_ids=[]).deposited == {"b": 120}
+    # The third step drains b's whole remainder, and its whole cost is an int.
+    deposited = defaultdict(int)
+    _, _, processed, deferred = hub_step(topo, 1.0, [], deposited)
+    assert deposited == {1: 120}
+    assert type(processed) is int and processed == 120 * ONE
+    assert deferred == 0
 
 
 def test_hub_step_backlog_drains_fifo_and_conserves_bits():
@@ -513,6 +570,40 @@ def test_hub_step_backlog_cost_is_the_exact_backlog_sum(
         link = topo.link(bid)
         landed = link.pool.total_generated_bits + link.pending_bits
         assert landed == rounds_run[bid] * Fraction(link.round(dt).bits_scaled, ONE)
+
+
+def in_number_form(amount) -> bool:
+    """True if amount is an int, or a Fraction that is not whole: the number form."""
+    return type(amount) is int or (type(amount) is Fraction and amount.denominator != 1)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(
+    # At 7.3e-35 bits/s a round is not whole at 2**-128 and takes the Fraction form.
+    rates=st.lists(st.one_of(st.floats(1.0, 5000.0), st.just(7.3e-35)), min_size=1, max_size=6),
+    cost_per_bit=st.sampled_from([0.5, 1.0, 2.5]),
+    capacity=st.floats(100.0, 10000.0),
+    dt=st.sampled_from([0.1, 0.25, 1.0]),
+    steps=st.lists(st.sets(st.integers(0, 5)), min_size=1, max_size=8),
+)
+def test_hub_step_holds_whole_amounts_as_ints(rates, cost_per_bit, capacity, dt, steps):
+    specs = [
+        BranchSpec(
+            node=branch(f"b{i}"),
+            link=flat_link(rate=rate, cpu_cost_per_raw_bit=cost_per_bit),
+            pool_rng=random.Random(i),
+            auth_reserved_bits=10**9,
+        )
+        for i, rate in enumerate(rates)
+    ]
+    topo = build_star(hub(len(rates), capacity), specs)
+    for picks in [*steps, set(), set()]:  # the last two are drain-only steps
+        active = sorted({k % len(rates) for k in picks})
+        _, _, processed, deferred = hub_step(topo, dt, active, defaultdict(int))
+        assert in_number_form(processed), processed
+        assert in_number_form(deferred), deferred
+        assert all(in_number_form(owed) for _, _, owed in topo.backlog)
+        assert all(in_number_form(link._carry) for link in topo.link_at)
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
