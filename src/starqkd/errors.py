@@ -1,12 +1,14 @@
 """Exception hierarchy shared across the package, and its one rule per kind.
 
 Everything raised on purpose derives from StarQkdError so callers can
-catch one base. Every field of the library's and the scenario's types,
-and every library function argument or CLI argument that comes from
-outside the program, is checked by the rule of its kind: `check_int`,
+catch one base. Every field of the scenario's types, the fields that
+size, bound or label a library type (not all of them: `KeyMaterial`'s
+`id` and `created_at` and the kind of its `bits` are not checked), and
+every library function argument or CLI argument that comes from outside
+the program, is checked by the rule of its kind: `check_int`,
 `check_float`, `check_text`, `check_flag`, `check_enum`, or
-`store_tuple` for a tuple that may be given as a list, with the range
-if it has one. Their RangeError is a ValueError naming the field, and a
+`store_tuple` for a tuple that may be given as a list, with the range if
+it has one. Their RangeError is a ValueError naming the field, and a
 type raises it for its other one-field rules too. A float field takes
 any int or float but a bool, fails NaN and +-infinity, and is stored as
 a float by `store_float`, so equal values print alike. Other

@@ -88,6 +88,7 @@ class Technique:
         if self.kind is TechniqueKind.HYBRID:
             if self.hybrid is None:
                 object.__setattr__(self, "hybrid", HybridParams())
+            check_enum("hybrid", self.hybrid, HybridParams)
         elif self.hybrid is not None:
             raise ValueError(f"{self.kind.label} takes no hybrid parameters")
 
@@ -120,6 +121,10 @@ class PolicyMatrix:
     k_t: int
     cells: dict[tuple[int, int], Technique]
 
+    def __post_init__(self) -> None:
+        check_int("m_c", self.m_c)
+        check_int("k_t", self.k_t)
+
     def cell(self, sensitivity_index: int, time_index: int) -> Technique:
         if not (1 <= sensitivity_index <= self.m_c and 1 <= time_index <= self.k_t):
             raise IndexOutOfBounds(
@@ -145,6 +150,8 @@ def default_matrix(m_c: int, k_t: int) -> PolicyMatrix:
     post-quantum below, hybrid between, QKD-OTP above. The benign corner
     stays classical; the hostile corner is always QKD-OTP.
     """
+    check_int("m_c", m_c)
+    check_int("k_t", k_t)
     if m_c < 2 or k_t < 2:
         raise BadDimensions(f"matrix needs m_c, k_t >= 2, got {m_c}x{k_t}")
     cells: dict[tuple[int, int], Technique] = {}

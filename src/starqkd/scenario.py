@@ -5,25 +5,30 @@ branch links), the demands placed on it (pairwise traffic, relay
 requests, sharing instances), the assets to plan for, and the attacker.
 
 Each JSON object has one field table mapping its keys to their defaults
-(`_REQUIRED` where a key must be given), and nothing else. `_read`
-checks an object against its table (an object; unknown and required
-keys; each error names its dotted path) and returns the values with
-defaults applied. The parser reads only the JSON's shape, its objects
-and arrays, and turns labels into their enums. The types check the
-values, whether parsed or built by hand: each scenario and library type
-checks its own fields' kinds, ranges and entry rules with the `errors`
-rule of each kind, which stores a float field as a float. `_build` makes
-one and reports its `errors.RangeError` at `path.field` and any other
-precondition error at `path`. A `Scenario` checks that each section
-holds its type (a list given for a tuple is stored as the tuple), its
-own run fields, its rules across sections and its policy grid, the
-matrix's coherence included. `scenario_to_dict` dumps through the same
-tables. Strict mode rejects unknown fields; lax mode warns and drops
-them. `null` means the default only where the default is null. A run
-may have at most MAX_TICKS ticks, at most MAX_TICKS periodic firings
-(rotations, relay requests and share refreshes together) and a hub CPU
-demand of at most MAX_CPU_DEMAND, and a policy grid at most
-MAX_GRID_CELLS cells.
+(`_REQUIRED` where a key must be given), and nothing else. The link,
+branch, hub, traffic, sharing, hybrid, attacker and migration tables are
+their type's fields and defaults (a link's and an attacker's from
+DEFAULT_LINK and DEFAULT_ATTACKER), so parsed and hand-built scenarios
+share every default. A branch object, technique, asset, classes, matrix,
+cell, scenario and plan file have keys or defaults of no one type, so
+theirs are written out. `_read` checks an object against its table (an
+object; unknown and required keys; each error names its dotted path) and
+returns the values with defaults applied. The parser reads only the
+JSON's shape, its objects and arrays, and turns labels into their enums.
+The types check the values, whether parsed or built by hand: each
+scenario and library type checks its own fields' kinds, ranges and entry
+rules with the `errors` rule of each kind, which stores a float field as
+a float. `_build` makes one and reports its `errors.RangeError` at
+`path.field` and any other precondition error at `path`. A `Scenario`
+checks that each section holds its type (a list given for a tuple is
+stored as the tuple), its own run fields, its rules across sections and
+its policy grid, the matrix's coherence included. `scenario_to_dict`
+dumps through the same tables. Strict mode rejects unknown fields; lax
+mode warns and drops them. `null` means the default only where the
+default is null. A run may have at most MAX_TICKS ticks, at most
+MAX_TICKS periodic firings (rotations, relay requests and share
+refreshes together) and a hub CPU demand of at most MAX_CPU_DEMAND, and
+a policy grid at most MAX_GRID_CELLS cells.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from __future__ import annotations
 import json
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
 from typing import Any, Callable
@@ -261,47 +266,27 @@ def _as_choice(value: Any, path: str, choices: dict[str, Any]) -> Any:
 
 _REQUIRED = object()
 
-_LINK = dict(
-    distance_km=DEFAULT_LINK.distance_km,
-    attenuation_db_per_km=DEFAULT_LINK.attenuation_db_per_km,
-    source_rate_hz=DEFAULT_LINK.source_rate_hz,
-    detector_efficiency=DEFAULT_LINK.detector_efficiency,
-    sifting_factor=DEFAULT_LINK.sifting_factor,
-    qber=DEFAULT_LINK.qber,
-    cpu_cost_per_raw_bit=DEFAULT_LINK.cpu_cost_per_raw_bit,
-    post_processing_messages_per_round=DEFAULT_LINK.post_processing_messages_per_round,
-)
 
-_BRANCH = dict(
-    id=_REQUIRED,
-    auth_reserved_bits=DEFAULT_AUTH_RESERVED_BITS,
-    auth_tag_cost_bits=DEFAULT_TAG_COST_BITS,
-    pool_target_bits=DEFAULT_POOL_TARGET_BITS,
-    rotation_frequency_hz=0.0,
-    master_bits=DEFAULT_MASTER_BITS,
-)
+def _fields(kind: type, defaults: Any = None, without: str = "") -> dict[str, Any]:
+    """kind's fields less without, each to its value in defaults if given, else its default."""
+    own = {f.name: _REQUIRED if f.default is MISSING else f.default for f in fields(kind)}
+    own.pop(without, None)
+    return own if defaults is None else {key: getattr(defaults, key) for key in own}
 
+
+# Objects that are exactly a type's fields: their keys and defaults are the type's.
+_LINK = _fields(LinkParams, DEFAULT_LINK)
+_BRANCH = _fields(BranchScenario, without="link")
+_HUB = _fields(HubScenario)
+_TRAFFIC = _fields(TrafficDemand)
+_SHARING = _fields(SharingScenario)
+_HYBRID = _fields(HybridParams)
+_ATTACKER = _fields(AttackerModel, DEFAULT_ATTACKER)
+_MIGRATION = _fields(MigrationTimeline)
+
+# Written out: each object below has keys, a shape or defaults of no one type.
 # A branch object carries its link's fields inline.
 _BRANCH_OBJECT = {**_BRANCH, **_LINK}
-
-_HUB = dict(id=DEFAULT_HUB_ID, channel_count=None, cpu_capacity_per_sec=DEFAULT_HUB_CPU_PER_SEC)
-
-_TRAFFIC = dict(
-    src=_REQUIRED,
-    dst=_REQUIRED,
-    otp_bits_per_sec=0.0,
-    relay_bits=0,
-    relay_interval_seconds=0.0,
-)
-
-_SHARING = dict(
-    id=_REQUIRED,
-    n_locations=_REQUIRED,
-    threshold_k=_REQUIRED,
-    field_prime=DEFAULT_FIELD_PRIME,
-    refresh_period_seconds=_REQUIRED,
-    custodians=_REQUIRED,
-)
 
 _STATE_BY_NAME = {state.value: state for state in DataState}
 
@@ -315,14 +300,6 @@ _ASSET = dict(
 )
 
 _KIND_BY_LABEL = {kind.label: kind for kind in TechniqueKind}
-_HYBRID_BASE = HybridParams()
-
-_HYBRID = dict(
-    master_bits=_HYBRID_BASE.master_bits,
-    session_bits=_HYBRID_BASE.session_bits,
-    quantum_bits=_HYBRID_BASE.quantum_bits,
-    rotation_frequency_hz=_HYBRID_BASE.rotation_frequency_hz,
-)
 
 # The object form of a technique; only hybrid takes the sizing fields.
 _TECHNIQUE = dict(kind=_REQUIRED, **_HYBRID)
@@ -332,14 +309,6 @@ _CLASSES = dict(m_c=_REQUIRED, k_t=_REQUIRED)
 _MATRIX = dict(**_CLASSES, cells=_REQUIRED)
 
 _CELL = dict(sensitivity=_REQUIRED, time=_REQUIRED, technique=_REQUIRED)
-
-_ATTACKER = dict(
-    classical_ops_per_sec=DEFAULT_ATTACKER.classical_ops_per_sec,
-    has_quantum=DEFAULT_ATTACKER.has_quantum,
-    records_traffic=DEFAULT_ATTACKER.records_traffic,
-)
-
-_MIGRATION = dict(x_years=_REQUIRED, y_years=_REQUIRED, z_years=_REQUIRED)
 
 _SCENARIO = dict(
     format_version=SCENARIO_FORMAT_VERSION,

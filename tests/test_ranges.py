@@ -24,7 +24,16 @@ from starqkd.hybrid import (
     horizon_for,
 )
 from starqkd.keycore import AuthBudget, KeyMaterial, KeyPool, Provenance, mix_keys
-from starqkd.policy import DataState, HybridParams, InfoAsset
+from starqkd.policy import (
+    DataState,
+    HybridParams,
+    InfoAsset,
+    PolicyMatrix,
+    Technique,
+    TechniqueKind,
+    default_matrix,
+    validate_matrix,
+)
 from starqkd.qkdlink import LinkParams, binary_entropy, tick
 from starqkd.rng import StreamRegistry, derive_seed, random_bits
 from starqkd.scenario import BranchScenario, HubScenario, SharingScenario, TrafficDemand
@@ -302,6 +311,16 @@ ARGUMENTS = [
         for s in (1.5, True)
     ),
     ("binary_entropy('x')", "q", lambda topo, rng: binary_entropy("x")),
+    # A text hybrid reached recommend() as a bare AttributeError.
+    ("Technique(hybrid='x')", "hybrid", lambda topo, rng: Technique(TechniqueKind.HYBRID, "x")),
+    *(
+        (f"{name}{dims!r}", field, lambda topo, rng, call=call, dims=dims: call(*dims))
+        for name, call in (
+            ("PolicyMatrix", lambda *dims: validate_matrix(PolicyMatrix(*dims, {}))),
+            ("default_matrix", default_matrix),
+        )
+        for dims, field in (((2.5, 2), "m_c"), (("2", 2), "m_c"), ((3, 2.5), "k_t"))
+    ),
 ]
 
 

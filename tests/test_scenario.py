@@ -15,7 +15,14 @@ from starqkd import scenario as scenario_module
 from starqkd.engine import EventKind, _Sim, run
 from starqkd.errors import BadField, ParseError, RangeError, ValidationError
 from starqkd.hybrid import AttackerModel, MigrationTimeline
-from starqkd.policy import DataState, InfoAsset, PolicyMatrix, Technique, TechniqueKind
+from starqkd.policy import (
+    DataState,
+    InfoAsset,
+    PolicyMatrix,
+    Technique,
+    TechniqueKind,
+    default_matrix,
+)
 from starqkd.qkdlink import raw_rate
 from starqkd.report import emit_report
 from starqkd.scenario import (
@@ -906,9 +913,71 @@ def test_type_rules_give_the_parser_its_paths():
         assert str(caught.value) == message
 
 
-def test_a_hand_built_scenario_equals_the_parsed_one():
-    parsed = scenario_from_dict({"duration_seconds": 10.0, "branches": [{"id": "a"}, {"id": "b"}]})
-    assert hand_built() == parsed
+TWO_BRANCHES = {"duration_seconds": 10.0, "branches": [{"id": "a"}, {"id": "b"}]}
+HYBRID_CELLS = [
+    {"sensitivity": 1, "time": 1, "technique": "classical_public_key"},
+    {"sensitivity": 1, "time": 2, "technique": {"kind": "hybrid"}},
+    {"sensitivity": 2, "time": 1, "technique": {"kind": "hybrid"}},
+    {"sensitivity": 2, "time": 2, "technique": "qkd_otp"},
+]
+
+
+@pytest.mark.parametrize(
+    ("fields", "by_hand"),
+    [
+        ({}, {}),
+        # Each object gives only its required keys: the rest are the types' own defaults.
+        (
+            {
+                "traffic": [{"src": "a", "dst": "b"}],
+                "sharing": [VALID[SharingScenario] | {"custodians": ["a", "b"]}],
+                "migration": {"x_years": 1, "y_years": 2, "z_years": 3},
+                "attacker": {},
+                "policy_matrix": {"m_c": 2, "k_t": 2, "cells": HYBRID_CELLS},
+            },
+            {
+                "traffic": (TrafficDemand("a", "b"),),
+                "sharing": (SharingScenario(**VALID[SharingScenario]),),
+                "migration": MigrationTimeline(1, 2, 3),
+                "policy_matrix": default_matrix(2, 2),
+            },
+        ),
+    ],
+    ids=["defaults", "required-keys-only"],
+)
+def test_a_hand_built_scenario_equals_the_parsed_one(fields, by_hand):
+    parsed = scenario_from_dict(TWO_BRANCHES | fields)
+    assert hand_built(**by_hand) == parsed
+    assert scenario_to_dict(hand_built(**by_hand)) == scenario_to_dict(parsed)
+
+
+CELL = {"sensitivity": 1, "time": 1}
+
+
+@pytest.mark.parametrize(
+    ("fields", "message"),
+    [
+        ({"branches": [{}]}, "branches[0]: missing required field 'id'"),
+        ({"traffic": [{}]}, "traffic[0]: missing required field 'src'"),
+        ({"sharing": [{}]}, "sharing[0]: missing required field 'id'"),
+        ({"assets": [{}]}, "assets[0]: missing required field 'id'"),
+        ({"migration": {}}, "migration: missing required field 'x_years'"),
+        ({"classes": {}}, "classes: missing required field 'm_c'"),
+        ({"policy_matrix": {}}, "policy_matrix: missing required field 'm_c'"),
+        (
+            {"policy_matrix": {"m_c": 2, "k_t": 2, "cells": [{}]}},
+            "policy_matrix.cells[0]: missing required field 'sensitivity'",
+        ),
+        (
+            {"policy_matrix": {"m_c": 2, "k_t": 2, "cells": [CELL | {"technique": {}}]}},
+            "policy_matrix.cells[0].technique: missing required field 'kind'",
+        ),
+    ],
+)
+def test_an_object_without_its_required_keys_names_its_first(fields, message):
+    with pytest.raises(ValidationError) as caught:
+        scenario_from_dict(TWO_BRANCHES | fields)
+    assert str(caught.value) == message
 
 
 def test_ints_in_float_fields_give_the_same_report_bytes_parsed_or_built_by_hand(tmp_path):
