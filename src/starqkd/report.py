@@ -27,6 +27,13 @@ series is a read-only ``SeriesView`` of it that reads as the link's own
 list. ``iterencode`` prints a view in one slice, the CSV writer reads
 each tick's row as one slice of the column, and ``MetricsReport.to_dict``
 returns plain lists.
+
+A CSV file whose values are all exactly ints or floats, as every file of
+an engine-built report is, has its data rows written as text: each row
+the reprs of its values joined by commas, ended by ``\r\n``, streamed to
+the file. Those are the bytes ``csv.writer`` writes for such a row, since
+it prints them as repr and none needs quoting. Headers, and every row of
+any other file, go through ``csv.writer``.
 """
 
 from __future__ import annotations
@@ -323,8 +330,31 @@ class MetricsReport:
         return "".join(iterencode(self._document()))
 
 
+# The types csv.writer prints as their repr and never quotes.
+_NUMBERS = {int, float}
+
+
+def _all_numbers(sources: Sequence, checked: dict[int, bool]) -> bool:
+    """Whether every value in each of sources is exactly an int or a float.
+
+    A series view stands for its whole column. checked maps the id of each
+    list already scanned to its answer, so a column that many views share
+    is scanned once; the caller keeps every source alive meanwhile.
+    """
+    for values in sources:
+        if isinstance(values, SeriesView):
+            values = values.column
+        key = id(values)
+        if key not in checked:
+            checked[key] = set(map(type, values)) <= _NUMBERS
+        if not checked[key]:
+            return False
+    return True
+
+
 def _series_rows(times: list[float], columns: list) -> Iterator[Sequence]:
-    """Each tick's CSV row: its time, then each column's value.
+    """Each tick's CSV row, made as it is written: its time, then each
+    column's value.
 
     Rows are those of ``zip(times, *columns)``. When the columns are the
     views of one tick-major column in link order, as in every report the
@@ -350,7 +380,10 @@ def emit_report(report: MetricsReport, fmt: str, out_dir: str | Path) -> list[Pa
 
     fmt "json" writes report.json. fmt "csv" writes meta.csv plus one
     file per series group (per-link pool levels, per-link deposits, hub
-    load), each with a header row and one row per tick.
+    load), each with a header row and one row per tick. csv.writer writes
+    each header. A file whose values are all exactly ints or floats has
+    its rows streamed as the reprs joined by commas, csv.writer's bytes
+    for them; any other file's rows go through csv.writer one by one.
     """
     if fmt not in ("json", "csv"):
         raise ValueError(f"format must be 'json' or 'csv', got {fmt!r}")
@@ -371,8 +404,9 @@ def emit_report(report: MetricsReport, fmt: str, out_dir: str | Path) -> list[Pa
             written.append(path)
             return written
 
-        # Each file as (name, header, rows): meta.csv has one row, and the
-        # series files one row per tick and one column per series.
+        # Each file as (name, header, columns, rows): meta.csv has one row,
+        # and the series files one row per tick and one column per series.
+        # The columns hold every value the rows read.
         links = report.links
         pools, deposits = (
             [link["series"][name] for link in links.values()]
@@ -380,22 +414,32 @@ def emit_report(report: MetricsReport, fmt: str, out_dir: str | Path) -> list[Pa
         )
         hub = report.hub.get("series", {})
         hub_names = sorted(hub)
+        hubs = list(map(hub.get, hub_names))
         meta = (FORMAT_VERSION, report.seed, report.duration_seconds, report.tick_seconds)
+        times = report.times
+        meta_names = ["format_version", "seed", "duration_seconds", "tick_seconds"]
         tables = (
-            ("meta.csv", ["format_version", "seed", "duration_seconds", "tick_seconds"], [meta]),
-            ("pool_available.csv", ["time", *links], _series_rows(report.times, pools)),
-            ("deposited_bits.csv", ["time", *links], _series_rows(report.times, deposits)),
-            ("hub.csv", ["time", *hub_names], zip(report.times, *map(hub.get, hub_names))),
+            ("meta.csv", meta_names, [meta], [meta]),
+            ("pool_available.csv", ["time", *links], [times, *pools], _series_rows(times, pools)),
+            (
+                "deposited_bits.csv",
+                ["time", *links],
+                [times, *deposits],
+                _series_rows(times, deposits),
+            ),
+            ("hub.csv", ["time", *hub_names], [times, *hubs], zip(times, *hubs)),
         )
-        for filename, header, rows in tables:
+        checked: dict[int, bool] = {}
+        for filename, header, columns, rows in tables:
             path = out / filename
             with path.open("w", newline="", encoding="utf-8") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(header)
-                # One writerow per row, not writerows: a wrapped writer
-                # that counts rows then sees each one.
-                for row in rows:
-                    writer.writerow(row)
+                if _all_numbers(columns, checked):
+                    fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
+                else:
+                    for row in rows:
+                        writer.writerow(row)
             written.append(path)
         return written
     except OSError as exc:

@@ -4,9 +4,11 @@ import csv
 import dataclasses
 import gc
 import hashlib
+import io
 import json
 import math
 import tracemalloc
+import types
 from enum import IntEnum
 from pathlib import Path
 
@@ -17,6 +19,7 @@ from starqkd.engine import run
 from starqkd.errors import IoError
 from starqkd.report import (
     FORMAT_VERSION,
+    MetricsReport,
     RelayLedger,
     SeriesView,
     _series_rows,
@@ -408,3 +411,137 @@ def test_csv_rows_from_views_and_from_lists_are_the_same_bytes(doc, tmp_path):
     assert _csv_bytes(_with_links(engine_report, backwards), tmp_path / "back") == _csv_bytes(
         _with_links(engine_report, _listed(backwards)), tmp_path / "back-lists"
     )
+
+
+def _reference_csv(report):
+    """Each CSV file's bytes as csv.writer writes them, from the report's
+    series read as plain lists."""
+    hub = report.hub.get("series", {})
+    files = {
+        "meta.csv": [
+            ["format_version", "seed", "duration_seconds", "tick_seconds"],
+            [FORMAT_VERSION, report.seed, report.duration_seconds, report.tick_seconds],
+        ]
+    }
+    for kind in ("pool_available", "deposited_bits"):
+        columns = [list(link["series"][kind]) for link in report.links.values()]
+        files[kind + ".csv"] = [["time", *report.links], *zip(report.times, *columns)]
+    names = sorted(hub)
+    files["hub.csv"] = [["time", *names], *zip(report.times, *map(hub.get, names))]
+    out = {}
+    for name, rows in files.items():
+        text = io.StringIO(newline="")
+        csv.writer(text).writerows(rows)
+        out[name] = text.getvalue().encode()
+    return out
+
+
+@pytest.fixture
+def writerow_rows(monkeypatch):
+    """Stand in for the csv module where starqkd.report looks it up, with
+    writers that have only writerow; returns the rows they are given."""
+    rows = []
+
+    def writer(fh):
+        real = csv.writer(fh)
+
+        def writerow(row):
+            rows.append(list(row))
+            return real.writerow(row)
+
+        return types.SimpleNamespace(writerow=writerow)
+
+    monkeypatch.setattr("starqkd.report.csv", types.SimpleNamespace(writer=writer))
+    return rows
+
+
+# Ints and floats at the edges of their reprs: huge, negative zero,
+# subnormal and non-finite.
+_EDGE_NUMBERS = [0, -1, 2**64 + 1, 10**300, 0.1, -0.0, 5e-324, 1e300, _INF, -_INF, _NAN]
+
+
+@pytest.mark.parametrize("as_lists", [False, True], ids=["views", "lists"])
+def test_csv_rows_of_numbers_are_csv_writers_bytes(as_lists, writerow_rows, tmp_path):
+    branches = [{"id": "a"}, {"id": "b"}, {"id": "c"}]
+    report = run(scenario_from_dict({"seed": 8, "duration_seconds": 8.0, "branches": branches}))
+    # Ids that need quoting, to show headers still go through csv.writer.
+    report = _with_links(report, dict(zip(["a", "b,c", 'say "d"'], report.links.values())))
+    pools = [link["series"]["pool_available"] for link in report.links.values()]
+    deposits = [link["series"]["deposited_bits"] for link in report.links.values()]
+    n = len(_EDGE_NUMBERS)
+    # Row 1 is a float time, then three ints.
+    for column, shift in ((pools[0].column, 0), (deposits[0].column, 5)):
+        column[:] = [_EDGE_NUMBERS[(i + shift) % n] for i in range(len(column))]
+    for shift, values in enumerate(report.hub["series"].values()):
+        values[:] = [_EDGE_NUMBERS[(i + shift) % n] for i in range(len(values))]
+    if as_lists:
+        report = _with_links(report, _listed(report.links))
+    expected = _reference_csv(report)
+    assert _csv_bytes(report, tmp_path) == expected
+    # Every file is all numbers: csv.writer wrote only the four headers.
+    assert [row[0] for row in writerow_rows] == ["format_version", "time", "time", "time"]
+    assert b'"b,c","say ""d"""' in expected["pool_available.csv"]
+    for text in (b"1.0,0,-1,18446744073709551617\r\n", b",-0.0,", b",5e-324,", b",nan"):
+        assert text in expected["pool_available.csv"]
+
+
+def test_csv_files_not_all_numbers_go_through_csv_writer(writerow_rows, tmp_path):
+    # Text, None, bools, an int enum member and a float subclass: each file
+    # holding one is written by csv.writer, row by row.
+    report = MetricsReport(
+        seed=_Level.LOW,
+        duration_seconds=3.0,
+        tick_seconds=1.0,
+        times=[1.0, 2.0, 3.0],
+        links={
+            "x,y": {
+                "series": {"pool_available": [1, 2, 3], "deposited_bits": ["a,b", 'say "hi"', None]}
+            },
+            "z": {
+                "series": {
+                    "pool_available": [4, 5.5, -0.0],
+                    "deposited_bits": [True, _Level.HIGH, _Ratio(0.5)],
+                }
+            },
+        },
+        hub={"series": {"backlog_cost": [0.0, 1.5, _INF], "note": ["ok", "", "a\nb"]}},
+    )
+    expected = _reference_csv(report)
+    assert _csv_bytes(report, tmp_path) == expected
+    # pool_available.csv is all numbers: only its header went through csv.writer.
+    assert len(writerow_rows) == 4 + 1 + 3 + 3
+    # Each row as csv.writer writes it: quoted text, None empty, True and
+    # the member as str, the float subclass as its repr.
+    deposits = expected["deposited_bits.csv"]
+    member = str(_Level.HIGH).encode()
+    for text in (b'1.0,"a,b",True', b'2.0,"say ""hi""",' + member, b"3.0,,ratio"):
+        assert text in deposits
+
+
+def test_emit_csv_streams_its_rows(tmp_path):
+    # emit_report writes each row as it is made: its peak allocation stays
+    # far below the largest file it writes, which a list of all rows would
+    # exceed. The peak holds a fixed ~130 KB, csv.writer's record buffer
+    # for the header, so the star is large enough for that to be small.
+    ticks = 600
+    bits = 512 * ticks  # every round's authentication, reserved
+    doc = {
+        "seed": 7,
+        "duration_seconds": float(ticks),
+        "hub": {"channel_count": 40, "cpu_capacity_per_sec": 1.44e6},
+        "branches": [
+            {"id": f"w{i:03d}", "distance_km": 5.0 + 0.1 * (i % 50), "auth_reserved_bits": bits}
+            for i in range(300)
+        ],
+    }
+    report = run(scenario_from_dict(doc))
+    assert max(report.hub["series"]["backlog_cost"]) > 0  # the hub is overloaded
+    tracemalloc.start()
+    try:
+        paths = emit_report(report, "csv", tmp_path / "out")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = max(p.stat().st_size for p in paths)
+    assert size > 1_000_000
+    assert peak < size / 4, (peak, size)
