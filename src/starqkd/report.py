@@ -28,12 +28,14 @@ list. ``iterencode`` prints a view in one slice, the CSV writer reads
 each tick's row as one slice of the column, and ``MetricsReport.to_dict``
 returns plain lists.
 
-A CSV file whose values are all exactly ints or floats, as every file of
-an engine-built report is, has its data rows written as text: each row
-the reprs of its values joined by commas, ended by ``\r\n``, streamed to
-the file. Those are the bytes ``csv.writer`` writes for such a row, since
-it prints them as repr and none needs quoting. Headers, and every row of
-any other file, go through ``csv.writer``.
+Both formats share one number rule, decided as the values are read: a
+JSON list, or a CSV data row, whose values are all exactly ints or
+floats, as an engine-built report's series and rows are, prints as the
+reprs of its values joined. A JSON list joins them at its indent, unless
+one is a NaN or an infinity; a CSV row joins them by commas, ended by
+``\r\n``, the bytes ``csv.writer`` writes for it, since it prints these
+types as repr and never quotes them. Every other list goes item by item,
+and headers and every other row go through ``csv.writer``.
 """
 
 from __future__ import annotations
@@ -177,7 +179,7 @@ def iterencode(obj: Any) -> Iterator[str]:
 
     The chunks join to ``json.dumps(obj, sort_keys=True, indent=2) +
     "\\n"``, and an object json cannot encode raises the same
-    ``TypeError``. A list of only ints or only finite floats is one
+    ``TypeError``. A list of only exact ints and finite floats is one
     chunk, where json yields a few per item, and a relay ledger is one
     chunk per few hundred rows. A series view prints as its list.
     """
@@ -187,9 +189,10 @@ def iterencode(obj: Any) -> Iterator[str]:
 
 def _chunks(obj: Any, indent: str) -> Iterator[str]:
     """Yield the JSON text of obj; indent is a newline and obj's indentation.
-    A list or tuple of only ints or only finite floats is one join, a relay
-    ledger a join of rows at a time, and any other list or dict item by item.
-    A series view is read as a list, in one slice of its column.
+    A list or tuple of only exact ints and finite floats is one join of
+    their reprs, a relay ledger a join of rows at a time, and any other list
+    or dict item by item. A series view is read as a list, in one slice of
+    its column.
     """
     if isinstance(obj, SeriesView):
         obj = obj.column[obj.start :: obj.step]
@@ -210,9 +213,7 @@ def _chunks(obj: Any, indent: str) -> Iterator[str]:
     if isinstance(obj, dict):
         items = [(_key(key), value) for key, value in sorted(obj.items())]
     else:
-        kinds = set(map(type, obj))
-        if len(kinds) == 1 and kinds.pop() in (int, float):
-            # Every item is exactly an int or a float, so repr is its type's.
+        if _only_numbers(obj):
             text = ("," + inner).join(map(repr, obj))
             # A finite float's repr has no "n"; nan and inf do.
             if "n" not in text:
@@ -269,6 +270,15 @@ def _scalar(obj: Any) -> str:
         text = float.__repr__(obj)
         return _NON_FINITE.get(text, text)
     raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+
+
+# The types whose repr is what json and csv.writer print for them.
+_NUMBERS = frozenset((int, float))
+
+
+def _only_numbers(values: Any) -> bool:
+    """Whether every value is exactly an int or a float, not a subclass."""
+    return _NUMBERS.issuperset(map(type, values))
 
 
 def _key(key: Any) -> str:
@@ -330,28 +340,6 @@ class MetricsReport:
         return "".join(iterencode(self._document()))
 
 
-# The types csv.writer prints as their repr and never quotes.
-_NUMBERS = {int, float}
-
-
-def _all_numbers(sources: Sequence, checked: dict[int, bool]) -> bool:
-    """Whether every value in each of sources is exactly an int or a float.
-
-    A series view stands for its whole column. checked maps the id of each
-    list already scanned to its answer, so a column that many views share
-    is scanned once; the caller keeps every source alive meanwhile.
-    """
-    for values in sources:
-        if isinstance(values, SeriesView):
-            values = values.column
-        key = id(values)
-        if key not in checked:
-            checked[key] = set(map(type, values)) <= _NUMBERS
-        if not checked[key]:
-            return False
-    return True
-
-
 def _series_rows(times: list[float], columns: list) -> Iterator[Sequence]:
     """Each tick's CSV row, made as it is written: its time, then each
     column's value.
@@ -381,9 +369,9 @@ def emit_report(report: MetricsReport, fmt: str, out_dir: str | Path) -> list[Pa
     fmt "json" writes report.json. fmt "csv" writes meta.csv plus one
     file per series group (per-link pool levels, per-link deposits, hub
     load), each with a header row and one row per tick. csv.writer writes
-    each header. A file whose values are all exactly ints or floats has
-    its rows streamed as the reprs joined by commas, csv.writer's bytes
-    for them; any other file's rows go through csv.writer one by one.
+    each header. A data row whose values are all exactly ints or floats
+    is written as their reprs joined by commas, csv.writer's bytes for
+    it; any other row goes through csv.writer.
     """
     if fmt not in ("json", "csv"):
         raise ValueError(f"format must be 'json' or 'csv', got {fmt!r}")
@@ -404,9 +392,8 @@ def emit_report(report: MetricsReport, fmt: str, out_dir: str | Path) -> list[Pa
             written.append(path)
             return written
 
-        # Each file as (name, header, columns, rows): meta.csv has one row,
-        # and the series files one row per tick and one column per series.
-        # The columns hold every value the rows read.
+        # Each file as (name, header, rows): meta.csv has one row, and the
+        # series files one row per tick and one column per series.
         links = report.links
         pools, deposits = (
             [link["series"][name] for link in links.values()]
@@ -414,31 +401,23 @@ def emit_report(report: MetricsReport, fmt: str, out_dir: str | Path) -> list[Pa
         )
         hub = report.hub.get("series", {})
         hub_names = sorted(hub)
-        hubs = list(map(hub.get, hub_names))
         meta = (FORMAT_VERSION, report.seed, report.duration_seconds, report.tick_seconds)
         times = report.times
-        meta_names = ["format_version", "seed", "duration_seconds", "tick_seconds"]
         tables = (
-            ("meta.csv", meta_names, [meta], [meta]),
-            ("pool_available.csv", ["time", *links], [times, *pools], _series_rows(times, pools)),
-            (
-                "deposited_bits.csv",
-                ["time", *links],
-                [times, *deposits],
-                _series_rows(times, deposits),
-            ),
-            ("hub.csv", ["time", *hub_names], [times, *hubs], zip(times, *hubs)),
+            ("meta.csv", ["format_version", "seed", "duration_seconds", "tick_seconds"], [meta]),
+            ("pool_available.csv", ["time", *links], _series_rows(times, pools)),
+            ("deposited_bits.csv", ["time", *links], _series_rows(times, deposits)),
+            ("hub.csv", ["time", *hub_names], zip(times, *map(hub.get, hub_names))),
         )
-        checked: dict[int, bool] = {}
-        for filename, header, columns, rows in tables:
+        for filename, header, rows in tables:
             path = out / filename
             with path.open("w", newline="", encoding="utf-8") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(header)
-                if _all_numbers(columns, checked):
-                    fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
-                else:
-                    for row in rows:
+                for row in rows:
+                    if _only_numbers(row):
+                        fh.write(",".join(map(repr, row)) + "\r\n")
+                    else:
                         writer.writerow(row)
             written.append(path)
         return written

@@ -217,6 +217,10 @@ _TREES = st.recursive(
 @example([2**64 + 1, -(2**100), 0])
 @example([1, True, 2, False])
 @example([1, 2.5, -3])
+@example([1, _NAN])
+@example([1, True])
+@example([1, _Level.LOW])
+@example([0.5, _Ratio(1.0)])
 @example({"level": _Level.LOW, "levels": [_Level.LOW, _Level.HIGH], "ratio": _Ratio(0.1)})
 @example([_Ratio(2.0), _Ratio(-0.0), _Ratio(_NAN)])
 @example(((1, 2), (), ("a", None)))
@@ -233,6 +237,14 @@ def test_iterencode_matches_json_dumps(obj):
     # SeriesView as its list.
     expected = json.dumps(obj, sort_keys=True, indent=2, default=list) + "\n"
     assert "".join(iterencode(obj)) == expected
+
+
+def test_a_list_of_ints_and_floats_is_one_chunk():
+    # Exact ints and floats together print as one join, as either alone does.
+    assert list(iterencode([1, 2.5, -3, 2**64])) == [
+        "[\n  1,\n  2.5,\n  -3,\n  18446744073709551616\n]",
+        "\n",
+    ]
 
 
 def test_relay_ledger_reads_as_its_list_of_row_dicts():
@@ -486,8 +498,9 @@ def test_csv_rows_of_numbers_are_csv_writers_bytes(as_lists, writerow_rows, tmp_
 
 
 def test_csv_files_not_all_numbers_go_through_csv_writer(writerow_rows, tmp_path):
-    # Text, None, bools, an int enum member and a float subclass: each file
-    # holding one is written by csv.writer, row by row.
+    # Text, None, bools, an int enum member and a float subclass: each row
+    # holding one is written by csv.writer, and every row of these files
+    # but pool_available.csv's holds one.
     report = MetricsReport(
         seed=_Level.LOW,
         duration_seconds=3.0,
@@ -516,6 +529,32 @@ def test_csv_files_not_all_numbers_go_through_csv_writer(writerow_rows, tmp_path
     member = str(_Level.HIGH).encode()
     for text in (b'1.0,"a,b",True', b'2.0,"say ""hi""",' + member, b"3.0,,ratio"):
         assert text in deposits
+
+
+def test_csv_rows_are_decided_one_by_one(writerow_rows, tmp_path):
+    # deposited_bits.csv holds text at tick 2 only: that row goes through
+    # csv.writer, and the rows around it are written as text.
+    report = MetricsReport(
+        seed=5,
+        duration_seconds=3.0,
+        tick_seconds=1.0,
+        times=[1.0, 2.0, 3.0],
+        links={
+            "a": {"series": {"pool_available": [7, 8, 9], "deposited_bits": [1, "x", 3]}},
+            "b": {"series": {"pool_available": [0.5, 1.5, 2], "deposited_bits": [4, 5, 6.5]}},
+        },
+        hub={"series": {"backlog_cost": [0.0, 1.5, 2.5]}},
+    )
+    expected = _reference_csv(report)
+    assert _csv_bytes(report, tmp_path) == expected
+    assert writerow_rows == [
+        ["format_version", "seed", "duration_seconds", "tick_seconds"],
+        ["time", "a", "b"],
+        ["time", "a", "b"],
+        [2.0, "x", 5],
+        ["time", "backlog_cost"],
+    ]
+    assert expected["deposited_bits.csv"] == b"time,a,b\r\n1.0,1,4\r\n2.0,x,5\r\n3.0,3,6.5\r\n"
 
 
 def test_emit_csv_streams_its_rows(tmp_path):
