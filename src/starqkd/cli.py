@@ -176,14 +176,14 @@ def _cmd_relay_demo(args: argparse.Namespace) -> int:
             "branches": [{"id": f"b{i:02d}"} for i in range(1, args.branches + 1)],
         }
     )
-    streams = StreamRegistry(scenario.seed)
-    topo = engine.build_topology(scenario, streams)
-    for bid in topo.branch_ids():
+    topo = engine.build_topology(scenario)
+    src, dst = topo.branch_ids()[:2]
+    for bid in (src, dst):  # the only two pools the demo reads
         topo.link(bid).pool.deposit(2 * args.bits)
-    src, dst = topo.branch_ids()[0], topo.branch_ids()[1]
     before_src = topo.link(src).pool.available_bits
     before_dst = topo.link(dst).pool.available_bits
-    k_src, k_dst, record = relay_key(topo, src, dst, args.bits, streams.stream("relay/hub"))
+    rng = StreamRegistry(scenario.seed).stream("relay/hub")
+    k_src, k_dst, record = relay_key(topo, src, dst, args.bits, rng)
     print(f"star of {args.branches} branches; relaying {args.bits} bits {src} -> {dst}")
     print(f"  relay id: {record.key_id}")
     print(f"  keys match at both ends: {k_src.bits == k_dst.bits}")

@@ -120,8 +120,8 @@ class _Sharing:
     max_exposure_seconds: float = 0.0
 
 
-def build_topology(scenario: Scenario, streams: StreamRegistry) -> StarTopology:
-    """The scenario's star, each branch pool drawing from its own stream."""
+def build_topology(scenario: Scenario) -> StarTopology:
+    """The scenario's star; no stream for its branch pools, which no engine path draws from."""
     hub = Node(
         id=scenario.hub.id,
         kind=NodeKind.HUB,
@@ -135,7 +135,6 @@ def build_topology(scenario: Scenario, streams: StreamRegistry) -> StarTopology:
             auth_reserved_bits=b.auth_reserved_bits,
             auth_tag_cost_bits=b.auth_tag_cost_bits,
             pool_target_bits=b.pool_target_bits,
-            pool_rng=streams.stream(f"pool/{b.id}"),
         )
         for b in scenario.branches
     ]
@@ -149,7 +148,7 @@ class _Sim:
         self.dt = scenario.tick_seconds
         self.n_ticks = scenario.tick_count
 
-        self.topology = build_topology(scenario, streams)
+        self.topology = build_topology(scenario)
         self.report = MetricsReport(
             seed=scenario.seed,
             duration_seconds=scenario.duration_seconds,
@@ -195,11 +194,7 @@ class _Sim:
                 rng=rng,
                 secret=secret,
                 shares=split(secret, config, rng),
-                budget=KeyPool(
-                    link_id=f"sharing/{inst.id}",
-                    target_bits=config.refresh_cost_bits,
-                    rng=streams.stream(f"sharing-budget/{inst.id}"),
-                ),
+                budget=KeyPool(link_id=f"sharing/{inst.id}", target_bits=config.refresh_cost_bits),
             )
             self.sharings.append(sharing)
         # Periodic sources are (kind, period, handler, target), in the order of

@@ -4,7 +4,8 @@ Key bits in this model are a strictly conserved resource: every bit a
 link generates either sits in a pool or was consumed by exactly one
 operation. Pools are integer ledgers: spending key debits a counter and
 makes no bits. Bit values exist only where something reads them, as
-single-use key material returned by KeyPool.draw.
+single-use key material returned by KeyPool.draw, and a pool makes its
+random stream only at its first draw.
 """
 
 from __future__ import annotations
@@ -143,7 +144,8 @@ class KeyPool:
     Invariant: total_generated_bits == available_bits + total_consumed_bits
     at every step. spend() only moves counters. draw() is spend() plus
     bit values from the pool's own deterministic stream, for callers
-    that read the key.
+    that read the key. A pool built without a stream (rng None) makes
+    random.Random(derive_seed(0, f"pool/{link_id}")) at its first draw.
     """
 
     link_id: str
@@ -158,8 +160,6 @@ class KeyPool:
         check_int("target_bits", self.target_bits, 1)
         for name in ("available_bits", "total_generated_bits", "total_consumed_bits"):
             check_int(name, getattr(self, name), 0)
-        if self.rng is None:
-            self.rng = random.Random(derive_seed(0, f"pool/{self.link_id}"))
         self.assert_conservation()
 
     @property
@@ -197,10 +197,12 @@ class KeyPool:
         self.total_consumed_bits += n_bits
 
     def draw(self, n_bits: int, provenance: Provenance, created_at: float = 0.0) -> KeyMaterial:
-        """Spend n_bits and return them as a fresh KeyMaterial."""
+        """Spend n_bits and return them as a fresh KeyMaterial; fails without side effects."""
+        check_enum("provenance", provenance, Provenance)
         self.spend(n_bits)
+        if self.rng is None:
+            self.rng = random.Random(derive_seed(0, f"pool/{self.link_id}"))
         self._draw_count += 1
-        assert self.rng is not None
         return KeyMaterial(
             id=f"{self.link_id}/k{self._draw_count}",
             bits=random_bits(self.rng, n_bits),

@@ -4,7 +4,7 @@ Every random draw in a simulation comes from a stream derived as
 SHA-256(root_seed || label). Adding a new entity adds a new label and
 never perturbs the bits any existing stream produces, which is what
 keeps reports byte-identical across runs and stable under scenario
-growth.
+growth. A run makes only the streams it reads: sharing/<id> and relay/hub.
 """
 
 from __future__ import annotations

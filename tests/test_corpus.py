@@ -252,21 +252,35 @@ def test_library_rotation_rule_gives_the_engine_epochs():
             assert list(map(list, state.epoch_log)) == epochs, index
 
 
-def seed_invariant_view(report) -> dict:
-    return {
-        "totals": report.totals,
-        "unmet_bits": [(u["kind"], u["entity"], u["bits"]) for u in report.unmet_demand],
-        "pool_series": {
-            bid: (link["series"]["pool_available"], link["series"]["deposited_bits"])
-            for bid, link in report.links.items()
-        },
-    }
+def amounts(report) -> dict:
+    """The whole report but what a seed may move: the seed and the key fingerprints."""
+    doc = report.to_dict()
+    del doc["seed"]
+    for row in doc["relay_ledger"]:
+        del row["key_fingerprint"]
+    return doc
+
+
+def fingerprints(report) -> list[str]:
+    return [row["key_fingerprint"] for row in report.relay_ledger]
 
 
 def test_seed_moves_key_bits_never_amounts():
     base = ingest_scenario(SCENARIOS / "star10.json")
-    views = [seed_invariant_view(run(with_overrides(base, seed=seed))) for seed in (0, 7, 12345)]
-    assert views[0] == views[1] == views[2]
+    reports = [run(with_overrides(base, seed=seed)) for seed in (0, 7, 12345)]
+    assert amounts(reports[0]) == amounts(reports[1]) == amounts(reports[2])
+    assert len({tuple(fingerprints(report)) for report in reports}) == 3
+    # Every relayed key comes from the root seed's relay stream, so a new
+    # seed moves the fingerprints of every ledger that has rows.
+    moved = 0
+    for index in range(CORPUS_SIZE):
+        scenario = scenario_from_dict(corpus_scenario(index))
+        seeds = (scenario.seed, scenario.seed + 1)
+        a, b = (run(with_overrides(scenario, seed=seed)) for seed in seeds)
+        assert amounts(a) == amounts(b), index
+        assert (fingerprints(a) != fingerprints(b)) == (len(a.relay_ledger) > 0), index
+        moved += len(a.relay_ledger) > 0
+    assert moved > 0
 
 
 def test_unthrottled_generation_matches_secret_rate_closed_form():

@@ -519,6 +519,21 @@ def test_relay_ledger_is_the_relay_stream_in_row_order(relay_reports):
             assert row["key_fingerprint"] == hashlib.sha256(fresh).hexdigest()[:16]
 
 
+def test_a_run_asks_only_for_the_streams_it_reads(monkeypatch):
+    # Link pools and refresh budgets are ledgers no engine path draws from,
+    # so the run makes no stream for them.
+    asked = []
+    stream = StreamRegistry.stream
+
+    def recording(self, label):
+        asked.append(label)
+        return stream(self, label)
+
+    monkeypatch.setattr(StreamRegistry, "stream", recording)
+    run(with_overrides(ingest_scenario("scenarios/star10.json"), duration_seconds=50.0))
+    assert asked == ["sharing/vault-alpha", "relay/hub"]
+
+
 def test_report_json_is_json_dumps_of_to_dict(relay_reports, tmp_path):
     # README "Reports": the bytes are json.dumps(report.to_dict(),
     # sort_keys=True, indent=2) followed by a newline.

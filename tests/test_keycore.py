@@ -23,6 +23,7 @@ from starqkd.keycore import (
     otp_encrypt,
     xor_bytes,
 )
+from starqkd.rng import derive_seed, random_bits
 
 
 def make_key(bits: bytes, provenance=Provenance.QUANTUM, key_id="k") -> KeyMaterial:
@@ -162,44 +163,77 @@ def test_pool_draw_failure_changes_nothing():
     for debit in DEBITS:
         pool = KeyPool(link_id="a")
         pool.deposit(50)
-        stream = pool.rng.getstate()
         with pytest.raises(InsufficientKey):
             debit(pool, 51)
         assert counters(pool) == (50, 50, 0)
-        assert pool.rng.getstate() == stream
+        assert pool.rng is None  # a failed debit makes no stream
         debit(pool, 30)
         debit(pool, 20)
         assert pool.available_bits == 0
         assert pool.total_consumed_bits == 50
+        # A draw has made the stream by now; a plain debit makes none.
+        assert (pool.rng is None) == (debit is DEBITS[1])
+        stream = None if pool.rng is None else pool.rng.getstate()
         with pytest.raises(InsufficientKey):
             debit(pool, 1)
         assert counters(pool) == (0, 50, 50)
+        assert (None if pool.rng is None else pool.rng.getstate()) == stream
 
 
 def test_pool_bit_counts_are_ints_checked_before_anything_moves():
     # A float or bool count used to be spent or banked before a later
-    # check failed; now the int rule rejects it with every counter, the
-    # stream and the draw count as they were.
+    # check failed, and a text provenance was rejected only after the
+    # draw had spent its bits, stepped the draw count and drawn from the
+    # stream. Now each is rejected with every counter, the stream and the
+    # draw count as they were, before a draw has made the stream and after.
     cases = (
         (8.0, "n_bits: expected an integer, got 8.0"),
         (True, "n_bits: expected an integer, got True"),
         (0, "n_bits: must be >= 1, got 0"),
         (-3, "n_bits: must be >= 1, got -3"),
     )
+    bad_debits = [(debit, n, message) for n, message in cases for debit in DEBITS]
+    bad_debits.append(
+        (
+            lambda pool, n: pool.draw(n, "quantum"),
+            8,
+            "provenance: expected a Provenance, got 'quantum'",
+        )
+    )
     for n, message in cases:
         pool = KeyPool(link_id="a")
         with pytest.raises(RangeError, match=re.escape(message)):
             pool.deposit(n)
         assert counters(pool) == (0, 0, 0)
+    for debit, n, message in bad_debits:
+        pool = KeyPool(link_id="a")
         pool.deposit(100)
+        with pytest.raises(RangeError, match=re.escape(message)):
+            debit(pool, n)
+        assert counters(pool) == (100, 100, 0)
+        assert type(pool.available_bits) is int
+        assert pool.rng is None
+        assert pool._draw_count == 0
+        pool.draw(8, Provenance.QUANTUM)
         stream = pool.rng.getstate()
-        for debit in DEBITS:
-            with pytest.raises(RangeError, match=re.escape(message)):
-                debit(pool, n)
-            assert counters(pool) == (100, 100, 0)
-            assert type(pool.available_bits) is int
-            assert pool.rng.getstate() == stream
-            assert pool._draw_count == 0
+        with pytest.raises(RangeError, match=re.escape(message)):
+            debit(pool, n)
+        assert counters(pool) == (92, 100, 8)
+        assert pool.rng.getstate() == stream
+        assert pool._draw_count == 1
+
+
+def test_default_pool_makes_its_stream_at_its_first_draw():
+    pool = KeyPool("a")
+    assert pool.rng is None
+    assert pool == KeyPool("a")
+    pool.deposit(256)
+    pool.spend(8)
+    assert pool.rng is None
+    # The seed-0 stream of the pool's label, made once and then read on.
+    expected = random.Random(derive_seed(0, "pool/a"))
+    assert pool.draw(64, Provenance.QUANTUM).bits == random_bits(expected, 64)
+    assert pool.draw(64, Provenance.QUANTUM).bits == random_bits(expected, 64)
 
 
 @pytest.mark.parametrize(
