@@ -26,6 +26,15 @@ Key-bit conservation is exact and closes over five consumption
 categories: authentication top-ups, one-time-pad traffic, relay
 requests, master-key rotation, and share refresh. Every debit from a
 link pool lands in exactly one of them.
+
+Every per-tick number is held in a typed array, not as a Python object.
+A pool starts empty and gains bits only through `LinkState.carry`, at
+most one round per link per tick, so no pool level, tick's deposit or
+relay exceeds the run's production bound, the largest n_ticks *
+bits_scaled // 2**SCALE of any link. The per-link bit columns and the
+relay ledger's bits take the narrowest of array('i') and array('q') that
+holds it, chosen once at setup, and stay lists if neither does; the
+active flags, times and hub series are 'b', 'd' and 'i' arrays.
 """
 
 from __future__ import annotations
@@ -33,6 +42,8 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import struct
+from array import array
 from dataclasses import dataclass, field
 from enum import IntEnum
 from fractions import Fraction
@@ -227,13 +238,40 @@ class _Sim:
             "refresh": 0,
         }
 
-        self.hub_series = {"backlog_cost": [], "processed_cost": [], "active_link_count": []}
-        # Per-link series, tick-major: one list per kind for the whole star,
-        # allocated at its final size. Tick k writes its row, every link's
-        # value in link index order, to [(k - 1) * n, k * n) by one slice
-        # assignment; `finish` gives each link a strided view of it.
-        size = self.n_ticks * len(self.branches)
-        self.series = {kind: [0] * size for kind in ("pool_available", "deposited_bits", "active")}
+        self.hub_series = {
+            "backlog_cost": array("d"),
+            "processed_cost": array("d"),
+            "active_link_count": array("i"),
+        }
+        # Per-link series, tick-major: one column per kind for the whole
+        # star, allocated at its final size. Tick k writes its row, every
+        # link's value in link index order, to [(k - 1) * n, k * n);
+        # `finish` gives each link a strided view of it.
+        n = len(self.branches)
+        size = self.n_ticks * n
+        bound = max(
+            self.n_ticks * link.round(self.dt).bits_scaled // ONE for link in self.topology.link_at
+        )
+        code = next((c for c in "iq" if bound < 1 << 8 * array(c).itemsize - 1), None)
+        # pack_row(column, at, *row) writes a row at offset at: in bytes,
+        # width per item, in an array, and in items in a list.
+        if code is None:
+            bits_column, width = [0] * size, 1
+
+            def pack_row(column: list, at: int, *row: int) -> None:
+                column[at : at + n] = row
+
+        else:
+            bits_column = array(code, [0]) * size
+            pack_row, width = struct.Struct(f"{n}{code}").pack_into, bits_column.itemsize
+        self.series = {
+            "pool_available": bits_column,
+            "deposited_bits": bits_column[:],
+            "active": array("b", [0]) * size,
+        }
+        self.columns = tuple(self.series.values())
+        self.pack_row, self.width = pack_row, width
+        ledger.bits = bits_column[:0]  # an empty column of the same type: relays keep the bound too
         self.row = 0  # where the next tick's row starts
         self.hub_columns = tuple(column.append for column in self.hub_series.values())
         if collect_trace:
@@ -272,15 +310,16 @@ class _Sim:
             branch = self.branches[i]
             self.unmet(time, "auth", branch.name, branch.link.round(self.dt).auth_bits)
         start = self.row
-        stop = self.row = start + len(deposited)
-        series = self.series
-        series["pool_available"][start:stop] = [pool.available_bits for pool in topology.pool_at]
-        series["deposited_bits"][start:stop] = deposited
-        is_active = series["active"]
+        self.row += len(deposited)
+        pools, deposits, is_active = self.columns
+        pack_row, at = self.pack_row, start * self.width
+        pack_row(pools, at, *[pool.available_bits for pool in topology.pool_at])
+        pack_row(deposits, at, *deposited)
         for i in active:
             is_active[start + i] = 1
         backlog_cost, processed_cost, active_link_count = self.hub_columns
-        backlog_cost(float(topology.backlog_cost))
+        backlog = topology.backlog_cost
+        backlog_cost(backlog.numerator / backlog.denominator)  # float(), with no __float__ call
         processed_cost(unscaled(processed))
         active_link_count(len(active))
 
@@ -350,7 +389,8 @@ class _Sim:
     def finish(self) -> MetricsReport:
         report = self.report
         s = self.scenario
-        report.times = [k * self.dt for k in range(1, self.n_ticks + 1)]  # run's tick times
+        times = array("d", (k * self.dt for k in range(1, self.n_ticks + 1)))  # run's tick times
+        report.times = SeriesView(times, 0, 1)
         n = len(self.branches)
         for i, b in enumerate(self.branches):
             link = b.link
@@ -383,7 +423,7 @@ class _Sim:
             "id": s.hub.id,
             "channel_count": s.channel_count,
             "cpu_capacity_per_sec": s.hub.cpu_capacity_per_sec,
-            "series": self.hub_series,
+            "series": {name: SeriesView(column, 0, 1) for name, column in self.hub_series.items()},
             "backlog_cost_final": float(self.topology.backlog_cost),
         }
 

@@ -21,21 +21,26 @@ key_id is ``KEY_ID % (i + 1)``, not stored. The ledger reads as the
 list of 7-key dicts the JSON report holds, and ``iterencode`` prints it
 from one template per row without building them.
 
-The engine holds each per-link series kind tick-major: one list for the
-whole star, each tick's row every link's value in link order. A link's
-series is a read-only ``SeriesView`` of it that reads as the link's own
-list. ``iterencode`` prints a view in one slice, the CSV writer reads
+The engine holds each per-link series kind tick-major: one typed array
+for the whole star, each tick's row every link's value in link order.
+Bit counts take the narrowest int array that holds the run's production
+bound (see ``engine``), and stay lists past 64 bits. A link's series is a
+read-only ``SeriesView`` of its column that reads as the link's own
+list; the times and the hub series are views of their own float and int
+arrays. ``iterencode`` prints a view in one slice, the CSV writer reads
 each tick's row as one slice of the column, and ``MetricsReport.to_dict``
 returns plain lists.
 
 Both formats share one number rule, decided as the values are read: a
 JSON list, or a CSV data row, whose values are all exactly ints or
-floats, as an engine-built report's series and rows are, prints as the
-reprs of its values joined. A JSON list joins them at its indent, unless
-one is a NaN or an infinity; a CSV row joins them by commas, ended by
-``\r\n``, the bytes ``csv.writer`` writes for it, since it prints these
-types as repr and never quotes them. Every other list goes item by item,
-and headers and every other row go through ``csv.writer``.
+floats prints as the reprs of its values joined. A list or row read from
+an int or float array, as an engine-built report's series and rows are,
+holds only those and is not checked; any other is checked value by
+value. A JSON list joins them at its indent, unless one is a NaN or an
+infinity; a CSV row joins them by commas, ended by ``\r\n``, the bytes
+``csv.writer`` writes for it, since it prints these types as repr and
+never quotes them. Every other list goes item by item, and headers and
+every other row go through ``csv.writer``.
 """
 
 from __future__ import annotations
@@ -63,6 +68,8 @@ FINGERPRINT_BYTES = 8
 # The keys of a ledger row, sorted, and how many rows one emitted chunk holds.
 _LEDGER_KEYS = ("bits", "branch_i", "branch_j", "key_fingerprint", "key_id", "purpose", "time")
 _LEDGER_ROWS_PER_CHUNK = 256
+# How many items of an int or float array one emitted chunk holds.
+_ARRAY_ITEMS_PER_CHUNK = 4096
 
 
 class RelayLedger(Sequence):
@@ -80,8 +87,8 @@ class RelayLedger(Sequence):
     def __init__(self) -> None:
         self.routes: list[tuple[str, str, str]] = []
         self.time = array("d")
-        self.codes: list[int] = []
-        self.bits: list[int] = []
+        self.codes = array("I")
+        self.bits: list[int] | array = []  # an engine run's holds its pools' type
         self.fingerprints = bytearray()
 
     def route(self, branch_i: str, branch_j: str, purpose: str) -> int:
@@ -148,7 +155,7 @@ class SeriesView(Sequence):
     ``column[start::step]``.
     """
 
-    def __init__(self, column: list, start: int, step: int) -> None:
+    def __init__(self, column: list | array, start: int, step: int) -> None:
         self.column = column
         self.start = start
         self.step = step
@@ -181,7 +188,8 @@ def iterencode(obj: Any) -> Iterator[str]:
     "\\n"``, and an object json cannot encode raises the same
     ``TypeError``. A list of only exact ints and finite floats is one
     chunk, where json yields a few per item, and a relay ledger is one
-    chunk per few hundred rows. A series view prints as its list.
+    chunk per few hundred rows. A series view prints as its list, one
+    chunk per few thousand items when its column is an int or float array.
     """
     yield from _chunks(obj, "\n")
     yield "\n"
@@ -192,10 +200,14 @@ def _chunks(obj: Any, indent: str) -> Iterator[str]:
     A list or tuple of only exact ints and finite floats is one join of
     their reprs, a relay ledger a join of rows at a time, and any other list
     or dict item by item. A series view is read as a list, in one slice of
-    its column.
+    its column; a slice of an int or float array is joined a few thousand
+    items at a time, with no type check.
     """
     if isinstance(obj, SeriesView):
         obj = obj.column[obj.start :: obj.step]
+        if isinstance(obj, array):
+            yield from _array_chunks(obj, indent)
+            return
     if isinstance(obj, dict):
         brackets = "{}"
     elif isinstance(obj, (list, tuple, RelayLedger)):
@@ -226,6 +238,25 @@ def _chunks(obj: Any, indent: str) -> Iterator[str]:
         yield from _chunks(value, inner)
         lead = "," + inner
     yield indent + brackets[1]
+
+
+def _array_chunks(values: array, indent: str) -> Iterator[str]:
+    """Yield the JSON text of an int or float array, a join of
+    _ARRAY_ITEMS_PER_CHUNK items at a time, so that a long series never
+    becomes one string; indent is as for _chunks.
+    """
+    if not values:
+        yield "[]"
+        return
+    lead, sep = "[" + indent + "  ", "," + indent + "  "
+    for start in range(0, len(values), _ARRAY_ITEMS_PER_CHUNK):
+        part = values[start : start + _ARRAY_ITEMS_PER_CHUNK]
+        text = sep.join(map(repr, part))
+        if "n" in text:  # a NaN or an infinity, which JSON names differently
+            text = sep.join(map(_scalar, part))
+        yield lead + text
+        lead = sep
+    yield indent + "]"
 
 
 def _ledger_chunks(ledger: RelayLedger, indent: str) -> Iterator[str]:
@@ -281,6 +312,11 @@ def _only_numbers(values: Any) -> bool:
     return _NUMBERS.issuperset(map(type, values))
 
 
+def _typed(*series: Any) -> bool:
+    """Whether each is a view of an int or float array, as the engine's series are."""
+    return all(isinstance(view, SeriesView) and isinstance(view.column, array) for view in series)
+
+
 def _key(key: Any) -> str:
     """A key and its ": " separator; json's rules for non-string keys."""
     if not isinstance(key, str):
@@ -299,7 +335,7 @@ class MetricsReport:
     seed: int
     duration_seconds: float
     tick_seconds: float
-    times: list[float] = field(default_factory=list)
+    times: Sequence[float] = field(default_factory=list)
     links: dict[str, dict[str, Any]] = field(default_factory=dict)
     hub: dict[str, Any] = field(default_factory=dict)
     relay_ledger: RelayLedger = field(default_factory=RelayLedger)
@@ -320,15 +356,18 @@ class MetricsReport:
 
     def to_dict(self) -> dict[str, Any]:
         """The report as plain JSON data: every field but event_trace, by
-        reference, after the format version, except the relay ledger and
-        each link's series, which are built here as new lists.
+        reference, after the format version, except the relay ledger, the
+        times and each link's and the hub's series, which are built here as
+        new lists.
         """
         doc = self._document()
         doc["relay_ledger"] = list(self.relay_ledger)
+        doc["times"] = list(self.times)
         links = doc["links"] = {name: dict(link) for name, link in self.links.items()}
-        for link in links.values():
-            if "series" in link:
-                link["series"] = {kind: list(values) for kind, values in link["series"].items()}
+        hub = doc["hub"] = dict(self.hub)
+        for entry in (*links.values(), hub):
+            if "series" in entry:
+                entry["series"] = {kind: list(values) for kind, values in entry["series"].items()}
         return doc
 
     def to_json(self) -> str:
@@ -371,7 +410,9 @@ def emit_report(report: MetricsReport, fmt: str, out_dir: str | Path) -> list[Pa
     load), each with a header row and one row per tick. csv.writer writes
     each header. A data row whose values are all exactly ints or floats
     is written as their reprs joined by commas, csv.writer's bytes for
-    it; any other row goes through csv.writer.
+    it; any other row goes through csv.writer. A file whose times and
+    series are all views of int or float arrays holds only such rows,
+    and its rows are not checked.
     """
     if fmt not in ("json", "csv"):
         raise ValueError(f"format must be 'json' or 'csv', got {fmt!r}")
@@ -392,8 +433,9 @@ def emit_report(report: MetricsReport, fmt: str, out_dir: str | Path) -> list[Pa
             written.append(path)
             return written
 
-        # Each file as (name, header, rows): meta.csv has one row, and the
-        # series files one row per tick and one column per series.
+        # Each file as (name, header, rows, series): meta.csv has one row,
+        # and the series files one row per tick, its time and then one value
+        # per series.
         links = report.links
         pools, deposits = (
             [link["series"][name] for link in links.values()]
@@ -401,21 +443,24 @@ def emit_report(report: MetricsReport, fmt: str, out_dir: str | Path) -> list[Pa
         )
         hub = report.hub.get("series", {})
         hub_names = sorted(hub)
+        hubs = [hub[name] for name in hub_names]
+        meta_header = ["format_version", "seed", "duration_seconds", "tick_seconds"]
         meta = (FORMAT_VERSION, report.seed, report.duration_seconds, report.tick_seconds)
         times = report.times
         tables = (
-            ("meta.csv", ["format_version", "seed", "duration_seconds", "tick_seconds"], [meta]),
-            ("pool_available.csv", ["time", *links], _series_rows(times, pools)),
-            ("deposited_bits.csv", ["time", *links], _series_rows(times, deposits)),
-            ("hub.csv", ["time", *hub_names], zip(times, *map(hub.get, hub_names))),
+            ("meta.csv", meta_header, [meta], None),
+            ("pool_available.csv", ["time", *links], _series_rows(times, pools), pools),
+            ("deposited_bits.csv", ["time", *links], _series_rows(times, deposits), deposits),
+            ("hub.csv", ["time", *hub_names], zip(times, *hubs), hubs),
         )
-        for filename, header, rows in tables:
+        for filename, header, rows, series in tables:
             path = out / filename
+            typed = series is not None and _typed(times, *series)
             with path.open("w", newline="", encoding="utf-8") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(header)
                 for row in rows:
-                    if _only_numbers(row):
+                    if typed or _only_numbers(row):
                         fh.write(",".join(map(repr, row)) + "\r\n")
                     else:
                         writer.writerow(row)

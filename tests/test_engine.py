@@ -1,8 +1,10 @@
 """End-to-end simulation runs: determinism, conservation, scheduling."""
 
+import gc
 import hashlib
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 from heapq import heappush
 
@@ -454,6 +456,60 @@ def test_report_series_lengths_match_ticks():
         assert len(series["deposited_bits"]) == 25
         assert len(series["active"]) == 25
     assert len(r.hub["series"]["backlog_cost"]) == 25
+
+
+def test_columns_take_the_narrowest_int_array_that_holds_the_bound():
+    # Two unthrottled links of ~4.5e9 bits per second: ten ticks bound every
+    # pool level, deposit and relay between 2**31 and 2**63 bits, so the bit
+    # columns and the ledger's bits are 'q' arrays, holding the exact levels.
+    link = {"source_rate_hz": 1e11, "cpu_cost_per_raw_bit": 0}
+    doc = {
+        "duration_seconds": 10.0,
+        "hub": {"channel_count": 2},
+        "branches": [{"id": "a", **link}, {"id": "b", **link}],
+        "traffic": [{"src": "a", "dst": "b", "relay_bits": 4096, "relay_interval_seconds": 3.0}],
+    }
+    r = run(scenario_from_dict(doc))
+    rate = Fraction(r.links["a"]["secret_rate_bps"])  # bits per one-second tick
+    assert 2**31 < 10 * rate < 2**63
+    # Production, then the relays of earlier ticks: one at 3, 6 and 9 s.
+    levels = [math.floor(k * rate) - 4096 * ((k - 1) // 3) for k in range(1, 11)]
+    assert max(levels) > 2**31
+    for bid in ("a", "b"):
+        series = r.links[bid]["series"]
+        assert series["pool_available"].column.typecode == "q"
+        assert series["pool_available"] == levels
+        assert series["deposited_bits"].column.typecode == "q"
+        made = [math.floor(k * rate) for k in range(11)]
+        assert series["deposited_bits"] == [b - a for a, b in zip(made, made[1:])]
+        assert series["active"].column.typecode == "b" and series["active"] == [1] * 10
+    assert r.relay_ledger.bits.typecode == "q" and list(r.relay_ledger.bits) == [4096] * 3
+    assert r.unmet_demand == []
+    # The default star's bound fits 32 bits.
+    small = run(scenario_from_dict(small_scenario()))
+    assert small.links["b1"]["series"]["pool_available"].column.typecode == "i"
+    assert small.relay_ledger.bits.typecode == "i"
+
+
+def test_a_tick_retains_under_400_bytes():
+    # star10 keeps its per-tick columns as typed arrays: what a run leaves
+    # allocated grows by under 400 bytes per tick (Python ints in lists
+    # took about 800).
+    base = ingest_scenario("scenarios/star10.json")
+
+    def retained(ticks):
+        scenario = with_overrides(base, duration_seconds=float(ticks))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            report = run(scenario)
+            assert len(report.times) == ticks
+            return tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    per_tick = (retained(4000) - retained(2000)) / 2000
+    assert per_tick <= 400, per_tick
 
 
 def test_shipped_scenario_runs_clean():

@@ -9,6 +9,7 @@ import json
 import math
 import tracemalloc
 import types
+from array import array
 from enum import IntEnum
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from starqkd.report import (
     MetricsReport,
     RelayLedger,
     SeriesView,
+    _only_numbers,
     _series_rows,
     emit_report,
     iterencode,
@@ -199,8 +201,25 @@ _VIEWS = st.builds(
     st.integers(1, 4),
     st.integers(0, 3),
 )
+# Series views of typed arrays, as the engine holds its series: small
+# ints, 32- and 64-bit ints at their limits, and floats with NaN, the
+# infinities, negative zero and the smallest subnormal.
+_ARRAYS = (
+    st.lists(st.integers(-(2**7), 2**7 - 1), max_size=8).map(lambda v: array("b", v))
+    | st.lists(st.integers(-(2**31), 2**31 - 1), max_size=8).map(lambda v: array("i", v))
+    | st.lists(st.integers(-(2**63), 2**63 - 1), max_size=8).map(lambda v: array("q", v))
+    | st.lists(st.floats() | st.sampled_from([_NAN, _INF, -_INF, -0.0, 5e-324]), max_size=8).map(
+        lambda v: array("d", v)
+    )
+)
+_ARRAY_VIEWS = st.builds(
+    lambda column, step, start: SeriesView(column, start % step, step),
+    _ARRAYS,
+    st.integers(1, 4),
+    st.integers(0, 3),
+)
 _TREES = st.recursive(
-    _SCALARS | _FLAT_LISTS | _LEDGERS | _VIEWS,
+    _SCALARS | _FLAT_LISTS | _LEDGERS | _VIEWS | _ARRAY_VIEWS,
     lambda children: st.lists(children, max_size=4)
     | st.lists(children, max_size=4).map(tuple)
     | st.dictionaries(_TEXT, children, max_size=4)
@@ -232,6 +251,8 @@ _TREES = st.recursive(
 @example([_ODD_LEDGER, {"x": [_ODD_LEDGER]}])
 @example({"a": SeriesView([1, 2, 3, 4, 5, 6], 1, 2), "b": SeriesView([0.5, _NAN, 2.0], 0, 1)})
 @example([SeriesView([], 0, 3), SeriesView([True, 1, False, 0], 0, 2), SeriesView([7], 2, 3)])
+@example([SeriesView(array("d", [0.5, _NAN, _INF, -_INF, -0.0, 5e-324]), 0, 1)])
+@example({"q": SeriesView(array("q", [2**63 - 1, -(2**63), 0]), 1, 2), "b": SeriesView(array("b"), 0, 1)})
 def test_iterencode_matches_json_dumps(obj):
     # json.dumps prints a RelayLedger as its list of row dicts, and a
     # SeriesView as its list.
@@ -245,6 +266,18 @@ def test_a_list_of_ints_and_floats_is_one_chunk():
         "[\n  1,\n  2.5,\n  -3,\n  18446744073709551616\n]",
         "\n",
     ]
+
+
+def test_a_long_array_view_is_joined_a_few_thousand_items_at_a_time():
+    # 5000 floats, with a NaN in the second chunk only: two joins, the
+    # second naming the NaN as JSON does, and json.dumps' bytes.
+    column = array("d", [k / 8 for k in range(10_000)])
+    column[9_001] = _NAN
+    view = SeriesView(column, 1, 2)
+    chunks = list(iterencode(view))
+    assert "".join(chunks) == json.dumps(list(view), indent=2) + "\n"
+    assert [chunk.count(",") for chunk in chunks] == [4095, 904, 0, 0]
+    assert "NaN" in chunks[1] and "nan" not in chunks[1]
 
 
 def test_relay_ledger_reads_as_its_list_of_row_dicts():
@@ -367,16 +400,34 @@ def test_series_view_is_read_only():
 
 def test_engine_series_are_views_and_to_dict_gives_lists(report):
     n_ticks = len(report.times)
-    for link in report.links.values():
-        for values in link["series"].values():
-            assert isinstance(values, SeriesView) and len(values) == n_ticks
+    typecodes = {
+        "pool_available": "i",
+        "deposited_bits": "i",
+        "active": "b",
+        "backlog_cost": "d",
+        "processed_cost": "d",
+        "active_link_count": "i",
+        "times": "d",
+    }
+    held = {("hub", kind): values for kind, values in report.hub["series"].items()}
+    for name, link in report.links.items():
+        held.update({(name, kind): values for kind, values in link["series"].items()})
+    held["times", "times"] = report.times
+    assert len(held) == 3 * len(report.links) + 4
+    for (_, kind), values in held.items():
+        assert isinstance(values, SeriesView) and len(values) == n_ticks
+        assert values.column.typecode == typecodes[kind]
     data = report.to_dict()
     assert json.dumps(data, sort_keys=True, indent=2) + "\n" == report.to_json()
+    given = {("hub", kind): values for kind, values in data["hub"]["series"].items()}
     for name, link in data["links"].items():
-        for kind, values in link["series"].items():
-            assert type(values) is list and values == report.links[name]["series"][kind]
-            values.append(-1)  # a new list, which the report does not hold
-            assert len(report.links[name]["series"][kind]) == n_ticks
+        given.update({(name, kind): values for kind, values in link["series"].items()})
+    given["times", "times"] = data["times"]
+    assert given.keys() == held.keys()
+    for key, values in given.items():
+        assert type(values) is list and values == held[key]
+        values.append(-1)  # a new list, which the report does not hold
+        assert len(held[key]) == n_ticks
     assert report.times == [k * report.tick_seconds for k in range(1, n_ticks + 1)]
 
 
@@ -478,14 +529,33 @@ def test_csv_rows_of_numbers_are_csv_writers_bytes(as_lists, writerow_rows, tmp_
     report = run(scenario_from_dict({"seed": 8, "duration_seconds": 8.0, "branches": branches}))
     # Ids that need quoting, to show headers still go through csv.writer.
     report = _with_links(report, dict(zip(["a", "b,c", 'say "d"'], report.links.values())))
-    pools = [link["series"]["pool_available"] for link in report.links.values()]
-    deposits = [link["series"]["deposited_bits"] for link in report.links.values()]
     n = len(_EDGE_NUMBERS)
-    # Row 1 is a float time, then three ints.
-    for column, shift in ((pools[0].column, 0), (deposits[0].column, 5)):
-        column[:] = [_EDGE_NUMBERS[(i + shift) % n] for i in range(len(column))]
-    for shift, values in enumerate(report.hub["series"].values()):
-        values[:] = [_EDGE_NUMBERS[(i + shift) % n] for i in range(len(values))]
+
+    def edges(values, shift):
+        """A list column as long as values' own, holding the edge numbers."""
+        return [_EDGE_NUMBERS[(i + shift) % n] for i in range(len(values))]
+
+    # The series as views over list columns, the form a run past 2**63 bits
+    # takes, of the edge numbers. Row 1 is a float time, then three ints.
+    columns = {}
+    for kind, shift in (("pool_available", 0), ("deposited_bits", 5)):
+        view = next(iter(report.links.values()))["series"][kind]
+        columns[kind] = edges(view.column, shift)
+    links = {
+        name: {
+            **link,
+            "series": {
+                kind: SeriesView(columns.get(kind, view.column), view.start, view.step)
+                for kind, view in link["series"].items()
+            },
+        }
+        for name, link in report.links.items()
+    }
+    hub_series = {
+        name: SeriesView(edges(values, shift), 0, 1)
+        for shift, (name, values) in enumerate(report.hub["series"].items())
+    }
+    report = dataclasses.replace(report, links=links, hub={**report.hub, "series": hub_series})
     if as_lists:
         report = _with_links(report, _listed(report.links))
     expected = _reference_csv(report)
@@ -555,6 +625,27 @@ def test_csv_rows_are_decided_one_by_one(writerow_rows, tmp_path):
         ["time", "backlog_cost"],
     ]
     assert expected["deposited_bits.csv"] == b"time,a,b\r\n1.0,1,4\r\n2.0,x,5\r\n3.0,3,6.5\r\n"
+
+
+def test_rows_of_the_engines_typed_columns_are_not_type_checked(report, monkeypatch, tmp_path):
+    # The engine's series and times are int and float arrays, so no CSV row
+    # or JSON list read from them goes through the number check: in CSV only
+    # meta.csv's row does, and in JSON only lists of other things, here a
+    # link's flows.
+    real = _only_numbers
+    checked = []
+
+    def only_numbers(values):
+        checked.append(list(values))
+        return real(values)
+
+    monkeypatch.setattr("starqkd.report._only_numbers", only_numbers)
+    assert _csv_bytes(report, tmp_path) == _reference_csv(report)
+    meta = [FORMAT_VERSION, report.seed, report.duration_seconds, report.tick_seconds]
+    assert checked == [meta]
+    checked.clear()
+    assert report.to_json() == json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+    assert checked and not any(map(real, checked))
 
 
 def test_emit_csv_streams_its_rows(tmp_path):
