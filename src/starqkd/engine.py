@@ -53,7 +53,7 @@ from typing import Any, Callable
 from .hybrid import EPOCH_ID, mosca_at_risk, whole_ticks
 from .keycore import KeyPool
 from .policy import default_matrix, recommend
-from .qkdlink import ONE, SCALE, LinkState, raw_rate, scaled, secret_rate, unscaled
+from .qkdlink import ONE, SCALE, LinkState, raw_rate, scaled_product, secret_rate, unscaled
 from .report import MetricsReport, SeriesView
 from .rng import StreamRegistry
 from .scenario import Scenario, periodic_sources, policy_grid, technique_to_jsonable
@@ -183,7 +183,7 @@ class _Sim:
             pair = _Pair(
                 name=f"{t.src}->{t.dst}",
                 pools=(by_name[t.src].link.pool, by_name[t.dst].link.pool),
-                bits_per_tick=scaled(Fraction(t.otp_bits_per_sec) * Fraction(self.dt)),
+                bits_per_tick=scaled_product(t.otp_bits_per_sec, self.dt),
                 relay_bits=t.relay_bits,
                 otp_route=ledger.route(t.src, t.dst, "otp_traffic"),
                 relay_route=ledger.route(t.src, t.dst, "relay_request"),
@@ -249,9 +249,8 @@ class _Sim:
         # `finish` gives each link a strided view of it.
         n = len(self.branches)
         size = self.n_ticks * n
-        bound = max(
-            self.n_ticks * link.round(self.dt).bits_scaled // ONE for link in self.topology.link_at
-        )
+        _, self.rounds = self.topology.round_table(self.dt)
+        bound = max(self.n_ticks * rnd.bits_scaled // ONE for rnd in self.rounds)
         code = next((c for c in "iq" if bound < 1 << 8 * array(c).itemsize - 1), None)
         # pack_row(column, at, *row) writes a row at offset at: in bytes,
         # width per item, in an array, and in items in a list.
@@ -308,7 +307,7 @@ class _Sim:
         self.consumed["auth"] += sum(from_pool for _, _, from_pool in fresh)
         for i in halted:
             branch = self.branches[i]
-            self.unmet(time, "auth", branch.name, branch.link.round(self.dt).auth_bits)
+            self.unmet(time, "auth", branch.name, self.rounds[i].auth_bits)
         start = self.row
         self.row += len(deposited)
         pools, deposits, is_active = self.columns
@@ -318,8 +317,7 @@ class _Sim:
         for i in active:
             is_active[start + i] = 1
         backlog_cost, processed_cost, active_link_count = self.hub_columns
-        backlog = topology.backlog_cost
-        backlog_cost(backlog.numerator / backlog.denominator)  # float(), with no __float__ call
+        backlog_cost(unscaled(topology.backlog_scaled))
         processed_cost(unscaled(processed))
         active_link_count(len(active))
 
@@ -424,7 +422,7 @@ class _Sim:
             "channel_count": s.channel_count,
             "cpu_capacity_per_sec": s.hub.cpu_capacity_per_sec,
             "series": {name: SeriesView(column, 0, 1) for name, column in self.hub_series.items()},
-            "backlog_cost_final": float(self.topology.backlog_cost),
+            "backlog_cost_final": unscaled(self.topology.backlog_scaled),
         }
 
         for inst in self.sharings:

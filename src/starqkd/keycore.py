@@ -24,7 +24,7 @@ from .errors import (
     check_enum,
     check_int,
 )
-from .rng import derive_seed, random_bits
+from .rng import MAX_RANDOM_BITS, derive_seed, random_bits
 
 DEFAULT_POOL_TARGET_BITS = 1_000_000
 DEFAULT_AUTH_RESERVED_BITS = 65536
@@ -197,8 +197,9 @@ class KeyPool:
         self.total_consumed_bits += n_bits
 
     def draw(self, n_bits: int, provenance: Provenance, created_at: float = 0.0) -> KeyMaterial:
-        """Spend n_bits and return them as a fresh KeyMaterial; fails without side effects."""
+        """Spend n_bits <= MAX_RANDOM_BITS as a fresh KeyMaterial; fails without side effects."""
         check_enum("provenance", provenance, Provenance)
+        check_int("n_bits", n_bits, 1, MAX_RANDOM_BITS)
         self.spend(n_bits)
         if self.rng is None:
             self.rng = random.Random(derive_seed(0, f"pool/{self.link_id}"))

@@ -74,22 +74,36 @@ def secret_rate(params: LinkParams) -> float:
 
 # Every exact per-tick amount x is held as x * 2**SCALE: an int when that
 # is whole, a Fraction otherwise, by `exact`. That holds for each round's
-# bits and cost, a link's carry, and the hub's budget, drain costs and
-# processed and deferred totals. A product of two floats that is not
-# whole at this scale is below 2**-22 (two 53-bit mantissas multiply to
-# under 2**106), so only a near-dead link's amounts take the Fraction form.
+# bits and cost, a link's carry, the hub's budget, drain costs, processed
+# and deferred totals and backlog total, and a flow's pad rate. Each is made
+# by `scaled_product` from two floats, whose integer ratios have power-of-two
+# denominators, so a whole product is one integer multiply and shift. A
+# product of two floats that is not whole at this scale is below 2**-22 (two
+# 53-bit mantissas multiply to under 2**106), so only a near-dead link's
+# amounts take the Fraction form.
 SCALE = 128
 ONE = 1 << SCALE
 
 
 def exact(y: int | Fraction) -> int | Fraction:
     """y as an int when it is whole, else y: the one number form of exact amounts."""
+    if type(y) is int:
+        return y
     return y.numerator if y.denominator == 1 else y
 
 
-def scaled(x: Fraction) -> int | Fraction:
-    """x * 2**SCALE, as an int when it is whole."""
-    return exact(x * ONE)
+def scaled_product(a: float, b: float) -> int | Fraction:
+    """a * b * 2**SCALE exactly, as an int when it is whole; a and b are finite.
+
+    Each integer ratio's denominator is a power of two, 2**k in all, so the
+    product is whole when k <= SCALE; only one that is not whole is a Fraction.
+    """
+    a_num, a_den = a.as_integer_ratio()
+    b_num, b_den = b.as_integer_ratio()
+    shift = SCALE + 2 - a_den.bit_length() - b_den.bit_length()  # SCALE - k
+    if shift >= 0:
+        return a_num * b_num << shift
+    return exact(Fraction(a_num * b_num, 1 << -shift))
 
 
 def unscaled(y: int | Fraction) -> float:
@@ -138,13 +152,12 @@ class LinkState:
         """The round of dt > 0 seconds, redone only for a new dt: params and tag cost are fixed."""
         if self._round is None or self._round.dt != dt:
             check_float("dt", dt, positive=True)
-            exact_dt = Fraction(dt)
             self._round = Round(
                 dt=dt,
                 auth_bits=self.params.post_processing_messages_per_round * self.auth.tag_cost_bits,
                 cpu=self.params.cpu_cost_per_sec * dt,
-                bits_scaled=scaled(Fraction(secret_rate(self.params)) * exact_dt),
-                cpu_scaled=scaled(Fraction(self.params.cpu_cost_per_sec) * exact_dt),
+                bits_scaled=scaled_product(secret_rate(self.params), dt),
+                cpu_scaled=scaled_product(self.params.cpu_cost_per_sec, dt),
             )
         return self._round
 

@@ -49,7 +49,7 @@ import csv
 from array import array
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, fields
-from itertools import repeat
+from itertools import islice, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Any
@@ -173,7 +173,10 @@ class SeriesView(Sequence):
         return self.column[at]
 
     def __iter__(self) -> Iterator[Any]:
-        return iter(self.column[self.start :: self.step])
+        """Iterate the column in place: a whole column itself, a strided view by islice."""
+        if self.start == 0 and self.step == 1:
+            return iter(self.column)
+        return islice(self.column, self.start, None, self.step)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (SeriesView, list)):

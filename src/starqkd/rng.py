@@ -15,6 +15,7 @@ import random
 from .errors import check_int
 
 MAX_SEED = 2**64 - 1
+MAX_RANDOM_BITS = 2**31 - 1  # getrandbits takes a C int
 
 
 def derive_seed(root_seed: int, label: str) -> int:
@@ -28,10 +29,11 @@ def random_bits(rng: random.Random, n_bits: int) -> bytes:
     """Draw n_bits uniform bits as a big-endian byte string.
 
     The byte string has ceil(n_bits / 8) bytes; unused high bits of the
-    first byte are zero.
+    first byte are zero. n_bits is an int in [1, MAX_RANDOM_BITS], checked
+    before rng moves.
     """
-    if type(n_bits) is not int or n_bits < 1:  # check_int only on a miss: a per-relay call
-        check_int("n_bits", n_bits, 1)
+    if type(n_bits) is not int or not 0 < n_bits <= MAX_RANDOM_BITS:  # check_int only on a miss
+        check_int("n_bits", n_bits, 1, MAX_RANDOM_BITS)
     n_bytes = (n_bits + 7) // 8
     return rng.getrandbits(n_bits).to_bytes(n_bytes, "big")
 

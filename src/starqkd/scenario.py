@@ -28,7 +28,9 @@ mode warns and drops them. `null` means the default only where the
 default is null. A run may have at most MAX_TICKS ticks, at most
 MAX_TICKS periodic firings (rotations, relay requests and share
 refreshes together) and a hub CPU demand of at most MAX_CPU_DEMAND, and
-a policy grid at most MAX_GRID_CELLS cells.
+a policy grid at most MAX_GRID_CELLS cells. Every key a run relays, a
+relay request, a share refresh or a tick's one-time pad, is one
+`rng.random_bits` draw of at most MAX_RANDOM_BITS bits.
 """
 
 from __future__ import annotations
@@ -55,8 +57,8 @@ from .policy import (
     asset_grid,
     validate_matrix,
 )
-from .qkdlink import LinkParams
-from .rng import MAX_SEED
+from .qkdlink import SCALE, LinkParams, scaled_product
+from .rng import MAX_RANDOM_BITS, MAX_SEED
 from .sharing import DEFAULT_FIELD_PRIME, ShareConfig
 
 SCENARIO_FORMAT_VERSION = 1
@@ -136,7 +138,7 @@ class TrafficDemand:
         check_text("src", self.src)
         check_text("dst", self.dst)
         store_float(self, "otp_bits_per_sec", 0.0)
-        check_int("relay_bits", self.relay_bits, 0)
+        check_int("relay_bits", self.relay_bits, 0, MAX_RANDOM_BITS)
         store_float(self, "relay_interval_seconds", 0.0)
         if self.src == self.dst:
             raise ValueError(f"src and dst must differ, both are {self.src!r}")
@@ -163,7 +165,11 @@ class SharingScenario:
             raise RangeError("custodians", f"expected exactly two branch ids, got {count}")
         if self.custodians[0] == self.custodians[1]:
             raise RangeError("custodians", "custodians must be two distinct branches")
-        self.config()
+        cost = self.config().refresh_cost_bits
+        if cost > MAX_RANDOM_BITS:
+            raise RangeError(
+                "n_locations", f"a refresh of {cost} bits exceeds the limit of {MAX_RANDOM_BITS}"
+            )
 
     def config(self) -> ShareConfig:
         return ShareConfig(
@@ -424,7 +430,7 @@ def _check_sections(s: Scenario) -> None:
 
 
 def _check_run(s: Scenario) -> None:
-    """Check a run's tick count, hub CPU demand and periodic sources."""
+    """Check a run's tick count, hub CPU demand, pad sizes and periodic sources."""
     duration, tick = s.duration_seconds, s.tick_seconds
     ratio = duration / tick
     if not ratio < MAX_TICKS + 0.5:
@@ -442,6 +448,16 @@ def _check_run(s: Scenario) -> None:
             "duration_seconds",
             f"the run's hub CPU demand of {demand:g} cost units exceeds {MAX_CPU_DEMAND:g}",
         )
+    # A tick's pad is the whole bytes of its rate plus what the last pad left,
+    # under 8 bits, so a rate of at most MAX_RANDOM_BITS - 7 bits per tick
+    # keeps every pad to one draw.
+    for i, t in enumerate(s.traffic):
+        if scaled_product(t.otp_bits_per_sec, tick) > (MAX_RANDOM_BITS - 7) << SCALE:
+            raise ValidationError(
+                f"traffic[{i}].otp_bits_per_sec",
+                f"{t.otp_bits_per_sec!r} bits per second over {tick!r} s ticks exceed the "
+                f"limit of {MAX_RANDOM_BITS - 7} pad bits per tick",
+            )
     # Each periodic firing logs a ledger or unmet entry, so a run may have
     # at most MAX_TICKS of them. (firings over the run, path) per source:
     firings = [

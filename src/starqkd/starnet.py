@@ -19,7 +19,7 @@ from .errors import DuplicateId, InsufficientKey, NoBranches, check_enum, check_
 from .errors import check_text, store_float
 from .keycore import DEFAULT_AUTH_RESERVED_BITS, DEFAULT_POOL_TARGET_BITS, DEFAULT_TAG_COST_BITS
 from .keycore import AuthBudget, KeyMaterial, KeyPool, Provenance
-from .qkdlink import ONE, LinkParams, LinkState, Round, exact, produce, scaled, unscaled
+from .qkdlink import ONE, LinkParams, LinkState, Round, exact, produce, scaled_product, unscaled
 from .report import KEY_ID
 from .rng import random_bits
 
@@ -77,12 +77,17 @@ class StarTopology:
     index maps a branch id to its position there, so the tick core works
     by link index.
 
+    round_table(dt) holds, for one tick length at a time, the hub's CPU
+    budget and each link's round by link index, made once per tick length
+    through LinkState.round.
+
     backlog is the hub's FIFO of deferred post-processing work: an entry
     (index, Round, owed) owes that share of the round of link_at[index],
     so it costs owed * round.cpu_scaled and yields owed *
-    round.bits_scaled, each over 2**SCALE. backlog_cost is the exact
-    running total of those costs. Only the core hub_step mutates either,
-    and it keeps the two in step, so a step never re-sums it.
+    round.bits_scaled, each over 2**SCALE. backlog_scaled is the exact
+    running total of those costs, times 2**SCALE, and backlog_cost its
+    exact value. Only the core hub_step mutates either, and it keeps the
+    two in step, so a step never re-sums it.
 
     relay_count counts the relays made in this star, and the n-th
     relay's key id is ``report.KEY_ID % n``.
@@ -92,10 +97,11 @@ class StarTopology:
     branches: list[Node]
     links: dict[str, LinkState]
     backlog: list[tuple[int, Round, int | Fraction]] = field(default_factory=list)
-    backlog_cost: Fraction = Fraction(0)
+    backlog_scaled: int | Fraction = 0
     relay_count: int = 0
     _rr_offset: int = field(default=0, repr=False)
-    _budget: tuple[float, int | Fraction] | None = field(default=None, init=False, repr=False)
+    _table_dt: float | None = field(default=None, init=False, repr=False, compare=False)
+    _table: tuple[int | Fraction, list[Round]] = field(init=False, repr=False, compare=False)
     link_at: list[LinkState] = field(init=False, repr=False, compare=False)
     pool_at: list[KeyPool] = field(init=False, repr=False, compare=False)
     index: dict[str, int] = field(init=False, repr=False, compare=False)
@@ -108,16 +114,27 @@ class StarTopology:
     def branch_ids(self) -> list[str]:
         return [b.id for b in self.branches]
 
-    def _scaled_capacity(self, dt: float) -> int | Fraction:
-        """capacity(dt) * 2**SCALE, redone only for a new dt; dt is checked by check_float."""
-        if self._budget is None or self._budget[0] != dt:
+    def round_table(self, dt: float) -> tuple[int | Fraction, list[Round]]:
+        """capacity(dt) * 2**SCALE and each link's round(dt) by link index, for dt > 0 seconds.
+
+        Made only for a new dt, which check_float checks first, from the
+        rule LinkState.round: params and tag costs are fixed.
+        """
+        if self._table_dt != dt:
             check_float("dt", dt, positive=True)
-            self._budget = (dt, scaled(Fraction(self.hub.cpu_capacity_per_sec) * Fraction(dt)))
-        return self._budget[1]
+            capacity = scaled_product(self.hub.cpu_capacity_per_sec, dt)
+            self._table = (capacity, [link.round(dt) for link in self.link_at])
+            self._table_dt = dt
+        return self._table
 
     def capacity(self, dt: float) -> Fraction:
         """The hub's exact CPU budget for dt > 0 seconds."""
-        return Fraction(self._scaled_capacity(dt), ONE)
+        return Fraction(self.round_table(dt)[0], ONE)
+
+    @property
+    def backlog_cost(self) -> Fraction:
+        """The exact CPU cost the backlog owes: backlog_scaled / 2**SCALE."""
+        return Fraction(self.backlog_scaled, ONE)
 
     def link_index(self, branch_id: str) -> int:
         got = self.index.get(branch_id)
@@ -278,26 +295,27 @@ def hub_step(
     Backlogged work drains first, FIFO, under the hub's CPU budget for
     dt. If fresh work then overruns what is left, every active link is
     served the same share of its round and the rest joins the backlog.
+    The budget and each link's round are read from topology.round_table(dt).
     Every amount is exact and held times 2**SCALE, as an int whenever it
-    is whole: each drain's cost, the budget, the drain total and the
-    processed and deferred totals. A share of 0 deposits nothing and skips
-    the carry. Each deposit is added into
+    is whole: each drain's cost, the budget, the drain total, the
+    processed and deferred totals and topology.backlog_scaled. A share of
+    0 deposits nothing and skips the carry. Each deposit is added into
     deposited[i], the drain's first. Returns (i, round, auth bits from
     the pool) of each link that ran, the halted indices, and the CPU
     cost processed and deferred. A dt that is not a positive finite number
     raises RangeError before anything changes. Only this code mutates
-    topology.backlog, and it keeps backlog_cost exact as it goes, so a
+    topology.backlog, and it keeps backlog_scaled exact as it goes, so a
     step costs time in the work it touches and not in the backlog's length.
     """
     # Every amount below is times 2**SCALE.
-    budget = capacity = topology._scaled_capacity(dt)
+    capacity, rounds = topology.round_table(dt)
+    budget = capacity
     links = topology.link_at
     fresh: list[tuple[int, Round, int]] = []
     halted: list[int] = []
     for i in active:
-        link = links[i]
-        rnd = link.round(dt)
-        from_pool = produce(link, rnd)
+        rnd = rounds[i]
+        from_pool = produce(links[i], rnd)
         if from_pool is None:
             halted.append(i)
         else:
@@ -337,7 +355,7 @@ def hub_step(
     deferred = exact(total_new - budget) if keep else 0  # = keep * total_new
     processed = exact(drain_cost + total_new - deferred)
     if deferred != drain_cost:
-        topology.backlog_cost += Fraction(deferred - drain_cost, ONE)
+        topology.backlog_scaled = exact(topology.backlog_scaled + deferred - drain_cost)
     return fresh, halted, processed, deferred
 
 
@@ -377,5 +395,5 @@ def hub_cpu_step(
         cpu_demanded=demanded,
         cpu_processed=unscaled(processed),
         deferred_cost=unscaled(deferred),
-        backlog_cost_after=float(topology.backlog_cost),
+        backlog_cost_after=unscaled(topology.backlog_scaled),
     )

@@ -261,6 +261,61 @@ def amounts(report) -> dict:
     return doc
 
 
+def first_difference(a, b, path: str = "") -> str | None:
+    """The path of the first place where two amount views differ, or None when a == b.
+
+    A path reads like ``links.b03.series.deposited_bits[17]``: dict keys
+    are joined by dots and list indices are bracketed. Dicts are walked in
+    a's key order, then b's other keys; lists item by item, the first
+    missing item's index included. Any other values differ as ``==`` says,
+    at their own path, which is "" for the two views themselves.
+    """
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in [*a, *(key for key in b if key not in a)]:
+            at = f"{path}.{key}" if path else str(key)
+            if key not in a or key not in b:
+                return at
+            found = first_difference(a[key], b[key], at)
+            if found is not None:
+                return found
+        return None
+    if isinstance(a, list) and isinstance(b, list):
+        for i, (x, y) in enumerate(zip(a, b)):
+            found = first_difference(x, y, f"{path}[{i}]")
+            if found is not None:
+                return found
+        return None if len(a) == len(b) else f"{path}[{min(len(a), len(b))}]"
+    return None if a is b or a == b else path
+
+
+def test_first_difference_names_the_first_differing_path():
+    series = {"deposited_bits": [0] * 20, "active": [1] * 20}
+    a = {"links": {"b03": {"series": series}}, "totals": {"relay": 8}, "hub": {"x": [1.0]}}
+    assert first_difference(a, a) is None
+    assert first_difference(a, json.loads(json.dumps(a))) is None
+
+    def moved(change) -> str | None:
+        b = json.loads(json.dumps(a))
+        change(b)
+        assert (first_difference(a, b) is None) == (a == b)
+        return first_difference(a, b)
+
+    assert moved(lambda b: b["links"]["b03"]["series"]["deposited_bits"].__setitem__(17, 5)) == (
+        "links.b03.series.deposited_bits[17]"
+    )
+    def both(b) -> None:
+        b["links"]["b03"]["series"].update(deposited_bits=[0] * 19, active=[0] * 20)
+
+    assert moved(both) == "links.b03.series.deposited_bits[19]"  # a's order decides
+    assert moved(lambda b: b["hub"]["x"].append(2.0)) == "hub.x[1]"
+    assert moved(lambda b: b["totals"].pop("relay")) == "totals.relay"
+    assert moved(lambda b: b["totals"].update(rotation=0)) == "totals.rotation"
+    assert moved(lambda b: b.update(hub=[1.0])) == "hub"
+    assert moved(lambda b: b["hub"].update(x=[1])) is None  # 1 == 1.0, as == has it
+    assert first_difference([1, {"a": 2}], [1, {"a": 3}]) == "[1].a"
+    assert first_difference(1, 2) == ""
+
+
 def fingerprints(report) -> list[str]:
     return [row["key_fingerprint"] for row in report.relay_ledger]
 
@@ -268,7 +323,9 @@ def fingerprints(report) -> list[str]:
 def test_seed_moves_key_bits_never_amounts():
     base = ingest_scenario(SCENARIOS / "star10.json")
     reports = [run(with_overrides(base, seed=seed)) for seed in (0, 7, 12345)]
-    assert amounts(reports[0]) == amounts(reports[1]) == amounts(reports[2])
+    views = [amounts(report) for report in reports]
+    for view in views[1:]:
+        assert view == views[0], first_difference(views[0], view)
     assert len({tuple(fingerprints(report)) for report in reports}) == 3
     # Every relayed key comes from the root seed's relay stream, so a new
     # seed moves the fingerprints of every ledger that has rows.
@@ -277,7 +334,8 @@ def test_seed_moves_key_bits_never_amounts():
         scenario = scenario_from_dict(corpus_scenario(index))
         seeds = (scenario.seed, scenario.seed + 1)
         a, b = (run(with_overrides(scenario, seed=seed)) for seed in seeds)
-        assert amounts(a) == amounts(b), index
+        view_a, view_b = amounts(a), amounts(b)
+        assert view_a == view_b, f"scenario {index}: {first_difference(view_a, view_b)}"
         assert (fingerprints(a) != fingerprints(b)) == (len(a.relay_ledger) > 0), index
         moved += len(a.relay_ledger) > 0
     assert moved > 0

@@ -512,6 +512,32 @@ def test_a_tick_retains_under_400_bytes():
     assert per_tick <= 400, per_tick
 
 
+def test_an_unthrottled_run_builds_no_fraction(monkeypatch):
+    # Every exact amount of an unthrottled run is whole at the 2**128
+    # scale: its rounds, the hub's budget and the backlog total are ints.
+    scenario = ingest_scenario("scenarios/minimal.json")
+    built = []
+    new = Fraction.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_new))
+    if hasattr(Fraction, "_from_coprime_ints"):  # arithmetic's results from Python 3.12
+        coprime = Fraction._from_coprime_ints
+        monkeypatch.setattr(
+            Fraction,
+            "_from_coprime_ints",
+            classmethod(lambda cls, n, d: built.append((n, d)) or coprime(n, d)),
+        )
+    assert Fraction(1, 3) + 1 == Fraction(4, 3) and built  # the count sees both ways
+    built.clear()
+    report = run(scenario)
+    assert built == []
+    assert report.totals["generated_bits"] > 0 and report.hub["backlog_cost_final"] == 0.0
+
+
 def test_shipped_scenario_runs_clean():
     s = ingest_scenario("scenarios/star10.json")
     r = run(s)

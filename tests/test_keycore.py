@@ -23,7 +23,7 @@ from starqkd.keycore import (
     otp_encrypt,
     xor_bytes,
 )
-from starqkd.rng import derive_seed, random_bits
+from starqkd.rng import MAX_RANDOM_BITS, derive_seed, random_bits
 
 
 def make_key(bits: bytes, provenance=Provenance.QUANTUM, key_id="k") -> KeyMaterial:
@@ -221,6 +221,18 @@ def test_pool_bit_counts_are_ints_checked_before_anything_moves():
         assert counters(pool) == (92, 100, 8)
         assert pool.rng.getstate() == stream
         assert pool._draw_count == 1
+
+
+def test_a_draw_past_one_random_bits_draw_is_rejected_before_anything_moves():
+    # The pool could pay it, but its key would be one random_bits draw of
+    # more than MAX_RANDOM_BITS bits, which used to raise after the spend.
+    pool = KeyPool(link_id="a")
+    pool.deposit(2**32)
+    message = f"n_bits: must be <= {MAX_RANDOM_BITS}, got {MAX_RANDOM_BITS + 1}"
+    with pytest.raises(RangeError, match=message):
+        pool.draw(MAX_RANDOM_BITS + 1, Provenance.QUANTUM)
+    assert counters(pool) == (2**32, 2**32, 0)
+    assert pool.rng is None and pool._draw_count == 0
 
 
 def test_default_pool_makes_its_stream_at_its_first_draw():

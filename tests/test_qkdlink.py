@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from starqkd.errors import DomainError
 from starqkd.keycore import AuthBudget, KeyPool
@@ -15,9 +15,10 @@ from starqkd.qkdlink import (
     LinkState,
     TickOutcome,
     binary_entropy,
+    exact,
     produce,
     raw_rate,
-    scaled,
+    scaled_product,
     secret_fraction,
     secret_rate,
     tick,
@@ -134,6 +135,27 @@ def test_round_is_the_exact_rate_times_dt():
         assert st.auth.reserved_bits == reserved - 4 * 96
         assert st.cumulative_cpu_cost == cpu + rnd.cpu
         assert st.pool.total_generated_bits == 0  # produce deposits nothing
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(a=FINITE, b=FINITE)
+@example(a=0.0, b=1e300)
+@example(a=-0.0, b=0.1)
+@example(a=5e-324, b=1e-300)
+@example(a=5e-324, b=5e-324)
+@example(a=2.2250738585072014e-308, b=3e-320)  # smallest normal times a subnormal
+@example(a=1.7e308, b=1.7976931348623157e308)
+@example(a=1e300, b=1e-300)
+@example(a=2.0**-200, b=2.0**100)  # whole at the scale though its ratio's 2**-200 is not
+@example(a=0.1, b=1.0)
+def test_scaled_product_is_the_exact_product_at_the_scale(a, b):
+    got = scaled_product(a, b)
+    want = exact(Fraction(a) * Fraction(b) * ONE)
+    assert got == want
+    assert type(got) is type(want)
 
 
 def test_a_link_stepped_at_changing_dt_deposits_each_round():
@@ -270,9 +292,9 @@ def test_carry_matches_a_plain_fraction_model(rate, steps):
             continue
         a, b = share
         part = bits * Fraction(min(a, b), b)
-        check(part, state.carry(scaled(part)))
+        check(part, state.carry(exact(part * ONE)))
         if kind == "split":
-            check(bits - part, state.carry(scaled(bits - part)))
+            check(bits - part, state.carry(exact((bits - part) * ONE)))
 
 
 def test_carry_at_a_scale_past_two_to_the_thousand():
@@ -290,7 +312,7 @@ def test_carry_at_a_scale_past_two_to_the_thousand():
         assert state.pending_bits == produced - math.floor(produced)
 
     # Two tiny rounds short of a whole bit, then one round onto it exactly.
-    check(1 - 2 * tiny, state.carry(scaled(1 - 2 * tiny)))
+    check(1 - 2 * tiny, state.carry(exact((1 - 2 * tiny) * ONE)))
     check(tiny, tick(state, 1e-300).deposited_bits)
     assert state.pool.total_generated_bits == 0
     check(tiny, tick(state, 1e-300).deposited_bits)
@@ -298,6 +320,6 @@ def test_carry_at_a_scale_past_two_to_the_thousand():
     for dt in (1.0, 1e-300, 0.1, 1e-300, 1.0):
         check(Fraction(state.round(dt).bits_scaled, ONE), tick(state, dt).deposited_bits)
         third = Fraction(state.round(dt).bits_scaled, ONE) / 3
-        check(third, state.carry(scaled(third)))
-        check(2 * third, state.carry(scaled(2 * third)))
+        check(third, state.carry(exact(third * ONE)))
+        check(2 * third, state.carry(exact((2 * third) * ONE)))
     assert state.pool.total_generated_bits > 1000

@@ -388,6 +388,22 @@ def test_series_view_reads_as_its_list():
     assert SeriesView([1, 2], 2, 3) == [] and len(SeriesView([1, 2], 2, 3)) == 0
 
 
+def test_iterating_a_series_view_copies_none_of_its_column():
+    # A view used to iterate a slice of its column: at 10**6 ticks, CSV
+    # emission's max RSS rose by 34 MB over the run's.
+    column = array("q", [0]) * 10**6  # 8 MB
+    views = (SeriesView(column, 0, 1), SeriesView(column, 1, 4), SeriesView(list(column), 2, 3))
+    for view in views:
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert sum(1 for _ in view) == len(view)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, (view.start, view.step, peak)
+
+
 def test_series_view_is_read_only():
     view = SeriesView([1, 2, 3, 4], 0, 2)
     assert not hasattr(view, "append") and not hasattr(view, "__setitem__")

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from starqkd.rng import MAX_SEED, StreamRegistry, derive_seed, random_bits
+from starqkd.errors import RangeError
+from starqkd.rng import MAX_RANDOM_BITS, MAX_SEED, StreamRegistry, derive_seed, random_bits
 
 
 def test_seeds_and_lengths_out_of_range_are_rejected():
@@ -13,6 +14,18 @@ def test_seeds_and_lengths_out_of_range_are_rejected():
             derive_seed(seed, "x")
         with pytest.raises(ValueError, match="root_seed: must be"):
             StreamRegistry(seed)
-    with pytest.raises(ValueError, match="n_bits: must be >= 1"):
-        random_bits(random.Random(0), 0)
     StreamRegistry(MAX_SEED).stream("x")  # the largest seed is accepted
+    # getrandbits takes a C int, so 2**31 bits used to raise a bare
+    # OverflowError. Each length is rejected before the stream moves, and
+    # no key past the limit is ever made here.
+    assert MAX_RANDOM_BITS == 2**31 - 1
+    rng = random.Random(0)
+    state = rng.getstate()
+    for n_bits, message in (
+        (0, "n_bits: must be >= 1, got 0"),
+        (MAX_RANDOM_BITS + 1, f"n_bits: must be <= {MAX_RANDOM_BITS}, got {MAX_RANDOM_BITS + 1}"),
+        (2**40, f"n_bits: must be <= {MAX_RANDOM_BITS}, got {2**40}"),
+    ):
+        with pytest.raises(RangeError, match=message):
+            random_bits(rng, n_bits)
+        assert rng.getstate() == state

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from starqkd import scenario as scenario_module
+from starqkd.cli import main
 
 from starqkd.engine import EventKind, _Sim, run
 from starqkd.errors import BadField, ParseError, RangeError, ValidationError
@@ -25,6 +26,7 @@ from starqkd.policy import (
 )
 from starqkd.qkdlink import raw_rate
 from starqkd.report import emit_report
+from starqkd.rng import MAX_RANDOM_BITS
 from starqkd.scenario import (
     DEFAULT_ATTACKER,
     DEFAULT_LINK,
@@ -392,13 +394,15 @@ def _cpu_demand_overflow(data: dict) -> dict:
     """One tick costs 0.6 MAX_CPU_DEMAND; the override asks for two.
 
     The base has no rotation, relay or sharing source: their firings over
-    so long a tick would break the firing limit in the base itself.
+    so long a tick would break the firing limit in the base itself. Nor
+    has it a pad rate, whose pad over such a tick would break the pad limit.
     """
     for branch in data["branches"]:
         branch.pop("rotation_frequency_hz", None)
     for demand in data.get("traffic", ()):
         demand.pop("relay_bits", None)
         demand.pop("relay_interval_seconds", None)
+        demand.pop("otp_bits_per_sec", None)
     data.pop("sharing", None)
     per_sec = sum(b.link.cpu_cost_per_sec for b in scenario_from_dict(data).branches)
     data["tick_seconds"] = data["duration_seconds"] = 0.6 * MAX_CPU_DEMAND / per_sec
@@ -788,6 +792,18 @@ TYPE_RULES = {
         "n_locations: must be >= 2, got 1",
     ),
     "share-field": (SharingScenario, {"field_prime": 4}, "field_prime 4 is not prime"),
+    # Each relayed key is one random_bits draw; past 2**31 - 1 bits, run() raised a
+    # bare OverflowError at the first relay or refresh.
+    "relay-past-one-draw": (
+        TrafficDemand,
+        {"relay_bits": 2**31, "relay_interval_seconds": 5.0},
+        "relay_bits: must be <= 2147483647, got 2147483648",
+    ),
+    "refresh-past-one-draw": (
+        SharingScenario,
+        {"n_locations": 6000},  # 6000 * 5999 pads of 61 bits
+        "n_locations: a refresh of 2195634000 bits exceeds the limit of 2147483647",
+    ),
     # Kinds: unchecked, each would construct and then raise a bare error in
     # run(), or run on a value the parser rejects.
     "empty-branch-id": (BranchScenario, {"id": ""}, "id: expected a non-empty string, got ''"),
@@ -906,11 +922,54 @@ def test_type_rules_give_the_parser_its_paths():
         "sharing[0].threshold_k: must be <= 3, got 4": {
             "sharing": [VALID[SharingScenario] | {"custodians": ["a", "b"], "threshold_k": 4}]
         },
+        "traffic[0].relay_bits: must be <= 2147483647, got 2147483648": {
+            "traffic": [{"src": "a", "dst": "b", "relay_bits": 2**31, "relay_interval_seconds": 1}]
+        },
+        "sharing[0].n_locations: a refresh of 2195634000 bits exceeds the limit of 2147483647": {
+            "sharing": [VALID[SharingScenario] | {"custodians": ["a", "b"], "n_locations": 6000}]
+        },
     }
     for message, fields in expected.items():
         with pytest.raises(ValidationError) as caught:
             scenario_from_dict(data | fields)
         assert str(caught.value) == message
+
+
+def test_a_tick_pad_past_one_draw_is_rejected_at_its_flow(tmp_path, capsys):
+    # A tick's pad is the whole bytes of its rate plus the under 8 bits the
+    # last pad left, so MAX_RANDOM_BITS - 7 bits per tick is the largest rate
+    # whose every pad is one random_bits draw: a rate of 2**31 - 1 asks
+    # 2**31 - 8 bits on its first tick and 2**31 on its second. Only the
+    # check runs here; no such pad is drawn.
+    limit = MAX_RANDOM_BITS - 7
+    path = "traffic[1].otp_bits_per_sec"
+    for tick in (0.5, 1.0, 0.25):  # the rates at the limit are exact
+        data = {
+            "duration_seconds": 10 * tick,
+            "tick_seconds": tick,
+            "branches": [{"id": "a"}, {"id": "b"}],
+            "traffic": [{"src": "b", "dst": "a"}, {"src": "a", "dst": "b"}],
+        }
+        for rate, ok in ((limit / tick, True), ((limit + 1) / tick, False)):
+            data["traffic"][1]["otp_bits_per_sec"] = rate
+            if ok:
+                assert scenario_from_dict(data).traffic[1].otp_bits_per_sec == rate
+                continue
+            with pytest.raises(ValidationError) as caught:
+                scenario_from_dict(data)
+            assert str(caught.value) == (
+                f"{path}: {rate!r} bits per second over {tick!r} s ticks exceed the limit "
+                f"of {limit} pad bits per tick"
+            )
+            file = tmp_path / "pad.json"
+            file.write_text(json.dumps(data))
+            capsys.readouterr()
+            assert main(["simulate", str(file), "--out", str(tmp_path / "out")]) == 1
+            assert capsys.readouterr().err.startswith(f"error: {path}: ")
+    data["traffic"][1]["otp_bits_per_sec"] = float(limit)
+    ok = scenario_from_dict(data | {"tick_seconds": 1.0, "duration_seconds": 10.0})
+    with pytest.raises(ValidationError, match=re.escape(path)):
+        replace(ok, tick_seconds=2.0, duration_seconds=20.0)  # the same rate over longer ticks
 
 
 TWO_BRANCHES = {"duration_seconds": 10.0, "branches": [{"id": "a"}, {"id": "b"}]}

@@ -1,5 +1,6 @@
 """Star topology: construction, scheduling, relay, hub throttling."""
 
+import copy
 import random
 from collections import defaultdict
 from fractions import Fraction
@@ -453,6 +454,34 @@ def test_overloaded_hub_processes_each_dt_capacity_exactly():
         # Each step's fresh work alone overruns the budget, so all of it is used.
         assert before + cost - topo.backlog_cost == Fraction(capacity) * Fraction(dt)
         assert topo.capacity(dt) == Fraction(capacity) * Fraction(dt)
+
+
+def test_hub_step_at_alternating_tick_lengths_matches_fresh_topologies():
+    # Each step is checked against a copy of the star whose round table and
+    # link rounds are made afresh, so a round kept from another tick length
+    # would show; each table is the one a fresh star makes for that length.
+    topo = star(n=4, channels=3, capacity=2300.7, rate=999.7)
+    ids = topo.branch_ids()
+    for k, dt in enumerate((1.0, 0.3, 1.0, 0.1, 0.3, 0.3, 1.0, 0.1, 1e-300, 0.3)):
+        fresh = copy.deepcopy(topo)
+        fresh._table_dt = None
+        for link in fresh.link_at:
+            link._round = None
+        active = [(k + j) % 4 for j in range(3)]
+        got, want = [0] * 4, [0] * 4
+        assert hub_step(topo, dt, active, got) == hub_step(fresh, dt, active, want)
+        assert got == want
+        assert topo.backlog == fresh.backlog and topo.backlog_scaled == fresh.backlog_scaled
+        assert [link_counters(topo, b) for b in ids] == [link_counters(fresh, b) for b in ids]
+        assert [link._carry for link in topo.link_at] == [link._carry for link in fresh.link_at]
+        capacity, rounds = topo.round_table(dt)
+        assert (capacity, rounds) == star(n=4, capacity=2300.7, rate=999.7).round_table(dt)
+        assert rounds == [link.round(dt) for link in fresh.link_at]
+        assert topo.capacity(dt) == Fraction(2300.7) * Fraction(dt)
+    assert topo.backlog_scaled > 0
+    assert topo.backlog_cost == Fraction(topo.backlog_scaled, ONE)
+    with pytest.raises(AttributeError):
+        topo.backlog_cost = Fraction(0)  # a read-only view of backlog_scaled
 
 
 def test_hub_step_floats_are_the_exact_amounts_rounded():
